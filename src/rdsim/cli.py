@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import argparse
 import os
+import platform
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .config import (
@@ -29,10 +31,12 @@ from .config import (
     serialize_config,
 )
 from .covariates import CovariateSpec, generate_binary_covariates
-from .errors import ConfigError, RdsimError
+from .errors import ConfigError, RdsimError, or_none
 from .estimators import sample_estimates
 from .graph import (
     AttributeVector,
+    Graph,
+    _read_edge_pairs,
     differential_activity,
     homophily_ratio,
     mean_degree,
@@ -62,6 +66,10 @@ def _write_manifest(out_dir: str, command: str, seed: int | None, cfg) -> None:
     path = os.path.join(out_dir, "manifest.txt")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"rdsim-version = {__version__}\n")
+        # Byte reproducibility also rests on numpy's Generator streams.
+        fh.write(f"python-version = {platform.python_version()}\n")
+        fh.write(f"numpy-version = {np.__version__}\n")
+        fh.write(f"scipy-version = {scipy.__version__}\n")
         fh.write(f"command = {command}\n")
         if seed is not None:
             fh.write(f"master-seed = {seed}\n")
@@ -75,18 +83,16 @@ def _ensure_out(args) -> str:
 
 
 def _attribute_stats(graph, values) -> list[str]:
-    stats = [f"prevalence={prevalence(values):.4g}"]
     counts = mixing_counts(graph, values)
-    try:
-        stats.append(f"diff_activity={differential_activity(graph, values):.4g}")
-    except RdsimError:
-        stats.append("diff_activity=undefined")
-    try:
-        stats.append(f"homophily={newman_assortativity(counts):.4g}")
-        stats.append(f"homophily_ratio={homophily_ratio(counts):.4g}")
-    except RdsimError:
-        stats.append("homophily=undefined")
-    return stats
+    stats = {
+        "prevalence": prevalence(values),
+        "diff_activity": or_none(differential_activity, graph, values),
+        "homophily": or_none(newman_assortativity, counts),
+        "homophily_ratio": or_none(homophily_ratio, counts),
+    }
+    return [
+        f"{name}=undefined" if value is None else f"{name}={value:.4g}" for name, value in stats.items()
+    ]
 
 
 def cmd_netgen(args) -> int:
@@ -166,16 +172,20 @@ def cmd_rds(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    forests = [read_forest(path) for path in args.forest]
     graph = None
     if args.edges is not None:
-        forests = [read_forest(path) for path in args.forest]
-        node_count = max(int(f.nodes.max()) + 1 for f in forests)
-        graph = read_edge_list(args.edges, node_count=node_count)
+        # The population size is not stored. The induced-subgraph oracle reads
+        # only sampled nodes, so trailing isolated nodes do not matter.
+        pairs = _read_edge_pairs(args.edges)
+        node_count = max(int(f.nodes.max()) for f in forests) + 1
+        if pairs.size:
+            node_count = max(node_count, int(pairs.max()) + 1)
+        graph = Graph(node_count, pairs[:, 0], pairs[:, 1])
     out = _ensure_out(args)
     rows = []
     columns: list[str] = []
-    for path in args.forest:
-        forest = read_forest(path)
+    for path, forest in zip(args.forest, forests):
         est = sample_estimates(forest, graph)
         row = {"forest": path, "sample_size": est.sample_size, "max_wave": est.max_wave}
         for k, name in enumerate(est.attribute_names):

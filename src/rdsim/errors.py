@@ -15,6 +15,14 @@ class UndefinedEstimandError(RdsimError):
     """
 
 
+def or_none(statistic, *args):
+    """``statistic(*args)``, or None when it is undefined on these arguments."""
+    try:
+        return statistic(*args)
+    except UndefinedEstimandError:
+        return None
+
+
 class InfeasibleTargetsError(RdsimError):
     """Requested network targets violate a structural bound.
 

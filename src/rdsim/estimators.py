@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedEstimandError
-from .graph import Graph, MixingCounts, homophily_ratio, newman_assortativity
+from .errors import or_none
+from .graph import Graph, _activity_ratio, _classify, homophily_ratio, newman_assortativity
 from .sampler import RecruitmentForest
 
 __all__ = [
@@ -39,30 +39,7 @@ def estimate_differential_activity(
     Returns None when either group is absent from the sample or the
     value-0 group reports zero total degree.
     """
-    z = forest.attribute_column(attribute)
-    mask = z == 1
-    n1 = int(mask.sum())
-    n0 = z.size - n1
-    if n1 == 0 or n0 == 0:
-        return None
-    degrees = forest.degrees
-    total0 = int(degrees[~mask].sum())
-    if total0 == 0:
-        return None
-    total1 = int(degrees[mask].sum())
-    return (total1 / n1) / (total0 / n0)
-
-
-def _forest_mixing(forest: RecruitmentForest, attribute: int | str) -> MixingCounts:
-    z = forest.attribute_column(attribute)
-    z_by_node = np.zeros(int(forest.nodes.max()) + 1, dtype=np.int64)
-    z_by_node[forest.nodes] = z
-    recruiters, recruits = forest.recruitment_edges()
-    za = z_by_node[recruiters]
-    zb = z_by_node[recruits]
-    within_1 = int(np.sum((za == 1) & (zb == 1)))
-    within_0 = int(np.sum((za == 0) & (zb == 0)))
-    return MixingCounts(within_1=within_1, within_0=within_0, cross=int(za.size) - within_1 - within_0)
+    return or_none(_activity_ratio, forest.attribute_column(attribute), forest.degrees)
 
 
 def estimate_homophily(
@@ -78,18 +55,11 @@ def estimate_homophily(
         undefined (no recruitment edges, single-class edge ends, or no
         cross edges for the ratio).
     """
-    counts = _forest_mixing(forest, attribute)
-    if counts.total == 0:
-        return None, None
-    try:
-        assortativity = newman_assortativity(counts)
-    except UndefinedEstimandError:
-        assortativity = None
-    try:
-        ratio = homophily_ratio(counts)
-    except UndefinedEstimandError:
-        ratio = None
-    return assortativity, ratio
+    z_by_node = np.zeros(int(forest.nodes.max()) + 1, dtype=np.int64)
+    z_by_node[forest.nodes] = forest.attribute_column(attribute)
+    recruiters, recruits = forest.recruitment_edges()
+    counts = _classify(z_by_node[recruiters], z_by_node[recruits])
+    return or_none(newman_assortativity, counts), or_none(homophily_ratio, counts)
 
 
 def induced_homophily(
@@ -101,28 +71,13 @@ def induced_homophily(
     such edges are unobservable in a real recruitment survey, so this is
     for bias diagnostics, not estimation.
     """
-    z = forest.attribute_column(attribute)
     in_sample = np.zeros(graph.node_count, dtype=bool)
     in_sample[forest.nodes] = True
     keep = in_sample[graph.src] & in_sample[graph.dst]
     z_full = np.zeros(graph.node_count, dtype=np.int64)
-    z_full[forest.nodes] = z
-    za = z_full[graph.src[keep]]
-    zb = z_full[graph.dst[keep]]
-    within_1 = int(np.sum((za == 1) & (zb == 1)))
-    within_0 = int(np.sum((za == 0) & (zb == 0)))
-    counts = MixingCounts(within_1, within_0, int(za.size) - within_1 - within_0)
-    if counts.total == 0:
-        return None, None
-    try:
-        assortativity = newman_assortativity(counts)
-    except UndefinedEstimandError:
-        assortativity = None
-    try:
-        ratio = homophily_ratio(counts)
-    except UndefinedEstimandError:
-        ratio = None
-    return assortativity, ratio
+    z_full[forest.nodes] = forest.attribute_column(attribute)
+    counts = _classify(z_full[graph.src[keep]], z_full[graph.dst[keep]])
+    return or_none(newman_assortativity, counts), or_none(homophily_ratio, counts)
 
 
 def rds2_prevalence(forest: RecruitmentForest, attribute: int | str = 0) -> float:
@@ -167,7 +122,7 @@ class SampleEstimates:
     """All per-attribute estimates computed from one forest.
 
     Tuple fields hold one entry per attribute column, in forest order.
-    ``induced_*`` fields are None unless the population graph was supplied.
+    ``induced_homophily`` is None unless the population graph was supplied.
     """
 
     attribute_names: tuple[str, ...]
@@ -179,7 +134,6 @@ class SampleEstimates:
     rds2_prevalence: tuple[float | None, ...]
     crude_prevalence: tuple[float, ...]
     induced_homophily: tuple[float | None, ...] | None = None
-    induced_homophily_ratio: tuple[float | None, ...] | None = None
 
 
 def sample_estimates(forest: RecruitmentForest, graph: Graph | None = None) -> SampleEstimates:
@@ -188,7 +142,7 @@ def sample_estimates(forest: RecruitmentForest, graph: Graph | None = None) -> S
     Args:
         forest: Observed recruitment forest.
         graph: Optional population graph; enables the oracle-only
-            induced-subgraph homophily fields.
+            induced-subgraph homophily field.
     """
     m = len(forest.attribute_names)
     da = []
@@ -197,7 +151,6 @@ def sample_estimates(forest: RecruitmentForest, graph: Graph | None = None) -> S
     rds2 = []
     crude = []
     ind_h: list[float | None] = []
-    ind_r: list[float | None] = []
     # An isolated node can enter the sample as a seed, in which case the
     # inverse-degree weights are undefined; record a marker, not a crash.
     degrees_ok = bool(np.all(forest.degrees > 0))
@@ -209,9 +162,7 @@ def sample_estimates(forest: RecruitmentForest, graph: Graph | None = None) -> S
         rds2.append(rds2_prevalence(forest, k) if degrees_ok else None)
         crude.append(crude_prevalence(forest, k))
         if graph is not None:
-            ih, ir = induced_homophily(forest, graph, k)
-            ind_h.append(ih)
-            ind_r.append(ir)
+            ind_h.append(induced_homophily(forest, graph, k)[0])
     return SampleEstimates(
         attribute_names=forest.attribute_names,
         sample_size=forest.size,
@@ -222,5 +173,4 @@ def sample_estimates(forest: RecruitmentForest, graph: Graph | None = None) -> S
         rds2_prevalence=tuple(rds2),
         crude_prevalence=tuple(crude),
         induced_homophily=tuple(ind_h) if graph is not None else None,
-        induced_homophily_ratio=tuple(ind_r) if graph is not None else None,
     )

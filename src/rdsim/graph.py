@@ -228,28 +228,34 @@ def differential_activity(graph: Graph, values) -> float:
             group has no edge ends (zero total degree).
     """
     z = _as_attribute(values, graph.node_count)
+    return _activity_ratio(z, graph.degrees)
+
+
+def _activity_ratio(z: np.ndarray, degrees: np.ndarray) -> float:
+    """Mean of ``degrees`` over the value-1 nodes of ``z`` over that of the value-0 nodes."""
     mask = z == 1
     n1 = int(mask.sum())
     n0 = z.size - n1
     if n1 == 0 or n0 == 0:
         raise UndefinedEstimandError("differential activity needs both attribute groups present")
-    deg = graph.degrees
-    total0 = int(deg[~mask].sum())
+    total0 = int(degrees[~mask].sum())
     if total0 == 0:
         raise UndefinedEstimandError("differential activity undefined: value-0 group has no edge ends")
-    total1 = int(deg[mask].sum())
+    total1 = int(degrees[mask].sum())
     return (total1 / n1) / (total0 / n0)
 
 
 def mixing_counts(graph: Graph, values) -> MixingCounts:
     """Exact edge counts by endpoint-attribute class (each edge once)."""
     z = _as_attribute(values, graph.node_count)
-    za = z[graph.src]
-    zb = z[graph.dst]
+    return _classify(z[graph.src], z[graph.dst])
+
+
+def _classify(za: np.ndarray, zb: np.ndarray) -> MixingCounts:
+    """Mixing counts of the edges whose endpoint attributes are ``za[i]``, ``zb[i]``."""
     within_1 = int(np.sum((za == 1) & (zb == 1)))
     within_0 = int(np.sum((za == 0) & (zb == 0)))
-    cross = graph.edge_count - within_1 - within_0
-    return MixingCounts(within_1=within_1, within_0=within_0, cross=cross)
+    return MixingCounts(within_1=within_1, within_0=within_0, cross=int(za.size) - within_1 - within_0)
 
 
 def newman_assortativity(counts: MixingCounts) -> float:
@@ -375,18 +381,23 @@ def read_edge_list(path, node_count: int | None = None) -> Graph:
             ``max index + 1``, which silently drops trailing isolated nodes;
             pass it explicitly whenever those matter.
     """
+    pairs = _read_edge_pairs(path)
+    if node_count is None:
+        if not pairs.size:
+            raise ValueError(f"{path}: empty edge list; node_count is required")
+        node_count = int(pairs.max()) + 1
+    return Graph(node_count, pairs[:, 0], pairs[:, 1])
+
+
+def _read_edge_pairs(path) -> np.ndarray:
+    """The ``(edges, 2)`` endpoint array of an edge-list CSV."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["src", "dst"]:
             raise ValueError(f"{path}: expected header 'src,dst'")
         pairs = [(int(row[0]), int(row[1])) for row in reader if row]
-    if node_count is None:
-        if not pairs:
-            raise ValueError(f"{path}: empty edge list; node_count is required")
-        node_count = max(max(a, b) for a, b in pairs) + 1
-    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    return Graph(node_count, arr[:, 0], arr[:, 1])
+    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def write_attributes(path, attributes: Sequence[AttributeVector]) -> None:

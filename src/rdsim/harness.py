@@ -25,7 +25,7 @@ from itertools import product
 import numpy as np
 
 from .covariates import CovariateSpec, LatentBinaryModel, binary_sampler
-from .errors import FitConvergenceError, InfeasibleTargetsError, UndefinedEstimandError
+from .errors import FitConvergenceError, InfeasibleTargetsError, or_none
 from .estimators import relative_bias, sample_estimates
 from .graph import (
     differential_activity,
@@ -185,6 +185,9 @@ RB_COLUMNS = [
     "rb_rds2_prevalence",
 ]
 
+# The cohort mimic has no population graph to estimate from, so no induced homophily.
+_ENGAGE_RB_COLUMNS = [column for column in RB_COLUMNS if column != "rb_induced_homophily"]
+
 EXPERIMENT_COLUMNS = EXPERIMENT_GROUP_COLUMNS + [
     "replicate",
     "status",
@@ -219,80 +222,74 @@ def _cell_key(cell: Cell) -> dict:
 
 def _realized_truth(graph, z) -> dict:
     counts = mixing_counts(graph, z)
-    try:
-        truth_h = newman_assortativity(counts)
-    except UndefinedEstimandError:
-        truth_h = None
-    try:
-        truth_r = homophily_ratio(counts)
-    except UndefinedEstimandError:
-        truth_r = None
-    try:
-        truth_da = differential_activity(graph, z)
-    except UndefinedEstimandError:
-        truth_da = None
     return {
         "prevalence": prevalence(z),
         "mean_degree": mean_degree(graph),
-        "diff_activity": truth_da,
-        "homophily": truth_h,
-        "homophily_ratio": truth_r,
+        "diff_activity": or_none(differential_activity, graph, z),
+        "homophily": or_none(newman_assortativity, counts),
+        "homophily_ratio": or_none(homophily_ratio, counts),
     }
 
 
-# Per-process cache for fixed-network runs: every replicate of a cell
-# regenerates the same network, so workers keep the last few around.
-_NETWORK_CACHE: dict[tuple, tuple] = {}
+_TRUTHS = ("prevalence", "diff_activity", "homophily", "homophily_ratio")
+# SampleEstimates fields, in column order; induced_homophily is set only
+# when the estimates were given the population graph.
+_ESTIMATES = (
+    "diff_activity",
+    "homophily",
+    "homophily_ratio",
+    "induced_homophily",
+    "rds2_prevalence",
+    "crude_prevalence",
+)
+# Estimand -> the realized truth its relative bias is measured against.
+_BIAS_TRUTH = {
+    "diff_activity": "diff_activity",
+    "homophily": "homophily",
+    "homophily_ratio": "homophily_ratio",
+    "induced_homophily": "homophily",
+    "rds2_prevalence": "prevalence",
+}
 
 
-def _experiment_network(plan: ExperimentPlan, cell: Cell, replicate: int):
-    net_rep = replicate if plan.regenerate_network else 0
-    entropy = plan._entropy(_TAG_NETWORK, cell, net_rep)
-    if not plan.regenerate_network:
-        cached = _NETWORK_CACHE.get(entropy)
-        if cached is not None:
-            return cached
-    graph_z = generate_network(plan.network_targets(cell), _rng(*entropy), plan.mode)
-    if not plan.regenerate_network:
-        if len(_NETWORK_CACHE) > 8:
-            _NETWORK_CACHE.clear()
-        _NETWORK_CACHE[entropy] = graph_z
-    return graph_z
+def _ok_row(key: dict, replicate: int, forest, est, truths: list[dict], suffixes: list[str]) -> dict:
+    """One ``ok`` replicate row.
 
-
-def _experiment_task(args: tuple[ExperimentPlan, Cell, int]) -> dict:
-    plan, cell, replicate = args
-    graph, z = _experiment_network(plan, cell, replicate)
-    truth = _realized_truth(graph, z)
-    forest = run_rds(graph, z, plan.sampler_config(cell), _rng(*plan._entropy(_TAG_RDS, cell, replicate)))
-    est = sample_estimates(forest, graph)
-
-    row = _cell_key(cell)
-    row.update(
-        replicate=replicate,
-        status="ok",
-        reason=None,
-        truth_prevalence=truth["prevalence"],
-        truth_mean_degree=truth["mean_degree"],
-        truth_diff_activity=truth["diff_activity"],
-        truth_homophily=truth["homophily"],
-        truth_homophily_ratio=truth["homophily_ratio"],
-        est_diff_activity=est.diff_activity[0],
-        est_homophily=est.homophily[0],
-        est_homophily_ratio=est.homophily_ratio[0],
-        est_induced_homophily=est.induced_homophily[0],
-        est_rds2_prevalence=est.rds2_prevalence[0],
-        est_crude_prevalence=est.crude_prevalence[0],
-        rb_diff_activity=relative_bias(est.diff_activity[0], truth["diff_activity"]),
-        rb_homophily=relative_bias(est.homophily[0], truth["homophily"]),
-        rb_homophily_ratio=relative_bias(est.homophily_ratio[0], truth["homophily_ratio"]),
-        rb_induced_homophily=relative_bias(est.induced_homophily[0], truth["homophily"]),
-        rb_rds2_prevalence=relative_bias(est.rds2_prevalence[0], truth["prevalence"]),
-        reseed_count=forest.reseed_count,
-        max_wave=forest.max_wave,
-        truncated=forest.truncated,
-    )
+    Attribute k's truth, estimate and relative-bias fields come from
+    ``truths[k]`` and ``est``, named with the suffix ``suffixes[k]``.
+    """
+    row = dict(key, replicate=replicate, status="ok", reason=None)
+    row["truth_mean_degree"] = truths[0]["mean_degree"]
+    for k, (truth, suffix) in enumerate(zip(truths, suffixes)):
+        estimates = {name: getattr(est, name)[k] for name in _ESTIMATES if getattr(est, name) is not None}
+        row.update((f"truth_{name}{suffix}", truth[name]) for name in _TRUTHS)
+        row.update((f"est_{name}{suffix}", value) for name, value in estimates.items())
+        row.update(
+            (f"rb_{name}{suffix}", relative_bias(estimates[name], truth[of]))
+            for name, of in _BIAS_TRUTH.items()
+            if name in estimates
+        )
+    row.update(reseed_count=forest.reseed_count, max_wave=forest.max_wave, truncated=forest.truncated)
     return row
+
+
+def _experiment_task(args: tuple[ExperimentPlan, Cell, tuple[int, ...]]) -> list[dict]:
+    """Generate one network and run each of ``replicates`` over it.
+
+    The network is derived from the first replicate's index, which is 0
+    for every replicate of a fixed-network cell.
+    """
+    plan, cell, replicates = args
+    network_rng = _rng(*plan._entropy(_TAG_NETWORK, cell, replicates[0]))
+    graph, z = generate_network(plan.network_targets(cell), network_rng, plan.mode)
+    truth = _realized_truth(graph, z)
+    rows = []
+    for replicate in replicates:
+        rds_rng = _rng(*plan._entropy(_TAG_RDS, cell, replicate))
+        forest = run_rds(graph, z, plan.sampler_config(cell), rds_rng)
+        est = sample_estimates(forest, graph)
+        rows.append(_ok_row(_cell_key(cell), replicate, forest, est, [truth], [""]))
+    return rows
 
 
 def _skip_row(key: dict, replicate: int, reason: str, columns: list[str]) -> dict:
@@ -331,7 +328,7 @@ def run_experiment(
     """
     tasks = []
     rows: list[dict | None] = []
-    row_slots: list[tuple[int, int]] = []
+    row_slots: list[int] = []
     for cell in plan.cells():
         try:
             solve_dyad_classes(plan.network_targets(cell))
@@ -341,13 +338,16 @@ def run_experiment(
                 _skip_row(key, rep, str(exc), EXPERIMENT_COLUMNS) for rep in range(plan.replicates)
             )
             continue
-        for rep in range(plan.replicates):
-            tasks.append((plan, cell, rep))
-            row_slots.append(len(rows))
-            rows.append(None)
+        replicates = tuple(range(plan.replicates))
+        if plan.regenerate_network:
+            tasks.extend((plan, cell, (rep,)) for rep in replicates)
+        else:
+            tasks.append((plan, cell, replicates))
+        row_slots.extend(range(len(rows), len(rows) + plan.replicates))
+        rows.extend([None] * plan.replicates)
 
     computed = _run_tasks(tasks, _experiment_task, threads)
-    for slot, row in zip(row_slots, computed):
+    for slot, row in zip(row_slots, (row for task_rows in computed for row in task_rows)):
         rows[slot] = row
     assert all(row is not None for row in rows)
 
@@ -447,23 +447,9 @@ def engage_columns(names: tuple[str, ...]) -> list[str]:
     """Replicate-table column order for a covariate name tuple."""
     columns = ["replicate", "status", "reason", "truth_mean_degree"]
     for name in names:
-        columns.extend(
-            [
-                f"truth_prevalence_{name}",
-                f"truth_diff_activity_{name}",
-                f"truth_homophily_{name}",
-                f"truth_homophily_ratio_{name}",
-                f"est_diff_activity_{name}",
-                f"est_homophily_{name}",
-                f"est_homophily_ratio_{name}",
-                f"est_rds2_prevalence_{name}",
-                f"est_crude_prevalence_{name}",
-                f"rb_diff_activity_{name}",
-                f"rb_homophily_{name}",
-                f"rb_homophily_ratio_{name}",
-                f"rb_rds2_prevalence_{name}",
-            ]
-        )
+        columns.extend(f"truth_{truth}_{name}" for truth in _TRUTHS)
+        columns.extend(f"est_{est}_{name}" for est in _ESTIMATES if est != "induced_homophily")
+        columns.extend(f"{column}_{name}" for column in _ENGAGE_RB_COLUMNS)
     columns.extend(["reseed_count", "max_wave", "truncated"])
     return columns
 
@@ -471,39 +457,18 @@ def engage_columns(names: tuple[str, ...]) -> list[str]:
 def _engage_task(args: tuple[EngageScenario, LatentBinaryModel, int]) -> dict:
     scenario, sampler_model, replicate = args
     names = scenario.covariate_names
-    columns = engage_columns(names)
     z = sampler_model.sample(scenario.node_count, _rng(*scenario._entropy(_TAG_COVARIATES, replicate)))
     try:
         model = fit_dyad_model(scenario.covariates, scenario.mean_degree, z)
     except (InfeasibleTargetsError, FitConvergenceError) as exc:
-        return _skip_row({}, replicate, f"fit failed: {exc}", columns)
+        return _skip_row({}, replicate, f"fit failed: {exc}", engage_columns(names))
     graph = simulate_from_model(model, z, _rng(*scenario._entropy(_TAG_NETWORK, replicate)))
     forest = run_rds(
         graph, z, scenario.sampler_config(), _rng(*scenario._entropy(_TAG_RDS, replicate)), names
     )
     est = sample_estimates(forest)
-
-    row: dict = {"replicate": replicate, "status": "ok", "reason": None}
-    row["truth_mean_degree"] = mean_degree(graph)
-    for k, name in enumerate(names):
-        truth = _realized_truth(graph, z[:, k])
-        row[f"truth_prevalence_{name}"] = truth["prevalence"]
-        row[f"truth_diff_activity_{name}"] = truth["diff_activity"]
-        row[f"truth_homophily_{name}"] = truth["homophily"]
-        row[f"truth_homophily_ratio_{name}"] = truth["homophily_ratio"]
-        row[f"est_diff_activity_{name}"] = est.diff_activity[k]
-        row[f"est_homophily_{name}"] = est.homophily[k]
-        row[f"est_homophily_ratio_{name}"] = est.homophily_ratio[k]
-        row[f"est_rds2_prevalence_{name}"] = est.rds2_prevalence[k]
-        row[f"est_crude_prevalence_{name}"] = est.crude_prevalence[k]
-        row[f"rb_diff_activity_{name}"] = relative_bias(est.diff_activity[k], truth["diff_activity"])
-        row[f"rb_homophily_{name}"] = relative_bias(est.homophily[k], truth["homophily"])
-        row[f"rb_homophily_ratio_{name}"] = relative_bias(
-            est.homophily_ratio[k], truth["homophily_ratio"]
-        )
-        row[f"rb_rds2_prevalence_{name}"] = relative_bias(est.rds2_prevalence[k], truth["prevalence"])
-    row.update(reseed_count=forest.reseed_count, max_wave=forest.max_wave, truncated=forest.truncated)
-    return row
+    truths = [_realized_truth(graph, z[:, k]) for k in range(len(names))]
+    return _ok_row({}, replicate, forest, est, truths, [f"_{name}" for name in names])
 
 
 def run_engage_mimic(
@@ -525,16 +490,11 @@ def run_engage_mimic(
         per_cov = []
         for row in rows:
             flat = {"covariate": name, "status": row["status"]}
-            for kind in ("rb_diff_activity", "rb_homophily", "rb_homophily_ratio", "rb_rds2_prevalence"):
-                flat[kind] = row.get(f"{kind}_{name}")
+            for column in _ENGAGE_RB_COLUMNS:
+                flat[column] = row.get(f"{column}_{name}")
             per_cov.append(flat)
         summary.extend(
-            summarize_replicates(
-                per_cov,
-                ["covariate"],
-                ["rb_diff_activity", "rb_homophily", "rb_homophily_ratio", "rb_rds2_prevalence"],
-                scenario.replicates,
-            )
+            summarize_replicates(per_cov, ["covariate"], _ENGAGE_RB_COLUMNS, scenario.replicates)
         )
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -232,6 +232,21 @@ def _sample_class_dyads(
     return group_a[chosen // group_b.size], group_b[chosen % group_b.size]
 
 
+def _draw_graph(n: int, draws, rng: np.random.Generator) -> Graph:
+    """Graph on ``n`` nodes with ``k`` uniform dyads from each ``(group_a, group_b, k)`` class.
+
+    ``draws`` is consumed one class at a time, so a lazy iterable can draw
+    each class's count from ``rng`` just before that class's dyads.
+    """
+    src_parts = []
+    dst_parts = []
+    for group_a, group_b, k in draws:
+        a, b = _sample_class_dyads(group_a, group_b, k, rng)
+        src_parts.append(a)
+        dst_parts.append(b)
+    return Graph(n, np.concatenate(src_parts), np.concatenate(dst_parts))
+
+
 def _apportion_counts(expected: list[float], capacities: list[int], total: int) -> list[int]:
     """Split ``total`` edges over classes, nearest to their expected counts.
 
@@ -301,13 +316,7 @@ def generate_network(
             for (_, _, _, q), cap in zip(classes, capacities)
         ]
 
-    src_parts = []
-    dst_parts = []
-    for (group_a, group_b, _, _), k in zip(classes, counts):
-        a, b = _sample_class_dyads(group_a, group_b, k, rng)
-        src_parts.append(a)
-        dst_parts.append(b)
-    graph = Graph(n, np.concatenate(src_parts), np.concatenate(dst_parts))
+    graph = _draw_graph(n, [(a, b, k) for (a, b, _, _), k in zip(classes, counts)], rng)
     z.flags.writeable = False
     return graph, z
 
@@ -381,20 +390,6 @@ class DyadModel:
         theta.flags.writeable = False
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "covariate_names", tuple(self.covariate_names))
-
-    def tie_probability(self, pattern_a, pattern_b) -> float:
-        """Tie probability for one dyad given the endpoint attribute rows."""
-        a = np.asarray(pattern_a, dtype=np.int64)
-        b = np.asarray(pattern_b, dtype=np.int64)
-        stats = np.concatenate([[1.0], np.stack([(a == b).astype(float), (a + b).astype(float)], axis=1).ravel()])
-        return float(expit(stats @ self.theta))
-
-    @staticmethod
-    def statistic_labels(names: tuple[str, ...]) -> list[str]:
-        labels = ["edges"]
-        for name in names:
-            labels.extend([f"match[{name}]", f"group1_ends[{name}]"])
-        return labels
 
 
 class _PatternClasses:
@@ -587,13 +582,8 @@ def simulate_from_model(model: DyadModel, z: np.ndarray, rng: np.random.Generato
     if 1 + 2 * classes.m != model.theta.size:
         raise ValueError("model and attribute matrix disagree on attribute count")
     pi = classes.probabilities(model.theta)
-    src_parts = []
-    dst_parts = []
-    for a, b, count, prob in zip(classes.class_a, classes.class_b, classes.dyad_counts, pi):
-        k = int(rng.binomial(int(count), prob))
-        group_a = classes.members[a]
-        group_b = None if a == b else classes.members[b]
-        sa, sb = _sample_class_dyads(group_a, group_b, k, rng)
-        src_parts.append(sa)
-        dst_parts.append(sb)
-    return Graph(classes.n, np.concatenate(src_parts), np.concatenate(dst_parts))
+    draws = (
+        (classes.members[a], None if a == b else classes.members[b], int(rng.binomial(int(count), prob)))
+        for a, b, count, prob in zip(classes.class_a, classes.class_b, classes.dyad_counts, pi)
+    )
+    return _draw_graph(classes.n, draws, rng)

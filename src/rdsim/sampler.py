@@ -113,9 +113,6 @@ class RecruitmentForest:
     def max_wave(self) -> int:
         return int(self.waves.max()) if self.size else 0
 
-    def is_seed(self) -> np.ndarray:
-        return self.recruiters < 0
-
     def recruitment_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """(recruiter, recruit) node pairs, one per recruitment."""
         mask = self.recruiters >= 0

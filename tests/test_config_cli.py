@@ -1,8 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 
-from rdsim import ConfigError
-from rdsim.cli import main
+from rdsim import ConfigError, Graph, read_edge_list, read_forest
+from rdsim.cli import _attribute_stats, main
 from rdsim.config import (
     engage_scenario_from_config,
     experiment_plan_from_config,
@@ -164,8 +166,15 @@ class TestCliNetgen:
         assert "command = netgen" in manifest
         assert "master-seed = 3" in manifest
         assert "homophily_r = 0.40" in manifest
+        assert f"numpy-version = {np.__version__}" in manifest
+        assert "scipy-version = " in manifest and "python-version = " in manifest
         printed = capsys.readouterr().out
         assert "mean_degree=" in printed and "prevalence=" in printed
+
+    def test_summary_labels_undefined_ratio(self):
+        # two within-group edges: assortativity is 1, the ratio has no cross edges
+        stats = _attribute_stats(Graph(4, [0, 2], [1, 3]), [1, 1, 0, 0])
+        assert stats[-2:] == ["homophily=1", "homophily_ratio=undefined"]
 
     def test_infeasible_targets_fail_naming_bound(self, tmp_path, capsys):
         cfg = tmp_path / "net.cfg"
@@ -258,6 +267,32 @@ class TestCliPipeline:
         text = (est_out / "estimates.csv").read_text().splitlines()
         assert text[0].startswith("forest,sample_size,max_wave,est_diff_activity_z")
         assert "est_induced_homophily_z" in text[0]
+
+    def test_estimate_edges_when_highest_node_unsampled(self, tmp_path):
+        # A small sample rarely reaches the population's highest-indexed node,
+        # so the graph size must not be taken from the sampled nodes.
+        net_cfg = tmp_path / "net.cfg"
+        net_cfg.write_text(
+            "[network]\nn = 1000\np = 0.5\nmean_degree = 10\ndiff_activity = 1\nhomophily_r = 1\n"
+        )
+        net_out = tmp_path / "net"
+        assert main(["netgen", "--config", str(net_cfg), "--out", str(net_out), "--seed", "1", "-q"]) == 0
+        rds_cfg = tmp_path / "rds.cfg"
+        rds_cfg.write_text("[rds]\nseeds = 2\ncoupons = 2\nsample_size = 20\n")
+        rds_out = tmp_path / "rds"
+        edges = str(net_out / "edges.csv")
+        attributes = str(net_out / "attributes.csv")
+        rds_args = ["rds", "--config", str(rds_cfg), "--edges", edges, "--attributes", attributes]
+        assert main(rds_args + ["--out", str(rds_out), "--seed", "1", "-q"]) == 0
+        forest = read_forest(rds_out / "forest.csv")
+        assert forest.nodes.max() < read_edge_list(edges).dst.max()
+
+        forest_path = str(rds_out / "forest.csv")
+        est_out = tmp_path / "est"
+        assert main(["estimate", "--forest", forest_path, "--edges", edges, "--out", str(est_out), "-q"]) == 0
+        with open(est_out / "estimates.csv", newline="") as fh:
+            row = next(csv.DictReader(fh))
+        assert row["est_induced_homophily_z"] != ""
 
     def test_estimate_equal_degrees_rds2_equals_crude(self, tmp_path):
         # a 6-cycle: every degree is 2, so the weighting cancels

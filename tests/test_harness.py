@@ -10,6 +10,7 @@ from rdsim import (
     run_experiment,
     summarize_replicates,
 )
+from rdsim import harness
 from rdsim.harness import EXPERIMENT_COLUMNS, write_rows
 
 
@@ -103,8 +104,9 @@ class TestRunExperiment:
                 if row[rb] is not None:
                     assert row[rb] == (row[est] - row[truth]) / row[truth]
 
-    def test_deterministic_across_thread_counts(self, tmp_path):
-        plan = small_plan(replicates=6, sample_sizes=(40, 60))
+    @pytest.mark.parametrize("regenerate_network", [True, False], ids=["fresh", "fixed"])
+    def test_deterministic_across_thread_counts(self, tmp_path, regenerate_network):
+        plan = small_plan(replicates=6, sample_sizes=(40, 60), regenerate_network=regenerate_network)
         dir_one = tmp_path / "one"
         dir_two = tmp_path / "two"
         run_experiment(plan, threads=1, out_dir=dir_one)
@@ -135,6 +137,29 @@ class TestRunExperiment:
         truths_moving = {r["truth_mean_degree"] for r in rows_moving}
         assert len(truths_frozen) == 1
         assert len(truths_moving) > 1
+
+    def test_fixed_network_builds_one_network_per_feasible_cell(self, monkeypatch):
+        calls = []
+        original = harness.generate_network
+
+        def counting(targets, rng, mode):
+            calls.append(targets)
+            return original(targets, rng, mode)
+
+        monkeypatch.setattr(harness, "generate_network", counting)
+        plan = small_plan(
+            prevalences=(0.5, 0.8),
+            diff_activities=(1.0, 4.0),
+            homophily_ratios=(1.0, 2.0),
+            sample_sizes=(40, 60),
+            replicates=3,
+            regenerate_network=False,
+        )
+        rows, _ = run_experiment(plan)
+        feasible = {row["cell"] for row in rows if row["status"] == "ok"}
+        assert len(feasible) > 1
+        assert any(row["status"] == "skipped" for row in rows)
+        assert len(calls) == len(feasible)
 
     def test_csv_round_trip_preserves_floats(self, tmp_path):
         plan = small_plan(replicates=2)
