@@ -30,7 +30,7 @@ from .config import (
     sampler_config_from_config,
     serialize_config,
 )
-from .covariates import CovariateSpec, generate_binary_covariates
+from .covariates import generate_binary_covariates
 from .errors import ConfigError, RdsimError, or_none
 from .estimators import sample_estimates
 from .graph import (
@@ -99,12 +99,7 @@ def cmd_netgen(args) -> int:
     cfg = load_config(args.config)
     out = _ensure_out(args)
     if has_covariate_sections(cfg):
-        n, mean_deg, _, targets, matrix = multi_network_run_from_config(cfg, source=args.config)
-        spec = CovariateSpec(
-            names=tuple(t.name for t in targets),
-            marginals=np.array([t.prevalence for t in targets]),
-            correlations=matrix,
-        )
+        n, mean_deg, targets, spec = multi_network_run_from_config(cfg, source=args.config)
         z = generate_binary_covariates(spec, n, _rng(args.seed, 0))
         model = fit_dyad_model(targets, mean_deg, z)
         graph = simulate_from_model(model, z, _rng(args.seed, 1))

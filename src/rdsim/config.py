@@ -9,6 +9,8 @@ plus an optional ``[correlations]`` section with ``NAME:NAME = r`` pairs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .covariates import CovariateSpec
@@ -28,14 +30,55 @@ __all__ = [
     "covariate_spec_from_config",
 ]
 
-_SECTION_KEYS = {
-    "network": {"n", "p", "mean_degree", "diff_activity", "homophily_r", "homophily_h", "mode"},
-    "rds": {"seeds", "coupons", "sample_size", "seed_selection", "reseed"},
-    "experiment": {"replicates", "seed", "fixed_network"},
-    "engage": {"n", "mean_degree", "seeds", "coupons", "sample_size", "replicates", "seed", "mode"},
-    "covgen": {"n", "seed"},
-    "covariate": {"prevalence", "diff_activity", "homophily_r", "homophily_h"},
-    # [correlations] keys are NAME:NAME pairs, validated against the covariates
+# Every key of every section and its type; a tuple of strings is a set of
+# choices. [correlations] keys are NAME:NAME pairs, validated against the
+# covariates.
+_SCHEMA = {
+    "network": {
+        "n": int,
+        "p": float,
+        "mean_degree": float,
+        "diff_activity": float,
+        "homophily_r": float,
+        "homophily_h": float,
+        "mode": GENERATION_MODES,
+    },
+    "rds": {
+        "seeds": int,
+        "coupons": int,
+        "sample_size": int,
+        "seed_selection": SEED_SELECTION_MODES,
+        "reseed": bool,
+    },
+    "experiment": {"replicates": int, "seed": int, "fixed_network": bool},
+    "engage": {
+        "n": int,
+        "mean_degree": float,
+        "seeds": int,
+        "coupons": int,
+        "sample_size": int,
+        "replicates": int,
+        "seed": int,
+    },
+    "covgen": {"n": int, "seed": int},
+    "covariate": {
+        "prevalence": float,
+        "diff_activity": float,
+        "homophily_r": float,
+        "homophily_h": float,
+    },
+}
+
+_DEFAULTS = {
+    "network": {"mode": "bernoulli"},
+    "rds": {"seed_selection": "uniform", "reseed": True},
+    "experiment": {"fixed_network": False},
+    "covgen": {"seed": 0},
+}
+
+_BOOLEANS = {
+    "true": True, "yes": True, "1": True, "on": True,
+    "false": False, "no": False, "0": False, "off": False,
 }
 
 
@@ -86,13 +129,13 @@ def serialize_config(sections: dict[str, dict[str, str]]) -> str:
     return "\n\n".join(chunks) + "\n"
 
 
-def _check_sections(cfg, required: set[str], optional: set[str], allow_covariates: bool, source: str):
+def _check_sections(cfg, required: set[str], allow_covariates: bool, source: str):
     seen = set()
     for name in cfg:
         base = "covariate" if name.startswith("covariate ") else name
         if allow_covariates and base in ("covariate", "correlations"):
             continue
-        if name not in required and name not in optional:
+        if name not in required:
             raise ConfigError(f"{source}: unknown section [{name}] for this command")
         seen.add(name)
     missing = required - seen
@@ -100,128 +143,98 @@ def _check_sections(cfg, required: set[str], optional: set[str], allow_covariate
         raise ConfigError(f"{source}: missing required section(s): {', '.join(sorted(missing))}")
 
 
-def _check_keys(cfg, section: str, source: str, schema: str | None = None):
-    known = _SECTION_KEYS[schema or section]
-    for key in cfg[section]:
-        if key not in known:
+class _Section(dict):
+    """Typed values of one section; reading a missing key is a ConfigError."""
+
+    def __init__(self, section: str, source: str):
+        super().__init__()
+        self.section = section
+        self.source = source
+
+    def __missing__(self, key: str):
+        raise ConfigError(f"{self.source}: missing key {key!r} in [{self.section}]")
+
+
+def _read(cfg, section: str, source: str, lists=(), schema=None) -> _Section:
+    """Check, default and parse the keys of ``cfg[section]`` against ``schema``.
+
+    ``schema`` maps each allowed key to its type (default: the section's
+    entry in ``_SCHEMA``). Keys named in ``lists`` are comma-separated lists
+    of that type. Non-finite numbers are rejected.
+    """
+    schema = _SCHEMA[section] if schema is None else schema
+
+    def parse(key: str, text: str):
+        kind = schema[key]
+        if isinstance(kind, tuple):
+            if text not in kind:
+                raise ConfigError(f"{source}: [{section}] {key} must be one of {', '.join(kind)}")
+            return text
+        if kind is bool:
+            if text.lower() not in _BOOLEANS:
+                raise ConfigError(f"{source}: [{section}] {key} = {text!r} is not a boolean")
+            return _BOOLEANS[text.lower()]
+        try:
+            value = kind(text)
+        except ValueError:
+            raise ConfigError(f"{source}: [{section}] {key} = {text!r} is not a valid {kind.__name__}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{source}: [{section}] {key} = {text!r} is not a finite number")
+        return value
+
+    values = _Section(section, source)
+    values.update(_DEFAULTS.get(section, {}))
+    for key, text in cfg.get(section, {}).items():
+        if key not in schema:
             raise ConfigError(
-                f"{source}: unknown key {key!r} in [{section}] (known: {', '.join(sorted(known))})"
+                f"{source}: unknown key {key!r} in [{section}] (known: {', '.join(sorted(schema))})"
             )
-
-
-def _get(cfg, section: str, key: str, source: str, default: str | None = None) -> str:
-    body = cfg.get(section, {})
-    if key not in body:
-        if default is not None:
-            return default
-        raise ConfigError(f"{source}: missing key {key!r} in [{section}]")
-    return body[key]
-
-
-def _parse_scalar(value: str, kind, section: str, key: str, source: str):
-    try:
-        return kind(value)
-    except ValueError:
-        raise ConfigError(f"{source}: [{section}] {key} = {value!r} is not a valid {kind.__name__}")
-
-
-def _parse_list(value: str, kind, section: str, key: str, source: str) -> list:
-    parts = [part.strip() for part in value.split(",")]
-    if any(not part for part in parts):
-        raise ConfigError(f"{source}: [{section}] {key} has an empty list entry")
-    return [_parse_scalar(part, kind, section, key, source) for part in parts]
-
-
-def _parse_bool(value: str, section: str, key: str, source: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"{source}: [{section}] {key} = {value!r} is not a boolean")
-
-
-def _parse_choice(value: str, choices, section: str, key: str, source: str) -> str:
-    if value not in choices:
-        raise ConfigError(f"{source}: [{section}] {key} must be one of {', '.join(choices)}")
-    return value
-
-
-def _network_values(cfg, source: str, scalar: bool):
-    _check_keys(cfg, "network", source)
-    n = _parse_scalar(_get(cfg, "network", "n", source), int, "network", "n", source)
-    mean_deg = _parse_scalar(
-        _get(cfg, "network", "mean_degree", source), float, "network", "mean_degree", source
-    )
-    mode = _parse_choice(
-        _get(cfg, "network", "mode", source, default="bernoulli"),
-        GENERATION_MODES, "network", "mode", source,
-    )
-    has_r = "homophily_r" in cfg["network"]
-    has_h = "homophily_h" in cfg["network"]
-    if has_r == has_h:
-        raise ConfigError(f"{source}: [network] needs exactly one of homophily_r or homophily_h")
-    if scalar:
-        p = _parse_scalar(_get(cfg, "network", "p", source), float, "network", "p", source)
-        da = _parse_scalar(
-            _get(cfg, "network", "diff_activity", source), float, "network", "diff_activity", source
-        )
-        if has_r:
-            r = _parse_scalar(cfg["network"]["homophily_r"], float, "network", "homophily_r", source)
-            targets = NetworkTargets(n, p, mean_deg, da, r)
+        if key in lists:
+            parts = [part.strip() for part in text.split(",")]
+            if not all(parts):
+                raise ConfigError(f"{source}: [{section}] {key} has an empty list entry")
+            values[key] = [parse(key, part) for part in parts]
         else:
-            h = _parse_scalar(cfg["network"]["homophily_h"], float, "network", "homophily_h", source)
-            targets = NetworkTargets.with_assortativity(n, p, mean_deg, da, h)
-        return targets, mode
-    if not has_r:
+            values[key] = parse(key, text)
+    return values
+
+
+def _homophily_key(values: _Section) -> str:
+    """The one homophily key a section gives: ``homophily_r`` or ``homophily_h``."""
+    if ("homophily_r" in values) == ("homophily_h" in values):
         raise ConfigError(
-            f"{source}: sweeps are defined on the ratio scale; use homophily_r in [network]"
+            f"{values.source}: [{values.section}] needs exactly one of homophily_r or homophily_h"
         )
-    ps = _parse_list(_get(cfg, "network", "p", source), float, "network", "p", source)
-    das = _parse_list(
-        _get(cfg, "network", "diff_activity", source), float, "network", "diff_activity", source
-    )
-    rs = _parse_list(cfg["network"]["homophily_r"], float, "network", "homophily_r", source)
-    return n, mean_deg, ps, das, rs, mode
+    return "homophily_r" if "homophily_r" in values else "homophily_h"
 
 
 def network_run_from_config(cfg, source: str = "<config>"):
     """[network] with scalar values -> (NetworkTargets, mode)."""
-    _check_sections(cfg, {"network"}, set(), False, source)
-    return _network_values(cfg, source, scalar=True)
+    _check_sections(cfg, {"network"}, False, source)
+    net = _read(cfg, "network", source)
+    args = (net["n"], net["p"], net["mean_degree"], net["diff_activity"])
+    if _homophily_key(net) == "homophily_r":
+        return NetworkTargets(*args, net["homophily_r"]), net["mode"]
+    return NetworkTargets.with_assortativity(*args, net["homophily_h"]), net["mode"]
 
 
 def multi_network_run_from_config(cfg, source: str = "<config>"):
-    """[network] (n, mean_degree, mode) + covariate sections -> generation inputs.
+    """[network] (n, mean_degree) + covariate sections -> generation inputs.
 
-    Returns (node_count, mean_degree, mode, attribute targets tuple,
-    correlation matrix). Used when a network is generated over several
+    Returns (node_count, mean_degree, attribute targets tuple,
+    CovariateSpec). Used when a network is generated over several
     correlated attributes instead of a single one.
     """
-    _check_sections(cfg, {"network"}, set(), True, source)
-    allowed = {"n", "mean_degree", "mode"}
+    _check_sections(cfg, {"network"}, True, source)
     for key in cfg["network"]:
-        if key not in allowed:
+        if key not in ("n", "mean_degree"):
             raise ConfigError(
                 f"{source}: [network] key {key!r} not allowed with covariate sections "
                 f"(use per-covariate blocks for targets)"
             )
-    n = _parse_scalar(_get(cfg, "network", "n", source), int, "network", "n", source)
-    mean_deg = _parse_scalar(
-        _get(cfg, "network", "mean_degree", source), float, "network", "mean_degree", source
-    )
-    mode = _parse_choice(
-        _get(cfg, "network", "mode", source, default="bernoulli"),
-        GENERATION_MODES, "network", "mode", source,
-    )
-    if mode != "bernoulli":
-        raise ConfigError(
-            f"{source}: [network] mode {mode!r} applies to single-attribute generation only"
-        )
-    covs = _covariate_sections(cfg, source)
-    targets = tuple(_attribute_targets(name, body, source) for name, body in covs)
-    matrix = _correlation_matrix(cfg, [name for name, _ in covs], source)
-    return n, mean_deg, mode, targets, matrix
+    net = _read(cfg, "network", source)
+    targets = _covariate_targets(cfg, source)
+    return net["n"], net["mean_degree"], targets, _covariate_spec(cfg, targets, source)
 
 
 def has_covariate_sections(cfg) -> bool:
@@ -230,24 +243,15 @@ def has_covariate_sections(cfg) -> bool:
 
 def sampler_config_from_config(cfg, source: str = "<config>") -> SamplerConfig:
     """[rds] with a scalar sample size -> SamplerConfig."""
-    _check_sections(cfg, {"rds"}, set(), False, source)
-    _check_keys(cfg, "rds", source)
+    _check_sections(cfg, {"rds"}, False, source)
+    rds = _read(cfg, "rds", source)
     try:
         return SamplerConfig(
-            num_seeds=_parse_scalar(_get(cfg, "rds", "seeds", source), int, "rds", "seeds", source),
-            coupons_per_node=_parse_scalar(
-                _get(cfg, "rds", "coupons", source), int, "rds", "coupons", source
-            ),
-            target_sample_size=_parse_scalar(
-                _get(cfg, "rds", "sample_size", source), int, "rds", "sample_size", source
-            ),
-            seed_selection=_parse_choice(
-                _get(cfg, "rds", "seed_selection", source, default="uniform"),
-                SEED_SELECTION_MODES, "rds", "seed_selection", source,
-            ),
-            reseed_on_death=_parse_bool(
-                _get(cfg, "rds", "reseed", source, default="true"), "rds", "reseed", source
-            ),
+            num_seeds=rds["seeds"],
+            coupons_per_node=rds["coupons"],
+            target_sample_size=rds["sample_size"],
+            seed_selection=rds["seed_selection"],
+            reseed_on_death=rds["reseed"],
         )
     except ValueError as exc:
         raise ConfigError(f"{source}: [rds] {exc}")
@@ -255,164 +259,118 @@ def sampler_config_from_config(cfg, source: str = "<config>") -> SamplerConfig:
 
 def experiment_plan_from_config(cfg, source: str = "<config>") -> ExperimentPlan:
     """[network] + [rds] + [experiment] -> ExperimentPlan."""
-    _check_sections(cfg, {"network", "rds", "experiment"}, set(), False, source)
-    _check_keys(cfg, "rds", source)
-    _check_keys(cfg, "experiment", source)
-    n, mean_deg, ps, das, rs, mode = _network_values(cfg, source, scalar=False)
+    _check_sections(cfg, {"network", "rds", "experiment"}, False, source)
+    rds = _read(cfg, "rds", source, lists=("sample_size",))
+    experiment = _read(cfg, "experiment", source)
+    # homophily_h is read as a list too, so a swept one meets the ratio-scale error below
+    net = _read(cfg, "network", source, lists=("p", "diff_activity", "homophily_r", "homophily_h"))
+    if _homophily_key(net) != "homophily_r":
+        raise ConfigError(
+            f"{source}: sweeps are defined on the ratio scale; use homophily_r in [network]"
+        )
+    if not rds["reseed"]:
+        raise ConfigError(
+            f"{source}: [rds] reseed = false is not supported by sweeps, which always reseed"
+        )
     try:
         return ExperimentPlan(
-            node_count=n,
-            mean_degree=mean_deg,
-            prevalences=tuple(ps),
-            diff_activities=tuple(das),
-            homophily_ratios=tuple(rs),
-            sample_sizes=tuple(
-                _parse_list(_get(cfg, "rds", "sample_size", source), int, "rds", "sample_size", source)
-            ),
-            num_seeds=_parse_scalar(_get(cfg, "rds", "seeds", source), int, "rds", "seeds", source),
-            coupons_per_node=_parse_scalar(
-                _get(cfg, "rds", "coupons", source), int, "rds", "coupons", source
-            ),
-            replicates=_parse_scalar(
-                _get(cfg, "experiment", "replicates", source), int, "experiment", "replicates", source
-            ),
-            master_seed=_parse_scalar(
-                _get(cfg, "experiment", "seed", source), int, "experiment", "seed", source
-            ),
-            mode=mode,
-            seed_selection=_parse_choice(
-                _get(cfg, "rds", "seed_selection", source, default="uniform"),
-                SEED_SELECTION_MODES, "rds", "seed_selection", source,
-            ),
-            regenerate_network=not _parse_bool(
-                _get(cfg, "experiment", "fixed_network", source, default="false"),
-                "experiment", "fixed_network", source,
-            ),
+            node_count=net["n"],
+            mean_degree=net["mean_degree"],
+            prevalences=tuple(net["p"]),
+            diff_activities=tuple(net["diff_activity"]),
+            homophily_ratios=tuple(net["homophily_r"]),
+            sample_sizes=tuple(rds["sample_size"]),
+            num_seeds=rds["seeds"],
+            coupons_per_node=rds["coupons"],
+            replicates=experiment["replicates"],
+            master_seed=experiment["seed"],
+            mode=net["mode"],
+            seed_selection=rds["seed_selection"],
+            regenerate_network=not experiment["fixed_network"],
         )
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}")
 
 
-def _covariate_sections(cfg, source: str) -> list[tuple[str, dict[str, str]]]:
-    out = []
-    for section, body in cfg.items():
-        if section.startswith("covariate "):
-            name = section[len("covariate "):].strip()
-            if not name:
-                raise ConfigError(f"{source}: covariate section needs a name: [covariate NAME]")
-            _check_keys(cfg, section, source, schema="covariate")
-            out.append((name, body))
-    if not out:
+def _covariate_targets(cfg, source: str) -> tuple[AttributeTargets, ...]:
+    """One AttributeTargets per ``[covariate NAME]`` section, in file order."""
+    targets = []
+    for section in cfg:
+        if not section.startswith("covariate "):
+            continue
+        name = section[len("covariate "):].strip()
+        if not name:
+            raise ConfigError(f"{source}: covariate section needs a name: [covariate NAME]")
+        values = _read(cfg, section, source, schema=_SCHEMA["covariate"])
+        key = _homophily_key(values)
+        scale = {"homophily_r": "homophily_ratio", "homophily_h": "assortativity"}[key]
+        try:
+            targets.append(
+                AttributeTargets(
+                    name, values["prevalence"], values["diff_activity"], **{scale: values[key]}
+                )
+            )
+        except ValueError as exc:
+            raise ConfigError(f"{source}: [{section}] {exc}")
+    if not targets:
         raise ConfigError(f"{source}: need at least one [covariate NAME] section")
-    names = [name for name, _ in out]
+    names = [t.name for t in targets]
     if len(set(names)) != len(names):
         raise ConfigError(f"{source}: duplicate covariate names")
-    return out
+    return tuple(targets)
 
 
-def _require(body: dict[str, str], key: str, section: str, source: str) -> str:
-    if key not in body:
-        raise ConfigError(f"{source}: missing key {key!r} in [{section}]")
-    return body[key]
-
-
-def _attribute_targets(name: str, body: dict[str, str], source: str) -> AttributeTargets:
-    section = f"covariate {name}"
-    has_r = "homophily_r" in body
-    has_h = "homophily_h" in body
-    if has_r == has_h:
-        raise ConfigError(f"{source}: [{section}] needs exactly one of homophily_r or homophily_h")
-    prevalence = _parse_scalar(
-        _require(body, "prevalence", section, source), float, section, "prevalence", source
-    )
-    diff_activity = _parse_scalar(
-        _require(body, "diff_activity", section, source), float, section, "diff_activity", source
-    )
-    try:
-        if has_r:
-            ratio = _parse_scalar(body["homophily_r"], float, section, "homophily_r", source)
-            return AttributeTargets(name, prevalence, diff_activity, homophily_ratio=ratio)
-        h = _parse_scalar(body["homophily_h"], float, section, "homophily_h", source)
-        return AttributeTargets(name, prevalence, diff_activity, assortativity=h)
-    except ValueError as exc:
-        raise ConfigError(f"{source}: [{section}] {exc}")
-
-
-def _correlation_matrix(cfg, names: list[str], source: str) -> np.ndarray:
-    matrix = np.eye(len(names))
-    body = cfg.get("correlations", {})
+def _covariate_spec(cfg, targets: tuple[AttributeTargets, ...], source: str) -> CovariateSpec:
+    """Marginals of ``targets`` plus the ``[correlations]`` pairs (unlisted pairs are 0)."""
+    names = [t.name for t in targets]
     index = {name: i for i, name in enumerate(names)}
-    seen: set[frozenset] = set()
-    for key, value in body.items():
+    pairs: dict[str, tuple[int, int]] = {}
+    for key in cfg.get("correlations", {}):
         left, sep, right = key.partition(":")
         left, right = left.strip(), right.strip()
         if not sep or left not in index or right not in index or left == right:
             raise ConfigError(
                 f"{source}: [correlations] key {key!r} must be 'NAME:NAME' over distinct covariates"
             )
-        pair = frozenset((left, right))
-        if pair in seen:
+        pair = tuple(sorted((index[left], index[right])))
+        if pair in pairs.values():
             raise ConfigError(f"{source}: [correlations] duplicate pair {key!r}")
-        seen.add(pair)
-        r = _parse_scalar(value, float, "correlations", key, source)
-        matrix[index[left], index[right]] = matrix[index[right], index[left]] = r
-    return matrix
+        pairs[key] = pair
+    matrix = np.eye(len(names))
+    for key, r in _read(cfg, "correlations", source, schema=dict.fromkeys(pairs, float)).items():
+        i, j = pairs[key]
+        matrix[i, j] = matrix[j, i] = r
+    try:
+        return CovariateSpec(tuple(names), np.array([t.prevalence for t in targets]), matrix)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}")
 
 
 def covariate_spec_from_config(cfg, source: str = "<config>") -> tuple[CovariateSpec, int, int]:
     """Covariate sections (+ [covgen], [correlations]) -> (spec, n, seed)."""
-    _check_sections(cfg, {"covgen"}, set(), True, source)
-    _check_keys(cfg, "covgen", source)
-    covs = _covariate_sections(cfg, source)
-    names = [name for name, _ in covs]
-    marginals = [
-        _parse_scalar(
-            _require(body, "prevalence", f"covariate {name}", source),
-            float, f"covariate {name}", "prevalence", source,
-        )
-        for name, body in covs
-    ]
-    try:
-        spec = CovariateSpec(tuple(names), np.array(marginals), _correlation_matrix(cfg, names, source))
-    except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}")
-    n = _parse_scalar(_get(cfg, "covgen", "n", source), int, "covgen", "n", source)
-    seed = _parse_scalar(_get(cfg, "covgen", "seed", source, default="0"), int, "covgen", "seed", source)
-    return spec, n, seed
+    _check_sections(cfg, {"covgen"}, True, source)
+    covgen = _read(cfg, "covgen", source)
+    spec = _covariate_spec(cfg, _covariate_targets(cfg, source), source)
+    return spec, covgen["n"], covgen["seed"]
 
 
 def engage_scenario_from_config(cfg, source: str = "<config>") -> EngageScenario:
     """[engage] + covariate sections (+ [correlations]) -> EngageScenario."""
-    _check_sections(cfg, {"engage"}, set(), True, source)
-    _check_keys(cfg, "engage", source)
-    covs = _covariate_sections(cfg, source)
-    targets = tuple(_attribute_targets(name, body, source) for name, body in covs)
-    matrix = _correlation_matrix(cfg, [name for name, _ in covs], source)
+    _check_sections(cfg, {"engage"}, True, source)
+    engage = _read(cfg, "engage", source)
+    targets = _covariate_targets(cfg, source)
+    spec = _covariate_spec(cfg, targets, source)
     try:
         return EngageScenario(
-            node_count=_parse_scalar(_get(cfg, "engage", "n", source), int, "engage", "n", source),
-            mean_degree=_parse_scalar(
-                _get(cfg, "engage", "mean_degree", source), float, "engage", "mean_degree", source
-            ),
+            node_count=engage["n"],
+            mean_degree=engage["mean_degree"],
             covariates=targets,
-            correlations=tuple(tuple(row) for row in matrix),
-            num_seeds=_parse_scalar(_get(cfg, "engage", "seeds", source), int, "engage", "seeds", source),
-            coupons_per_node=_parse_scalar(
-                _get(cfg, "engage", "coupons", source), int, "engage", "coupons", source
-            ),
-            sample_size=_parse_scalar(
-                _get(cfg, "engage", "sample_size", source), int, "engage", "sample_size", source
-            ),
-            replicates=_parse_scalar(
-                _get(cfg, "engage", "replicates", source), int, "engage", "replicates", source
-            ),
-            master_seed=_parse_scalar(
-                _get(cfg, "engage", "seed", source), int, "engage", "seed", source
-            ),
-            mode=_parse_choice(
-                _get(cfg, "engage", "mode", source, default="bernoulli"),
-                GENERATION_MODES, "engage", "mode", source,
-            ),
+            correlations=tuple(tuple(row) for row in spec.correlations),
+            num_seeds=engage["seeds"],
+            coupons_per_node=engage["coupons"],
+            sample_size=engage["sample_size"],
+            replicates=engage["replicates"],
+            master_seed=engage["seed"],
         )
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}")

@@ -384,7 +384,6 @@ class EngageScenario:
     sample_size: int
     replicates: int
     master_seed: int
-    mode: str = "bernoulli"
 
     def __post_init__(self):
         object.__setattr__(self, "covariates", tuple(self.covariates))
@@ -436,7 +435,8 @@ class EngageScenario:
             _scaled(self.mean_degree),
             self.num_seeds,
             self.coupons_per_node,
-            _MODE_CODES[self.mode],
+            # one draw law; this constant keeps the streams of earlier versions
+            _MODE_CODES["bernoulli"],
             self.sample_size,
             len(self.covariates),
             replicate,

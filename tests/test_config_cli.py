@@ -6,6 +6,7 @@ import pytest
 from rdsim import ConfigError, Graph, read_edge_list, read_forest
 from rdsim.cli import _attribute_stats, main
 from rdsim.config import (
+    covariate_spec_from_config,
     engage_scenario_from_config,
     experiment_plan_from_config,
     network_run_from_config,
@@ -144,6 +145,23 @@ class TestSchemas:
         assert scenario.covariates[0].assortativity == 0.1
         assert scenario.covariates[1].homophily_ratio == 0.5
 
+    def test_engage_has_no_mode(self):
+        text = ENGAGE_CFG.replace("seed = 5", "seed = 5\nmode = exact-count")
+        with pytest.raises(ConfigError, match="unknown key 'mode' in \\[engage\\]"):
+            engage_scenario_from_config(parse_config(text))
+
+    def test_sweep_rejects_reseed_false(self):
+        text = EXPERIMENT_CFG.replace("sample_size = 40, 60", "sample_size = 40, 60\nreseed = false")
+        with pytest.raises(ConfigError, match=r"\[rds\] reseed = false"):
+            experiment_plan_from_config(parse_config(text))
+        plan = experiment_plan_from_config(parse_config(text.replace("reseed = false", "reseed = true")))
+        assert plan.sampler_config(plan.cells()[0]).reseed_on_death
+
+    def test_covgen_covariates_need_full_targets(self):
+        text = "[covgen]\nn = 10\n\n[covariate A]\nprevalence = 0.3\nhomophily_r = 1\n"
+        with pytest.raises(ConfigError, match="missing key 'diff_activity' in \\[covariate A\\]"):
+            covariate_spec_from_config(parse_config(text))
+
     def test_correlation_key_validation(self):
         bad = ENGAGE_CFG.replace("A:B = 0.08", "A:C = 0.08")
         with pytest.raises(ConfigError, match="NAME:NAME"):
@@ -216,6 +234,21 @@ class TestCliNetgen:
         )
         assert main(["netgen", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "not allowed with covariate sections" in capsys.readouterr().err
+
+    def test_multi_attribute_rejects_mode(self, tmp_path, capsys):
+        cfg = tmp_path / "multi.cfg"
+        cfg.write_text(
+            "[network]\nn = 100\nmean_degree = 5\nmode = bernoulli\n\n"
+            "[covariate A]\nprevalence = 0.5\ndiff_activity = 1.0\nhomophily_r = 1\n"
+        )
+        assert main(["netgen", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "key 'mode' not allowed with covariate sections" in capsys.readouterr().err
+
+    def test_non_finite_target_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "net.cfg"
+        cfg.write_text(FIG_NETWORK_CFG.replace("diff_activity = 1.16", "diff_activity = nan"))
+        assert main(["netgen", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "[network] diff_activity = 'nan' is not a finite number" in capsys.readouterr().err
 
     def test_quiet_flag(self, tmp_path, capsys):
         cfg = tmp_path / "net.cfg"
@@ -355,6 +388,16 @@ class TestCliExperiment:
         manifest = (out / "manifest.txt").read_text()
         assert "mean_degree = 20" in manifest
 
+    def test_non_finite_sweep_value_fails_before_the_run(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(EXPERIMENT_CFG.replace("diff_activity = 1, 4", "diff_activity = 1, nan"))
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "[network] diff_activity = 'nan' is not a finite number" in captured.err
+        assert not out.exists()
+
     def test_skipped_cells_warn_but_exit_zero(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(EXPERIMENT_CFG)
@@ -377,6 +420,15 @@ class TestCliEngage:
         assert "sample_size = 80" in manifest
         assert (out / "replicates.csv").exists()
         assert (out / "summary.csv").exists()
+
+
+    def test_non_finite_covariate_target_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "engage.cfg"
+        cfg.write_text(ENGAGE_CFG.replace("diff_activity = 0.9", "diff_activity = inf"))
+        out = tmp_path / "out"
+        assert main(["engage-mimic", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "[covariate B] diff_activity = 'inf' is not a finite number" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCliCovgen:
