@@ -31,24 +31,19 @@ from .config import (
     serialize_config,
 )
 from .covariates import generate_binary_covariates
-from .errors import ConfigError, RdsimError, or_none
+from .errors import ConfigError, RdsimError
 from .estimators import sample_estimates
 from .graph import (
     AttributeVector,
     Graph,
     _read_edge_pairs,
-    differential_activity,
-    homophily_ratio,
     mean_degree,
-    mixing_counts,
-    newman_assortativity,
-    prevalence,
     read_attributes,
     read_edge_list,
     write_attributes,
     write_edge_list,
 )
-from .harness import run_engage_mimic, run_experiment, write_rows
+from .harness import _TRUTHS, _realized_truth, run_engage_mimic, run_experiment, write_rows
 from .netgen import fit_dyad_model, generate_network, simulate_from_model
 from .sampler import read_forest, run_rds, write_forest
 
@@ -83,21 +78,14 @@ def _ensure_out(args) -> str:
 
 
 def _attribute_stats(graph, values) -> list[str]:
-    counts = mixing_counts(graph, values)
-    stats = {
-        "prevalence": prevalence(values),
-        "diff_activity": or_none(differential_activity, graph, values),
-        "homophily": or_none(newman_assortativity, counts),
-        "homophily_ratio": or_none(homophily_ratio, counts),
-    }
+    truth = _realized_truth(graph, values)
     return [
-        f"{name}=undefined" if value is None else f"{name}={value:.4g}" for name, value in stats.items()
+        f"{name}=undefined" if truth[name] is None else f"{name}={truth[name]:.4g}" for name in _TRUTHS
     ]
 
 
 def cmd_netgen(args) -> int:
     cfg = load_config(args.config)
-    out = _ensure_out(args)
     if has_covariate_sections(cfg):
         n, mean_deg, targets, spec = multi_network_run_from_config(cfg, source=args.config)
         z = generate_binary_covariates(spec, n, _rng(args.seed, 0))
@@ -114,6 +102,7 @@ def cmd_netgen(args) -> int:
         graph, z = generate_network(targets, _rng(args.seed), mode)
         attributes = [AttributeVector("z", z)]
         summary = " ".join(_attribute_stats(graph, z))
+    out = _ensure_out(args)
     write_edge_list(graph, os.path.join(out, "edges.csv"))
     write_attributes(os.path.join(out, "attributes.csv"), attributes)
     _write_manifest(out, "netgen", args.seed, cfg)

@@ -213,9 +213,12 @@ def network_run_from_config(cfg, source: str = "<config>"):
     _check_sections(cfg, {"network"}, False, source)
     net = _read(cfg, "network", source)
     args = (net["n"], net["p"], net["mean_degree"], net["diff_activity"])
-    if _homophily_key(net) == "homophily_r":
-        return NetworkTargets(*args, net["homophily_r"]), net["mode"]
-    return NetworkTargets.with_assortativity(*args, net["homophily_h"]), net["mode"]
+    key = _homophily_key(net)
+    build = NetworkTargets if key == "homophily_r" else NetworkTargets.with_assortativity
+    try:
+        return build(*args, net[key]), net["mode"]
+    except ValueError as exc:
+        raise ConfigError(f"{source}: [network] {exc}")
 
 
 def multi_network_run_from_config(cfg, source: str = "<config>"):

@@ -132,6 +132,11 @@ class ExperimentPlan:
             raise ValueError("sample sizes cannot exceed the population size")
         # validates num_seeds/coupons against the smallest sample size
         SamplerConfig(self.num_seeds, self.coupons_per_node, min(self.sample_sizes), self.seed_selection)
+        # Out-of-range targets fail here, before any cell runs; infeasible ones
+        # become skip rows. sample_size is the innermost grid axis, so this
+        # checks each (p, Da, R) once.
+        for cell in self.cells()[:: len(self.sample_sizes)]:
+            self.network_targets(cell)
 
     def cells(self) -> list[Cell]:
         combos = product(self.prevalences, self.diff_activities, self.homophily_ratios, self.sample_sizes)

@@ -1,19 +1,20 @@
 """Population network generation by dyad-class moment matching.
 
 Networks with prescribed prevalence, mean degree, differential activity,
-and homophily are generated from dyad-independent tie models. With a
-single binary attribute the dyads fall into three classes (both ends
-carrying the attribute, mixed, neither) and the target moments pin down
-one Bernoulli probability per class in closed form, so simulation is exact
-with no MCMC. With several attributes, a logistic dyad model with one
-intercept plus per-attribute match and activity coefficients is fitted by
-Newton moment matching over the joint attribute-pattern classes, and
-simulation again draws each dyad class independently.
+and homophily are generated from dyad-independent tie models. Dyads fall
+into classes by the unordered pair of endpoint attribute patterns, with
+one tie probability per class. With a single binary attribute the three
+classes (both ends carrying the attribute, mixed, neither) get their
+probabilities in closed form from the target moments; the logistic model
+is saturated there, so that is its exact fit. With several attributes, a
+logistic dyad model with one intercept plus per-attribute match and
+activity coefficients is fitted by Newton moment matching.
 
-Only the edge count of each class is random; given the count, the edges
-are a uniform subset of the class's dyads, which is distribution-identical
-to independent per-dyad Bernoulli draws and scales to populations where
-enumerating all dyads is impractical.
+Both generators share one draw path. Each class draws its edge count
+(binomial, or apportioned to an exact edge total); given the count, the
+edges are a uniform subset of the class's dyads, which is
+distribution-identical to independent per-dyad Bernoulli draws and scales
+to populations where enumerating all dyads is impractical.
 """
 
 from __future__ import annotations
@@ -188,7 +189,8 @@ def _decode_triangular(t: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray
     """Map linear dyad indices to (i, j), i < j, within a ``size``-node group.
 
     Dyads are enumerated row-major: index = i*(2*size-i-1)/2 + (j-i-1).
-    The float inversion can be off by one near row boundaries, so it is
+    The discriminant is formed exactly in int64 (``size`` up to 2**30);
+    the float square root can be off by one near row boundaries, so it is
     followed by integer corrections.
     """
     b = 2 * size - 1
@@ -196,7 +198,7 @@ def _decode_triangular(t: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray
     def row_offset(i: np.ndarray) -> np.ndarray:
         return i * (2 * size - i - 1) // 2
 
-    i = np.floor((b - np.sqrt(b * b - 8.0 * t.astype(np.float64))) / 2.0).astype(np.int64)
+    i = np.floor((b - np.sqrt((b * b - 8 * t).astype(np.float64))) / 2.0).astype(np.int64)
     for _ in range(2):
         i = np.where(row_offset(i + 1) <= t, i + 1, i)
     for _ in range(2):
@@ -232,22 +234,30 @@ def _sample_class_dyads(
     return group_a[chosen // group_b.size], group_b[chosen % group_b.size]
 
 
-def _draw_graph(n: int, draws, rng: np.random.Generator) -> Graph:
-    """Graph on ``n`` nodes with ``k`` uniform dyads from each ``(group_a, group_b, k)`` class.
+def _draw_graph(classes: _PatternClasses, counts, rng: np.random.Generator) -> Graph:
+    """Graph with ``k`` uniform dyads from each dyad class of ``classes``.
 
-    ``draws`` is consumed one class at a time, so a lazy iterable can draw
-    each class's count from ``rng`` just before that class's dyads.
+    ``counts`` gives one ``k`` per class, in class order. It is consumed
+    one class at a time, so a lazy iterable can draw each class's count
+    from ``rng`` just before that class's dyads.
     """
     src_parts = []
     dst_parts = []
-    for group_a, group_b, k in draws:
-        a, b = _sample_class_dyads(group_a, group_b, k, rng)
-        src_parts.append(a)
-        dst_parts.append(b)
-    return Graph(n, np.concatenate(src_parts), np.concatenate(dst_parts))
+    for a, b, k in zip(classes.class_a, classes.class_b, counts):
+        group_b = None if a == b else classes.members[b]
+        src, dst = _sample_class_dyads(classes.members[a], group_b, k, rng)
+        src_parts.append(src)
+        dst_parts.append(dst)
+    return Graph(classes.n, np.concatenate(src_parts), np.concatenate(dst_parts))
 
 
-def _apportion_counts(expected: list[float], capacities: list[int], total: int) -> list[int]:
+def _binomial_counts(classes: _PatternClasses, probabilities: np.ndarray, rng: np.random.Generator):
+    """Binomial edge count of each class at its tie probability, drawn lazily."""
+    for count, q in zip(classes.dyad_counts, probabilities):
+        yield int(rng.binomial(int(count), q))
+
+
+def _apportion_counts(expected: np.ndarray, capacities: np.ndarray, total: int) -> list[int]:
     """Split ``total`` edges over classes, nearest to their expected counts.
 
     Largest-remainder apportionment: floors first, leftover edges assigned
@@ -293,32 +303,22 @@ def generate_network(
     if mode not in GENERATION_MODES:
         raise ValueError(f"mode must be one of {GENERATION_MODES}")
     solution = solve_dyad_classes(targets)
-    n = targets.node_count
-    n1 = solution.n1
-    z = np.zeros(n, dtype=np.int8)
-    z[:n1] = 1
+    z = np.zeros(targets.node_count, dtype=np.int8)
+    z[: solution.n1] = 1
+    z.flags.writeable = False
 
-    ones = np.arange(n1, dtype=np.int64)
-    zeros = np.arange(n1, n, dtype=np.int64)
-    classes = [
-        (ones, None, solution.e11, solution.q11),
-        (ones, zeros, solution.e10, solution.q10),
-        (zeros, None, solution.e00, solution.q00),
-    ]
-    capacities = [n1 * (n1 - 1) // 2, n1 * (n - n1), (n - n1) * (n - n1 - 1) // 2]
-
+    # One attribute saturates the logistic model, so the closed-form class
+    # probabilities are its exact fit; a class's activity statistic a+b
+    # (0, 1 or 2) picks its probability.
+    classes = _PatternClasses(z)
+    activity = classes.statistics[:, 2].astype(np.int64)
+    q = np.array([solution.q00, solution.q10, solution.q11])[activity]
     if mode == "exact-count":
         total = int(round(solution.total_edges))
-        counts = _apportion_counts([c[2] for c in classes], capacities, total)
+        counts = _apportion_counts(classes.dyad_counts * q, classes.dyad_counts, total)
     else:
-        counts = [
-            int(rng.binomial(cap, q)) if cap > 0 else 0
-            for (_, _, _, q), cap in zip(classes, capacities)
-        ]
-
-    graph = _draw_graph(n, [(a, b, k) for (a, b, _, _), k in zip(classes, counts)], rng)
-    z.flags.writeable = False
-    return graph, z
+        counts = _binomial_counts(classes, q, rng)
+    return _draw_graph(classes, counts, rng), z
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +433,8 @@ class _PatternClasses:
         self.statistics = stats
 
     def probabilities(self, theta: np.ndarray) -> np.ndarray:
+        if theta.size != self.statistics.shape[1]:
+            raise ValueError("model and attribute matrix disagree on attribute count")
         return expit(self.statistics @ theta)
 
     def expected(self, theta: np.ndarray) -> np.ndarray:
@@ -447,10 +449,7 @@ def expected_statistics(model: DyadModel, z: np.ndarray) -> np.ndarray:
     not with the number of node pairs. Layout: total edges, then per
     attribute the matched-edge count and the group-1 edge-end count.
     """
-    classes = _PatternClasses(z)
-    if 1 + 2 * classes.m != model.theta.size:
-        raise ValueError("model and attribute matrix disagree on attribute count")
-    return classes.expected(model.theta)
+    return _PatternClasses(z).expected(model.theta)
 
 
 def _target_statistics(
@@ -516,12 +515,9 @@ def fit_dyad_model(
             the final residual vector.
     """
     attribute_targets = list(attribute_targets)
-    z = np.asarray(z)
-    if z.ndim == 1:
-        z = z[:, None]
-    if len(attribute_targets) != z.shape[1]:
-        raise ValueError("need exactly one AttributeTargets per attribute column")
     classes = _PatternClasses(z)
+    if len(attribute_targets) != classes.m:
+        raise ValueError("need exactly one AttributeTargets per attribute column")
     goal = _target_statistics(attribute_targets, mean_degree, classes)
     scale = np.maximum(np.abs(goal), 1.0)
 
@@ -575,15 +571,6 @@ def simulate_from_model(model: DyadModel, z: np.ndarray, rng: np.random.Generato
     probability, then places the edges on a uniform subset of the class
     dyads (exactly the independent-Bernoulli law).
     """
-    z = np.asarray(z)
-    if z.ndim == 1:
-        z = z[:, None]
     classes = _PatternClasses(z)
-    if 1 + 2 * classes.m != model.theta.size:
-        raise ValueError("model and attribute matrix disagree on attribute count")
-    pi = classes.probabilities(model.theta)
-    draws = (
-        (classes.members[a], None if a == b else classes.members[b], int(rng.binomial(int(count), prob)))
-        for a, b, count, prob in zip(classes.class_a, classes.class_b, classes.dyad_counts, pi)
-    )
-    return _draw_graph(classes.n, draws, rng)
+    counts = _binomial_counts(classes, classes.probabilities(model.theta), rng)
+    return _draw_graph(classes, counts, rng)

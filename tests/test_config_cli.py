@@ -250,6 +250,21 @@ class TestCliNetgen:
         assert main(["netgen", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "[network] diff_activity = 'nan' is not a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("p = 0.33", "p = 1.5", "prevalence must be strictly inside (0, 1)"),
+            ("homophily_r = 0.40", "homophily_h = 1.5", "assortativity 1.5 not attainable"),
+        ],
+        ids=["prevalence", "assortativity"],
+    )
+    def test_out_of_range_target_is_config_error(self, tmp_path, capsys, old, new, message):
+        cfg = tmp_path / "net.cfg"
+        cfg.write_text(FIG_NETWORK_CFG.replace(old, new))
+        assert main(["netgen", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {cfg}: [network] {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_quiet_flag(self, tmp_path, capsys):
         cfg = tmp_path / "net.cfg"
         cfg.write_text(FIG_NETWORK_CFG)
@@ -396,6 +411,25 @@ class TestCliExperiment:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "[network] diff_activity = 'nan' is not a finite number" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("p = 0.5, 0.8", "p = 0.5, 1.5", "prevalence must be strictly inside (0, 1)"),
+            ("homophily_r = 1", "homophily_r = 1, -1", "homophily_ratio must be nonnegative"),
+            ("mean_degree = 10", "mean_degree = 5000", "mean_degree must be in (0, node_count - 1]"),
+        ],
+        ids=["prevalence", "ratio", "mean_degree"],
+    )
+    def test_out_of_range_target_fails_before_the_run(self, tmp_path, capsys, old, new, message):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(EXPERIMENT_CFG.replace(old, new))
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config error: {cfg}: {message}" in captured.err
         assert not out.exists()
 
     def test_skipped_cells_warn_but_exit_zero(self, tmp_path, capsys):

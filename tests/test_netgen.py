@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from rdsim import (
@@ -52,6 +54,18 @@ def solution_residuals(targets: NetworkTargets, solution) -> list[float]:
     ) / n0
     scale = max(total, 1.0)
     return [abs(eq1) / scale, abs(eq2) / scale, abs(eq3) / max(targets.mean_degree, 1.0)]
+
+
+def logit(q: float) -> float:
+    return math.log(q / (1.0 - q))
+
+
+def saturated_model(solution) -> DyadModel:
+    """Single-attribute dyad model whose class log-odds are the solved probabilities."""
+    theta_act = (logit(solution.q11) - logit(solution.q00)) / 2.0
+    theta0 = logit(solution.q10) - theta_act
+    theta_match = logit(solution.q00) - theta0
+    return DyadModel(theta=np.array([theta0, theta_match, theta_act]), covariate_names=("z",))
 
 
 class TestSolveDyadClasses:
@@ -138,6 +152,25 @@ class TestTriangularDecode:
         back = i * (2 * size - i - 1) // 2 + (j - i - 1)
         assert np.array_equal(back, t)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_row_boundaries_round_trip(self, data):
+        # the float inverse is least accurate in the last rows of groups
+        # above about 10**8 nodes, so draw those rows and sizes often
+        size = data.draw(st.integers(2, 250_000) | st.integers(10**8, 2**30), label="size")
+        row = data.draw(st.integers(0, size - 2) | st.integers(max(0, size - 50), size - 2), label="row")
+
+        def row_offset(i):
+            return i * (2 * size - i - 1) // 2
+
+        t = np.array([row_offset(row) - 1, row_offset(row), row_offset(row + 1) - 1], dtype=np.int64)
+        t = t[t >= 0]
+        i, j = _decode_triangular(t, size)
+        assert np.all((0 <= i) & (i < j) & (j < size))
+        assert np.array_equal(row_offset(i) + (j - i - 1), t)
+        assert (int(i[-2]), int(j[-2])) == (row, row + 1)
+        assert (int(i[-1]), int(j[-1])) == (row, size - 1)
+
 
 class TestApportionment:
     def test_exact_total_with_fractional_thirds(self):
@@ -166,10 +199,38 @@ class TestGenerateNetwork:
         assert z[:33].all() and not z[33:].any()
 
     def test_exact_count_mode_edge_total(self):
-        targets = NetworkTargets(1000, 0.5, 10.0, 1.0, 1.0)
-        for seed in range(5):
-            graph, _ = generate_network(targets, np.random.default_rng(seed), mode="exact-count")
-            assert graph.edge_count == 5000
+        # the total is exact and each class lands within one of its expected count
+        thirds = NetworkTargets(1000, 0.5, 10.0, 1.0, 1.0)
+        skewed = NetworkTargets(1000, 0.3, 15.0, 2.0, 3.0)
+        for targets in (thirds, skewed):
+            solution = solve_dyad_classes(targets)
+            for seed in range(5):
+                graph, z = generate_network(targets, np.random.default_rng(seed), mode="exact-count")
+                assert graph.edge_count == round(solution.total_edges)
+                counts = mixing_counts(graph, z)
+                assert abs(counts.within_1 - solution.e11) <= 1.0
+                assert abs(counts.cross - solution.e10) <= 1.0
+                assert abs(counts.within_0 - solution.e00) <= 1.0
+
+    @pytest.mark.parametrize(
+        "targets",
+        [
+            NetworkTargets(1000, 0.5, 10.0, 1.0, 1.0),
+            NetworkTargets(1000, 0.1, 20.0, 0.5, 5.0),
+            NetworkTargets(500, 0.3, 15.0, 2.0, 3.0),
+            NetworkTargets(300, 0.8, 8.0, 0.5, 5.0),
+            NetworkTargets(12, 0.33, 2.16, 1.16, 0.40),
+        ],
+        ids=["balanced", "sparse-minority", "active-minority", "majority", "illustration"],
+    )
+    def test_same_draws_as_saturated_model(self, targets):
+        # generate_network is simulate_from_model on the closed-form class probabilities
+        model = saturated_model(solve_dyad_classes(targets))
+        for seed in range(20):
+            graph, z = generate_network(targets, np.random.default_rng((9, seed)))
+            simulated = simulate_from_model(model, z, np.random.default_rng((9, seed)))
+            assert np.array_equal(graph.src, simulated.src)
+            assert np.array_equal(graph.dst, simulated.dst)
 
     def test_bernoulli_mode_concentration(self):
         # mean realized activity ratio and edge ratio over 100 draws
@@ -260,14 +321,9 @@ class TestExpectedStatistics:
         # coefficients assembled from the class log-odds reproduce the solved moments
         targets = NetworkTargets(200, 0.4, 10.0, 1.5, 2.0)
         solution = solve_dyad_classes(targets)
-        logit = lambda q: math.log(q / (1.0 - q))
-        theta_act = (logit(solution.q11) - logit(solution.q00)) / 2.0
-        theta0 = logit(solution.q10) - theta_act
-        theta_match = logit(solution.q00) - theta0
         z = np.zeros((200, 1), dtype=np.int8)
         z[: solution.n1, 0] = 1
-        model = DyadModel(theta=np.array([theta0, theta_match, theta_act]), covariate_names=("z",))
-        stats = expected_statistics(model, z)
+        stats = expected_statistics(saturated_model(solution), z)
         assert stats[0] == pytest.approx(solution.total_edges, abs=1e-9)
         assert stats[1] == pytest.approx(solution.e11 + solution.e00, abs=1e-9)
         assert stats[2] == pytest.approx(2 * solution.e11 + solution.e10, abs=1e-9)
