@@ -34,22 +34,19 @@ from .covariates import generate_binary_covariates
 from .errors import ConfigError, RdsimError
 from .estimators import sample_estimates
 from .graph import (
+    EDGE_COLUMNS,
     AttributeVector,
     Graph,
-    _read_edge_pairs,
     mean_degree,
     read_attributes,
     read_edge_list,
     write_attributes,
     write_edge_list,
 )
-from .harness import _TRUTHS, _realized_truth, run_engage_mimic, run_experiment, write_rows
+from .harness import _ESTIMATES, _TRUTHS, _realized_truth, _rng, run_engage_mimic, run_experiment
 from .netgen import fit_dyad_model, generate_network, simulate_from_model
 from .sampler import read_forest, run_rds, write_forest
-
-
-def _rng(seed: int, stream: int = 0) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, stream]))
+from .tables import in_file, read_table, write_rows
 
 
 def _say(args, message: str) -> None:
@@ -99,7 +96,7 @@ def cmd_netgen(args) -> int:
         summary = " | ".join(per_attr)
     else:
         targets, mode = network_run_from_config(cfg, source=args.config)
-        graph, z = generate_network(targets, _rng(args.seed), mode)
+        graph, z = generate_network(targets, _rng(args.seed, 0), mode)
         attributes = [AttributeVector("z", z)]
         summary = " ".join(_attribute_stats(graph, z))
     out = _ensure_out(args)
@@ -120,7 +117,7 @@ def cmd_covgen(args) -> int:
     if args.seed is not None:
         seed = args.seed
     out = _ensure_out(args)
-    values = generate_binary_covariates(spec, n, _rng(seed))
+    values = generate_binary_covariates(spec, n, _rng(seed, 0))
     write_attributes(
         os.path.join(out, "attributes.csv"),
         [AttributeVector(name, values[:, k]) for k, name in enumerate(spec.names)],
@@ -135,14 +132,13 @@ def cmd_rds(args) -> int:
     cfg = load_config(args.config)
     sampler_config = sampler_config_from_config(cfg, source=args.config)
     attributes = read_attributes(args.attributes)
-    node_count = attributes[0].values.size
-    graph = read_edge_list(args.edges, node_count=node_count)
+    graph = read_edge_list(args.edges, node_count=attributes[0].values.size)
     out = _ensure_out(args)
     forest = run_rds(
         graph,
         np.column_stack([a.values for a in attributes]),
         sampler_config,
-        _rng(args.seed),
+        _rng(args.seed, 0),
         tuple(a.name for a in attributes),
     )
     write_forest(forest, os.path.join(out, "forest.csv"))
@@ -161,30 +157,24 @@ def cmd_estimate(args) -> int:
     if args.edges is not None:
         # The population size is not stored. The induced-subgraph oracle reads
         # only sampled nodes, so trailing isolated nodes do not matter.
-        pairs = _read_edge_pairs(args.edges)
-        node_count = max(int(f.nodes.max()) for f in forests) + 1
-        if pairs.size:
-            node_count = max(node_count, int(pairs.max()) + 1)
-        graph = Graph(node_count, pairs[:, 0], pairs[:, 1])
+        _, pairs = read_table(args.edges, EDGE_COLUMNS, named=False)
+        node_count = 1 + int(max(pairs.max(initial=-1), *(f.nodes.max() for f in forests)))
+        with in_file(args.edges):
+            graph = Graph(node_count, pairs[:, 0], pairs[:, 1])
     out = _ensure_out(args)
     rows = []
-    columns: list[str] = []
     for path, forest in zip(args.forest, forests):
         est = sample_estimates(forest, graph)
         row = {"forest": path, "sample_size": est.sample_size, "max_wave": est.max_wave}
         for k, name in enumerate(est.attribute_names):
-            row[f"est_diff_activity_{name}"] = est.diff_activity[k]
-            row[f"est_homophily_{name}"] = est.homophily[k]
-            row[f"est_homophily_ratio_{name}"] = est.homophily_ratio[k]
-            row[f"est_rds2_prevalence_{name}"] = est.rds2_prevalence[k]
-            row[f"est_crude_prevalence_{name}"] = est.crude_prevalence[k]
-            if est.induced_homophily is not None:
-                row[f"est_induced_homophily_{name}"] = est.induced_homophily[k]
-        if not columns:
-            columns = list(row)
+            row.update(
+                (f"est_{field}_{name}", getattr(est, field)[k])
+                for field in _ESTIMATES
+                if getattr(est, field) is not None
+            )
         rows.append(row)
         _say(args, f"estimate: {path} sampled={est.sample_size} max_wave={est.max_wave}")
-    write_rows(os.path.join(out, "estimates.csv"), columns, rows)
+    write_rows(os.path.join(out, "estimates.csv"), list(rows[0]), rows)
     inputs = {f"forest{i}": path for i, path in enumerate(args.forest)}
     if args.edges is not None:
         inputs["edges"] = args.edges

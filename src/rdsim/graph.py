@@ -8,18 +8,19 @@ together with the analytic bridge between those two metrics.
 
 Two interchange file formats live here as well: an edge-list CSV
 (``src,dst`` with 0-based indices, ``src < dst``) and an attribute CSV
-(``node,<name1>,...`` with 0/1 values).
+(``node,<name1>,...`` with 0/1 values). Both are parsed and written by
+:mod:`rdsim.tables`.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import UndefinedEstimandError
+from .tables import in_file, read_table, write_table
 
 __all__ = [
     "Graph",
@@ -40,6 +41,8 @@ __all__ = [
     "read_attributes",
     "write_attributes",
 ]
+
+EDGE_COLUMNS = ("src", "dst")
 
 
 class Graph:
@@ -131,11 +134,13 @@ class AttributeVector:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.int8).ravel()
+        values = np.asarray(self.values).ravel()
         if values.size < 1:
             raise ValueError("attribute vector must be non-empty")
+        # check before narrowing: int8 would wrap 256 to 0
         if not np.isin(values, (0, 1)).all():
             raise ValueError(f"attribute {self.name!r} has values outside {{0, 1}}")
+        values = values.astype(np.int8)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -185,14 +190,14 @@ class MixingCounts:
 
 
 def _as_attribute(values, node_count: int | None = None) -> np.ndarray:
-    z = np.asarray(values, dtype=np.int64).ravel()
+    z = np.asarray(values).ravel()
     if z.size < 1:
         raise ValueError("attribute vector must be non-empty")
     if node_count is not None and z.size != node_count:
         raise ValueError(f"attribute length {z.size} != node count {node_count}")
     if not np.isin(z, (0, 1)).all():
         raise ValueError("attribute values must be 0 or 1")
-    return z
+    return z.astype(np.int64, copy=False)
 
 
 def mean_degree(graph: Graph) -> float:
@@ -366,10 +371,7 @@ def ratio_from_assortativity(
 
 def write_edge_list(graph: Graph, path) -> None:
     """Write ``graph`` as CSV with header ``src,dst`` (0-based, src < dst)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src", "dst"])
-        writer.writerows(zip(graph.src.tolist(), graph.dst.tolist()))
+    write_table(path, EDGE_COLUMNS, zip(graph.src.tolist(), graph.dst.tolist()))
 
 
 def read_edge_list(path, node_count: int | None = None) -> Graph:
@@ -381,40 +383,20 @@ def read_edge_list(path, node_count: int | None = None) -> Graph:
             ``max index + 1``, which silently drops trailing isolated nodes;
             pass it explicitly whenever those matter.
     """
-    pairs = _read_edge_pairs(path)
-    if node_count is None:
-        if not pairs.size:
-            raise ValueError(f"{path}: empty edge list; node_count is required")
-        node_count = int(pairs.max()) + 1
-    return Graph(node_count, pairs[:, 0], pairs[:, 1])
-
-
-def _read_edge_pairs(path) -> np.ndarray:
-    """The ``(edges, 2)`` endpoint array of an edge-list CSV."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["src", "dst"]:
-            raise ValueError(f"{path}: expected header 'src,dst'")
-        pairs = [(int(row[0]), int(row[1])) for row in reader if row]
-    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    _, pairs = read_table(path, EDGE_COLUMNS, named=False)
+    with in_file(path):
+        if node_count is None and not pairs.size:
+            raise ValueError("empty edge list; node_count is required")
+        return Graph(pairs.max() + 1 if node_count is None else node_count, pairs[:, 0], pairs[:, 1])
 
 
 def write_attributes(path, attributes: Sequence[AttributeVector]) -> None:
     """Write attribute CSV with header ``node,<name1>,...``."""
     attrs = list(attributes)
-    if not attrs:
-        raise ValueError("need at least one attribute vector")
-    n = attrs[0].values.size
-    for a in attrs:
-        if a.values.size != n:
-            raise ValueError("attribute vectors must have equal length")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node"] + [a.name for a in attrs])
-        columns = [a.values for a in attrs]
-        for i in range(n):
-            writer.writerow([i] + [int(col[i]) for col in columns])
+    if not attrs or len({a.values.size for a in attrs}) != 1:
+        raise ValueError("need one or more attribute vectors of equal length")
+    columns = [a.values.tolist() for a in attrs]
+    write_table(path, ["node"] + [a.name for a in attrs], zip(range(len(columns[0])), *columns))
 
 
 def read_attributes(path) -> list[AttributeVector]:
@@ -422,16 +404,8 @@ def read_attributes(path) -> list[AttributeVector]:
 
     Rows must cover nodes 0..n-1 in order.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0].strip() != "node" or len(header) < 2:
-            raise ValueError(f"{path}: expected header 'node,<name>,...'")
-        names = [h.strip() for h in header[1:]]
-        rows = [row for row in reader if row]
-    values = np.empty((len(rows), len(names)), dtype=np.int8)
-    for i, row in enumerate(rows):
-        if int(row[0]) != i:
-            raise ValueError(f"{path}: node column must be 0..n-1 in order (row {i})")
-        values[i] = [int(v) for v in row[1:]]
-    return [AttributeVector(name, values[:, k]) for k, name in enumerate(names)]
+    names, table = read_table(path, ("node",), named=True)
+    with in_file(path):
+        if not np.array_equal(table[:, 0], np.arange(len(table))):
+            raise ValueError("node column must be 0..n-1 in order")
+        return [AttributeVector(name, table[:, k + 1]) for k, name in enumerate(names)]

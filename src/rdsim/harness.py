@@ -16,7 +16,6 @@ seed at any worker count.
 
 from __future__ import annotations
 
-import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -45,6 +44,7 @@ from .netgen import (
     solve_dyad_classes,
 )
 from .sampler import SamplerConfig, run_rds
+from .tables import write_rows
 
 __all__ = [
     "ExperimentPlan",
@@ -180,15 +180,30 @@ class ExperimentPlan:
         )
 
 
+_TRUTHS = ("prevalence", "diff_activity", "homophily", "homophily_ratio")
+# SampleEstimates fields, in the column order of `estimate` and engage
+# tables; induced_homophily is last, as it is set only when the estimates
+# were given the population graph.
+_ESTIMATES = (
+    "diff_activity",
+    "homophily",
+    "homophily_ratio",
+    "rds2_prevalence",
+    "crude_prevalence",
+    "induced_homophily",
+)
+# Estimand -> the realized truth its relative bias is measured against.
+_BIAS_TRUTH = {
+    "diff_activity": "diff_activity",
+    "homophily": "homophily",
+    "homophily_ratio": "homophily_ratio",
+    "induced_homophily": "homophily",
+    "rds2_prevalence": "prevalence",
+}
+
 EXPERIMENT_GROUP_COLUMNS = ["cell", "prevalence", "diff_activity", "homophily_ratio", "sample_size"]
 
-RB_COLUMNS = [
-    "rb_diff_activity",
-    "rb_homophily",
-    "rb_homophily_ratio",
-    "rb_induced_homophily",
-    "rb_rds2_prevalence",
-]
+RB_COLUMNS = [f"rb_{name}" for name in _BIAS_TRUTH]
 
 # The cohort mimic has no population graph to estimate from, so no induced homophily.
 _ENGAGE_RB_COLUMNS = [column for column in RB_COLUMNS if column != "rb_induced_homophily"]
@@ -234,27 +249,6 @@ def _realized_truth(graph, z) -> dict:
         "homophily": or_none(newman_assortativity, counts),
         "homophily_ratio": or_none(homophily_ratio, counts),
     }
-
-
-_TRUTHS = ("prevalence", "diff_activity", "homophily", "homophily_ratio")
-# SampleEstimates fields, in column order; induced_homophily is set only
-# when the estimates were given the population graph.
-_ESTIMATES = (
-    "diff_activity",
-    "homophily",
-    "homophily_ratio",
-    "induced_homophily",
-    "rds2_prevalence",
-    "crude_prevalence",
-)
-# Estimand -> the realized truth its relative bias is measured against.
-_BIAS_TRUTH = {
-    "diff_activity": "diff_activity",
-    "homophily": "homophily",
-    "homophily_ratio": "homophily_ratio",
-    "induced_homophily": "homophily",
-    "rds2_prevalence": "prevalence",
-}
 
 
 def _ok_row(key: dict, replicate: int, forest, est, truths: list[dict], suffixes: list[str]) -> dict:
@@ -509,7 +503,7 @@ def run_engage_mimic(
 
 
 # ---------------------------------------------------------------------------
-# Summaries and CSV output
+# Summaries
 # ---------------------------------------------------------------------------
 
 _SUMMARY_STAT_COLUMNS = [
@@ -536,18 +530,12 @@ def summarize_replicates(
     excluded from the statistics and counted, so
     ``count + undefined == replicates`` per group and estimand.
     """
-    groups: dict[tuple, list[dict]] = {}
-    order: list[tuple] = []
+    groups: dict[tuple, list[dict]] = {}  # in order of first appearance
     for row in rows:
-        key = tuple(row[c] for c in group_columns)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
+        groups.setdefault(tuple(row[c] for c in group_columns), []).append(row)
 
     summary = []
-    for key in order:
-        members = groups[key]
+    for key, members in groups.items():
         if len(members) != replicates:
             raise ValueError(
                 f"group {key} has {len(members)} rows; expected {replicates} replicates"
@@ -575,22 +563,3 @@ def summarize_replicates(
                 entry.update(mean=None, min=None, q25=None, median=None, q75=None, max=None)
             summary.append(entry)
     return summary
-
-
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
-def write_rows(path, columns: list[str], rows: list[dict]) -> None:
-    """Write rows as CSV in the given column order; None becomes empty."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(row.get(column)) for column in columns])

@@ -11,13 +11,13 @@ a truncated sample flagged as such.
 
 from __future__ import annotations
 
-import csv
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph
+from .tables import in_file, read_table, write_table
 
 __all__ = [
     "SamplerConfig",
@@ -66,11 +66,13 @@ class SamplerConfig:
 class RecruitmentForest:
     """Observed outcome of one recruitment run.
 
-    Entries are ordered by sampling time. Seeds (including reseeds) carry
-    recruiter and coupon_index -1 and wave 0; every recruit's wave is its
-    recruiter's wave plus one, and recruiter-recruit pairs are edges of the
-    population graph. ``degrees`` holds the reported network size of each
-    entry (equal to the true graph degree here).
+    Entries are ordered by sampling time, and their nodes are distinct and
+    nonnegative. Seeds (including reseeds) carry recruiter and coupon_index
+    -1 and wave 0; every recruiter is an earlier entry, every recruit's wave
+    is its recruiter's wave plus one and its seed_id its recruiter's, and
+    recruiter-recruit pairs are edges of the population graph. ``degrees``
+    holds the reported network size of each entry (equal to the true graph
+    degree here).
     """
 
     nodes: np.ndarray
@@ -93,12 +95,15 @@ class RecruitmentForest:
         size = arrays["nodes"].size
         if any(arr.size != size for arr in arrays.values()):
             raise ValueError("forest columns must have equal length")
-        attrs = np.asarray(self.attributes, dtype=np.int8)
+        attrs = np.asarray(self.attributes)
         if attrs.ndim == 1:
             attrs = attrs[:, None]
         if attrs.shape != (size, len(self.attribute_names)):
             raise ValueError("attribute matrix must be (entries, len(attribute_names))")
-        attrs = attrs.copy()
+        # check before narrowing: int8 would wrap 256 to 0
+        if not np.isin(attrs, (0, 1)).all():
+            raise ValueError("attribute values must be 0 or 1")
+        attrs = attrs.astype(np.int8)
         attrs.flags.writeable = False
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
@@ -186,7 +191,7 @@ def run_rds(
     Returns:
         The recruitment forest, with all invariants holding.
     """
-    z = np.asarray(attributes, dtype=np.int8)
+    z = np.asarray(attributes)
     if z.ndim == 1:
         z = z[:, None]
     if z.shape[0] != graph.node_count:
@@ -276,70 +281,51 @@ def run_rds(
     )
 
 
+FOREST_COLUMNS = ("node", "recruiter", "wave", "seed_id", "coupon_index", "degree")
+
+
 def write_forest(forest: RecruitmentForest, path) -> None:
     """Write a forest as CSV: ``node,recruiter,wave,seed_id,coupon_index,degree,<attrs>``.
 
     Recruiter and coupon_index cells are empty for seeds.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["node", "recruiter", "wave", "seed_id", "coupon_index", "degree", *forest.attribute_names]
-        )
-        for i in range(forest.size):
-            recruiter = forest.recruiters[i]
-            writer.writerow(
-                [
-                    int(forest.nodes[i]),
-                    "" if recruiter < 0 else int(recruiter),
-                    int(forest.waves[i]),
-                    int(forest.seed_ids[i]),
-                    "" if recruiter < 0 else int(forest.coupon_indices[i]),
-                    int(forest.degrees[i]),
-                    *(int(v) for v in forest.attributes[i]),
-                ]
-            )
+    seed = forest.recruiters < 0
+    columns = [forest.nodes, np.where(seed, None, forest.recruiters), forest.waves, forest.seed_ids]
+    columns += [np.where(seed, None, forest.coupon_indices), forest.degrees, *forest.attributes.T]
+    write_table(path, FOREST_COLUMNS + forest.attribute_names, zip(*(c.tolist() for c in columns)))
+
+
+def _check_recruitment(forest: RecruitmentForest) -> None:
+    """Raise ``ValueError`` unless ``forest`` holds its class invariants that need no graph."""
+    waves, seed_ids, coupons = forest.waves, forest.seed_ids, forest.coupon_indices
+    position = {node: i for i, node in enumerate(forest.nodes.tolist())}
+    if not forest.size or forest.nodes.min() < 0 or len(position) != forest.size:
+        raise ValueError("nodes must be one or more distinct nonnegative indices")
+    seeds = forest.recruiters == -1
+    recruits = np.flatnonzero(~seeds)
+    at = np.array([position.get(r, forest.size) for r in forest.recruiters[recruits].tolist()], np.int64)
+    late = at >= recruits  # the recruiter is absent or no earlier entry
+    if np.any(late):
+        entry = int(recruits[np.argmax(late)])
+        raise ValueError(f"entry {entry}: recruiter {forest.recruiters[entry]} is not an earlier entry")
+    if np.any(waves[recruits] != waves[at] + 1) or np.any(seed_ids[recruits] != seed_ids[at]):
+        raise ValueError("a recruit needs its recruiter's wave + 1 and its recruiter's seed_id")
+    if np.any(waves[seeds] != 0) or np.any(coupons[seeds] != -1):
+        raise ValueError("a seed needs wave 0 and an empty coupon_index")
+    if min(seed_ids.min(), forest.degrees.min(), coupons[recruits].min(initial=0)) < 0:
+        raise ValueError("seed_id, degree and a recruit's coupon_index must be nonnegative")
 
 
 def read_forest(path) -> RecruitmentForest:
     """Read a forest CSV written by :func:`write_forest`.
 
-    Run metadata that is not part of the file format (truncation flag,
-    reseed count) resets to its defaults.
+    The file must hold the invariants of :class:`RecruitmentForest`. Run
+    metadata that is not part of the file format (truncation flag, reseed
+    count) resets to its defaults.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        fixed = ["node", "recruiter", "wave", "seed_id", "coupon_index", "degree"]
-        if header is None or [h.strip() for h in header[: len(fixed)]] != fixed:
-            raise ValueError(f"{path}: expected header starting with {','.join(fixed)}")
-        names = tuple(h.strip() for h in header[len(fixed):])
-        if not names:
-            raise ValueError(f"{path}: forest file must carry at least one attribute column")
-        rows = [row for row in reader if row]
-    size = len(rows)
-    nodes = np.empty(size, dtype=np.int64)
-    recruiters = np.empty(size, dtype=np.int64)
-    waves = np.empty(size, dtype=np.int64)
-    seed_ids = np.empty(size, dtype=np.int64)
-    coupons = np.empty(size, dtype=np.int64)
-    degrees = np.empty(size, dtype=np.int64)
-    attrs = np.empty((size, len(names)), dtype=np.int8)
-    for i, row in enumerate(rows):
-        nodes[i] = int(row[0])
-        recruiters[i] = int(row[1]) if row[1] != "" else -1
-        waves[i] = int(row[2])
-        seed_ids[i] = int(row[3])
-        coupons[i] = int(row[4]) if row[4] != "" else -1
-        degrees[i] = int(row[5])
-        attrs[i] = [int(v) for v in row[6:]]
-    return RecruitmentForest(
-        nodes=nodes,
-        recruiters=recruiters,
-        waves=waves,
-        seed_ids=seed_ids,
-        coupon_indices=coupons,
-        degrees=degrees,
-        attributes=attrs,
-        attribute_names=names,
-    )
+    names, table = read_table(path, FOREST_COLUMNS, named=True)
+    fixed = len(FOREST_COLUMNS)
+    with in_file(path):
+        forest = RecruitmentForest(*table[:, :fixed].T, table[:, fixed:], names)
+        _check_recruitment(forest)
+    return forest

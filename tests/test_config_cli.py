@@ -373,6 +373,71 @@ class TestCliPipeline:
         assert float(row["est_rds2_prevalence_z"]) == float(row["est_crude_prevalence_z"])
 
 
+FOREST_CSV = "node,recruiter,wave,seed_id,coupon_index,degree,z\n0,,0,0,,2,1\n1,0,1,0,0,2,0\n2,1,2,0,0,1,1\n"
+
+
+class TestCliMalformedFiles:
+    """Malformed or inconsistent input files exit 1 with one ``error:`` line naming the file."""
+
+    def _fails_naming(self, capsys, argv, path):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert err.count("\n") == 1
+
+    def _rds_argv(self, tmp_path, edges, attributes):
+        (tmp_path / "edges.csv").write_text(edges)
+        (tmp_path / "attributes.csv").write_text(attributes)
+        (tmp_path / "rds.cfg").write_text("[rds]\nseeds = 1\ncoupons = 2\nsample_size = 3\n")
+        return [
+            "rds",
+            "--config", str(tmp_path / "rds.cfg"),
+            "--edges", str(tmp_path / "edges.csv"),
+            "--attributes", str(tmp_path / "attributes.csv"),
+            "--out", str(tmp_path / "out"),
+        ]
+
+    def test_rds_attribute_outside_int8(self, tmp_path, capsys):
+        argv = self._rds_argv(tmp_path, "src,dst\n0,1\n1,2\n", "node,z\n0,256\n1,1\n2,0\n")
+        self._fails_naming(capsys, argv, tmp_path / "attributes.csv")
+
+    def test_rds_ragged_edge_list(self, tmp_path, capsys):
+        argv = self._rds_argv(tmp_path, "src,dst\n0,1\n1,2,3\n", "node,z\n0,1\n1,1\n2,0\n")
+        self._fails_naming(capsys, argv, tmp_path / "edges.csv")
+
+    def test_rds_empty_endpoint(self, tmp_path, capsys):
+        argv = self._rds_argv(tmp_path, "src,dst\n0,1\n1,\n", "node,z\n0,1\n1,1\n2,0\n")
+        self._fails_naming(capsys, argv, tmp_path / "edges.csv")
+
+    @pytest.mark.parametrize("recruiter", ["9", "3", "2", ""])
+    def test_estimate_inconsistent_recruiter(self, tmp_path, capsys, recruiter):
+        # 9 used to crash with an IndexError, 3 was scored as a node with z=0
+        forest = tmp_path / "forest.csv"
+        forest.write_text(FOREST_CSV.replace("\n2,1,2,", f"\n2,{recruiter},2,"))
+        self._fails_naming(capsys, ["estimate", "--forest", str(forest), "--out", str(tmp_path / "o")], forest)
+
+    def test_estimate_malformed_edge_list(self, tmp_path, capsys):
+        forest = tmp_path / "forest.csv"
+        forest.write_text(FOREST_CSV)
+        edges = tmp_path / "edges.csv"
+        for text in ("src,dst\n0,1\n# 1,2\n", "src,dst\n0,1\n1,1\n"):
+            edges.write_text(text)
+            argv = ["estimate", "--forest", str(forest), "--edges", str(edges), "--out", str(tmp_path / "o")]
+            self._fails_naming(capsys, argv, edges)
+
+    def test_estimate_columns(self, tmp_path):
+        forest = tmp_path / "forest.csv"
+        forest.write_text(FOREST_CSV)
+        edges = tmp_path / "edges.csv"
+        edges.write_text("src,dst\n0,1\n1,2\n0,3\n")
+        assert main(["estimate", "--forest", str(forest), "--edges", str(edges), "--out", str(tmp_path), "-q"]) == 0
+        header = (tmp_path / "estimates.csv").read_text().splitlines()[0]
+        assert header == (
+            "forest,sample_size,max_wave,est_diff_activity_z,est_homophily_z,est_homophily_ratio_z,"
+            "est_rds2_prevalence_z,est_crude_prevalence_z,est_induced_homophily_z"
+        )
+
+
 class TestCliExperiment:
     def test_same_seed_same_bytes_across_threads(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

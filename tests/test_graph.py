@@ -303,6 +303,19 @@ class TestFileFormats:
         with pytest.raises(ValueError):
             AttributeVector("bad", [0, 2, 1])
 
+    def test_attribute_vector_checks_before_narrowing(self):
+        # int8 would wrap 256 to 0 and 257 to 1
+        with pytest.raises(ValueError, match="outside"):
+            AttributeVector("z", np.array([256, 257, 1]))
+        with pytest.raises(ValueError, match="outside"):
+            AttributeVector("z", np.array([0.5, 1.0]))
+        assert AttributeVector("z", np.array([1, 0], dtype=np.int64)).values.dtype == np.int8
+
+    def test_statistics_check_attributes_before_casting(self):
+        # an int64 cast would truncate 0.5 to 0
+        with pytest.raises(ValueError, match="0 or 1"):
+            prevalence([0.5, 1])
+
 
 def test_h_evaluated_on_network_differs_from_bridge(three_node_graph):
     # The analytic bridge and the realized-network coefficient are different

@@ -216,6 +216,24 @@ class TestRunRds:
             assert forest.attributes[i].tolist() == z[node].tolist()
 
 
+def test_forest_checks_attributes_before_narrowing():
+    # int8 would wrap 2 to 2 and 513 to 1; neither is a binary attribute
+    columns = dict(
+        nodes=[0, 1],
+        recruiters=[-1, 0],
+        waves=[0, 1],
+        seed_ids=[0, 0],
+        coupon_indices=[-1, 0],
+        degrees=[1, 1],
+        attribute_names=("z",),
+    )
+    with pytest.raises(ValueError, match="0 or 1"):
+        RecruitmentForest(attributes=np.array([2, 513]), **columns)
+    with pytest.raises(ValueError, match="0 or 1"):
+        RecruitmentForest(attributes=np.array([256, 1]), **columns)
+    assert RecruitmentForest(attributes=np.array([1, 0]), **columns).attributes.tolist() == [[1], [0]]
+
+
 class TestForestFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(17)
