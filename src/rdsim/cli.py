@@ -174,7 +174,9 @@ def cmd_estimate(args) -> int:
             )
         rows.append(row)
         _say(args, f"estimate: {path} sampled={est.sample_size} max_wave={est.max_wave}")
-    write_rows(os.path.join(out, "estimates.csv"), list(rows[0]), rows)
+    # forests may name different attributes: take every row's columns, in order
+    header = list(dict.fromkeys(key for row in rows for key in row))
+    write_rows(os.path.join(out, "estimates.csv"), header, rows)
     inputs = {f"forest{i}": path for i, path in enumerate(args.forest)}
     if args.edges is not None:
         inputs["edges"] = args.edges

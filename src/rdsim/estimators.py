@@ -55,10 +55,8 @@ def estimate_homophily(
         undefined (no recruitment edges, single-class edge ends, or no
         cross edges for the ratio).
     """
-    z_by_node = np.zeros(int(forest.nodes.max()) + 1, dtype=np.int64)
-    z_by_node[forest.nodes] = forest.attribute_column(attribute)
-    recruiters, recruits = forest.recruitment_edges()
-    counts = _classify(z_by_node[recruiters], z_by_node[recruits])
+    z = forest.attribute_column(attribute)
+    counts = _classify(z[forest.recruiter_entries], z[forest.recruiters >= 0])
     return or_none(newman_assortativity, counts), or_none(homophily_ratio, counts)
 
 

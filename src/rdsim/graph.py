@@ -60,8 +60,8 @@ class Graph:
         n = int(node_count)
         if n < 1:
             raise ValueError("node_count must be >= 1")
-        src = np.asarray(src, dtype=np.int64).ravel()
-        dst = np.asarray(dst, dtype=np.int64).ravel()
+        src = _as_int64(src, "src")
+        dst = _as_int64(dst, "dst")
         if src.shape != dst.shape:
             raise ValueError("src and dst must have equal length")
         if src.size:
@@ -187,6 +187,15 @@ class MixingCounts:
     @property
     def total(self) -> int:
         return self.within_1 + self.within_0 + self.cross
+
+
+def _as_int64(values, name: str) -> np.ndarray:
+    """``values`` as a flat int64 array; a non-integer dtype is an error, not truncated."""
+    arr = np.asarray(values).ravel()
+    # an empty list is float64 to numpy, and holds no value to truncate
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, not {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
 
 
 def _as_attribute(values, node_count: int | None = None) -> np.ndarray:

@@ -11,12 +11,11 @@ a truncated sample flagged as such.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _as_int64
 from .tables import in_file, read_table, write_table
 
 __all__ = [
@@ -73,6 +72,10 @@ class RecruitmentForest:
     recruiter-recruit pairs are edges of the population graph. ``degrees``
     holds the reported network size of each entry (equal to the true graph
     degree here).
+
+    Construction checks the invariants that need no graph, whatever the
+    source, and raises ``ValueError`` on a break. ``recruiter_entries``
+    holds the entry position of each recruit's recruiter, in entry order.
     """
 
     nodes: np.ndarray
@@ -85,11 +88,12 @@ class RecruitmentForest:
     attribute_names: tuple[str, ...]
     truncated: bool = False
     reseed_count: int = 0
+    recruiter_entries: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         arrays = {}
         for name in ("nodes", "recruiters", "waves", "seed_ids", "coupon_indices", "degrees"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64).ravel()
+            arr = _as_int64(getattr(self, name), name)
             arr.flags.writeable = False
             arrays[name] = arr
         size = arrays["nodes"].size
@@ -109,6 +113,9 @@ class RecruitmentForest:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "attributes", attrs)
         object.__setattr__(self, "attribute_names", tuple(self.attribute_names))
+        entries = _check_recruitment(self)
+        entries.flags.writeable = False
+        object.__setattr__(self, "recruiter_entries", entries)
 
     @property
     def size(self) -> int:
@@ -169,13 +176,15 @@ def run_rds(
 ) -> RecruitmentForest:
     """Simulate one recruitment run over ``graph``.
 
-    Breadth-first by coupon issuance: sampled nodes enter a FIFO queue;
-    each dequeued node recruits ``min(coupons, unsampled neighbors,
-    remaining budget)`` recruits chosen uniformly without replacement among
-    its currently unsampled neighbors. The run halts at exactly
-    ``target_sample_size`` nodes. If the queue empties first, a fresh
-    uniform seed is added when ``reseed_on_death`` is set; otherwise the
-    partial sample is returned with ``truncated=True``.
+    Breadth-first by coupon issuance: every entry recruits once, in
+    admission order, so the FIFO queue is the entries not yet served.
+    Each recruits ``min(coupons, unsampled neighbors, remaining budget)``
+    recruits chosen uniformly without replacement among its currently
+    unsampled neighbors, and takes its wave and seed_id from its own
+    entry. The run halts at exactly ``target_sample_size`` nodes. If every
+    entry has recruited first, a fresh uniform seed is added when
+    ``reseed_on_death`` is set; otherwise the partial sample is returned
+    with ``truncated=True``.
 
     Args:
         graph: Population graph (shared read-only).
@@ -185,8 +194,8 @@ def run_rds(
         rng: Random stream for this run.
         attribute_names: Labels for the attribute columns; defaults to
             "z" or "z0", "z1", ...
-        seeds: Optional explicit seed nodes (distinct, length
-            ``config.num_seeds``), overriding seed selection.
+        seeds: Optional explicit seed nodes (distinct, in ``0 .. node_count-1``,
+            length ``config.num_seeds``), overriding seed selection.
 
     Returns:
         The recruitment forest, with all invariants holding.
@@ -202,55 +211,44 @@ def run_rds(
     if n_target > graph.node_count:
         raise ValueError("target_sample_size exceeds the population size")
 
-    sampled = np.zeros(graph.node_count, dtype=bool)
-    wave_of = np.zeros(graph.node_count, dtype=np.int64)
-    seed_of = np.zeros(graph.node_count, dtype=np.int64)
-
-    nodes: list[int] = []
-    recruiters: list[int] = []
-    waves: list[int] = []
-    seed_ids: list[int] = []
-    coupon_indices: list[int] = []
-
-    def admit(node: int, recruiter: int, wave: int, seed_id: int, coupon: int) -> None:
-        sampled[node] = True
-        wave_of[node] = wave
-        seed_of[node] = seed_id
-        nodes.append(node)
-        recruiters.append(recruiter)
-        waves.append(wave)
-        seed_ids.append(seed_id)
-        coupon_indices.append(coupon)
-
     if seeds is None:
         seeds = select_seeds(graph, config, rng)
     else:
-        seeds = np.asarray(seeds, dtype=np.int64)
+        seeds = _as_int64(seeds, "seeds")
         if seeds.size != config.num_seeds or np.unique(seeds).size != seeds.size:
             raise ValueError("explicit seeds must be num_seeds distinct nodes")
+        if seeds.min() < 0 or seeds.max() >= graph.node_count:
+            raise ValueError(f"explicit seeds must be nodes in 0..{graph.node_count - 1}")
 
-    queue: deque[int] = deque()
-    for seed_id, seed in enumerate(seeds):
-        admit(int(seed), -1, 0, seed_id, -1)
-        queue.append(int(seed))
-    next_seed_id = config.num_seeds
+    sampled = np.zeros(graph.node_count, dtype=bool)
+    sampled[seeds] = True
+    nodes = seeds.tolist()
+    recruiters = [-1] * len(nodes)
+    waves = [0] * len(nodes)
+    seed_ids = list(range(len(nodes)))
+    coupon_indices = [-1] * len(nodes)
+    head = 0  # the queue is nodes[head:]
     reseed_count = 0
     truncated = False
     coupons = config.coupons_per_node
 
     while len(nodes) < n_target:
-        if not queue:
-            unsampled = np.flatnonzero(~sampled)
-            if not config.reseed_on_death or unsampled.size == 0:
+        if head == len(nodes):
+            if not config.reseed_on_death:
                 truncated = True
                 break
+            unsampled = np.flatnonzero(~sampled)
             fresh = int(unsampled[rng.integers(unsampled.size)])
-            admit(fresh, -1, 0, next_seed_id, -1)
-            queue.append(fresh)
-            next_seed_id += 1
+            sampled[fresh] = True
+            nodes.append(fresh)
+            recruiters.append(-1)
+            waves.append(0)
+            seed_ids.append(config.num_seeds + reseed_count)
+            coupon_indices.append(-1)
             reseed_count += 1
             continue
-        recruiter = queue.popleft()
+        recruiter, wave, seed_id = nodes[head], waves[head] + 1, seed_ids[head]
+        head += 1
         neighbors = graph.neighbors(recruiter)
         open_neighbors = neighbors[~sampled[neighbors]]
         budget = min(coupons, open_neighbors.size, n_target - len(nodes))
@@ -260,19 +258,20 @@ def run_rds(
             picks = rng.permutation(open_neighbors)
         else:
             picks = open_neighbors[rng.choice(open_neighbors.size, size=budget, replace=False)]
-        wave = int(wave_of[recruiter]) + 1
-        seed_id = int(seed_of[recruiter])
-        for coupon, recruit in enumerate(picks):
-            admit(int(recruit), recruiter, wave, seed_id, coupon)
-            queue.append(int(recruit))
+        sampled[picks] = True
+        nodes.extend(picks.tolist())
+        recruiters.extend([recruiter] * budget)
+        waves.extend([wave] * budget)
+        seed_ids.extend([seed_id] * budget)
+        coupon_indices.extend(range(budget))
 
     node_arr = np.asarray(nodes, dtype=np.int64)
     return RecruitmentForest(
         nodes=node_arr,
-        recruiters=np.asarray(recruiters, dtype=np.int64),
-        waves=np.asarray(waves, dtype=np.int64),
-        seed_ids=np.asarray(seed_ids, dtype=np.int64),
-        coupon_indices=np.asarray(coupon_indices, dtype=np.int64),
+        recruiters=recruiters,
+        waves=waves,
+        seed_ids=seed_ids,
+        coupon_indices=coupon_indices,
         degrees=graph.degrees[node_arr],
         attributes=z[node_arr],
         attribute_names=attribute_names,
@@ -295,16 +294,18 @@ def write_forest(forest: RecruitmentForest, path) -> None:
     write_table(path, FOREST_COLUMNS + forest.attribute_names, zip(*(c.tolist() for c in columns)))
 
 
-def _check_recruitment(forest: RecruitmentForest) -> None:
-    """Raise ``ValueError`` unless ``forest`` holds its class invariants that need no graph."""
-    waves, seed_ids, coupons = forest.waves, forest.seed_ids, forest.coupon_indices
-    position = {node: i for i, node in enumerate(forest.nodes.tolist())}
-    if not forest.size or forest.nodes.min() < 0 or len(position) != forest.size:
+def _check_recruitment(forest: RecruitmentForest) -> np.ndarray:
+    """Raise ``ValueError`` unless ``forest`` holds its graph-free invariants; return recruiter entries."""
+    nodes, waves, seed_ids, coupons = forest.nodes, forest.waves, forest.seed_ids, forest.coupon_indices
+    order = np.argsort(nodes)
+    ranked = nodes[order]
+    if not forest.size or ranked[0] < 0 or np.any(ranked[1:] == ranked[:-1]):
         raise ValueError("nodes must be one or more distinct nonnegative indices")
     seeds = forest.recruiters == -1
     recruits = np.flatnonzero(~seeds)
-    at = np.array([position.get(r, forest.size) for r in forest.recruiters[recruits].tolist()], np.int64)
-    late = at >= recruits  # the recruiter is absent or no earlier entry
+    wanted = forest.recruiters[recruits]
+    at = order[np.minimum(np.searchsorted(ranked, wanted), forest.size - 1)]
+    late = (nodes[at] != wanted) | (at >= recruits)  # the recruiter is absent or no earlier entry
     if np.any(late):
         entry = int(recruits[np.argmax(late)])
         raise ValueError(f"entry {entry}: recruiter {forest.recruiters[entry]} is not an earlier entry")
@@ -314,6 +315,7 @@ def _check_recruitment(forest: RecruitmentForest) -> None:
         raise ValueError("a seed needs wave 0 and an empty coupon_index")
     if min(seed_ids.min(), forest.degrees.min(), coupons[recruits].min(initial=0)) < 0:
         raise ValueError("seed_id, degree and a recruit's coupon_index must be nonnegative")
+    return at
 
 
 def read_forest(path) -> RecruitmentForest:
@@ -326,6 +328,4 @@ def read_forest(path) -> RecruitmentForest:
     names, table = read_table(path, FOREST_COLUMNS, named=True)
     fixed = len(FOREST_COLUMNS)
     with in_file(path):
-        forest = RecruitmentForest(*table[:, :fixed].T, table[:, fixed:], names)
-        _check_recruitment(forest)
-    return forest
+        return RecruitmentForest(*table[:, :fixed].T, table[:, fixed:], names)

@@ -372,6 +372,25 @@ class TestCliPipeline:
             row = next(csv_mod.DictReader(fh))
         assert float(row["est_rds2_prevalence_z"]) == float(row["est_crude_prevalence_z"])
 
+    def test_estimate_header_covers_every_forest(self, tmp_path):
+        a = tmp_path / "a.csv"
+        a.write_text(FOREST_CSV)
+        b = tmp_path / "b.csv"
+        b.write_text(
+            "node,recruiter,wave,seed_id,coupon_index,degree,A,B\n"
+            "4,,0,0,,1,1,0\n2,4,1,0,0,2,0,0\n7,2,2,0,0,1,1,1\n"
+        )
+        assert main(["estimate", "--forest", str(a), str(b), "--out", str(tmp_path), "-q"]) == 0
+        with open(tmp_path / "estimates.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        fields = ("diff_activity", "homophily", "homophily_ratio", "rds2_prevalence", "crude_prevalence")
+        assert list(rows[0]) == ["forest", "sample_size", "max_wave"] + [
+            f"est_{field}_{name}" for name in ("z", "A", "B") for field in fields
+        ]
+        assert rows[0]["est_crude_prevalence_z"] == repr(2 / 3) and rows[0]["est_crude_prevalence_A"] == ""
+        assert rows[1]["est_crude_prevalence_z"] == "" and rows[1]["est_crude_prevalence_A"] == repr(2 / 3)
+        assert rows[1]["est_crude_prevalence_B"] == repr(1 / 3)
+
 
 FOREST_CSV = "node,recruiter,wave,seed_id,coupon_index,degree,z\n0,,0,0,,2,1\n1,0,1,0,0,2,0\n2,1,2,0,0,1,1\n"
 

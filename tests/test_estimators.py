@@ -106,6 +106,14 @@ class TestHomophilyEstimate:
         forest = make_forest([(0, -1, 0, 0, -1, 2, 1)])
         assert estimate_homophily(forest) == (None, None)
 
+    def test_huge_node_indices(self):
+        # the estimate reads entries, so it needs no array sized by node index
+        entries = [(0, -1, 0, 0, -1, 2, 1), (1, 0, 1, 0, 0, 1, 1), (2, 0, 1, 0, 1, 1, 0)]
+        small = make_forest(entries)
+        relabel = {0: 10**12, 1: 5, 2: 10**12 - 1, -1: -1}
+        huge = make_forest([(relabel[a], relabel[b], *rest) for a, b, *rest in entries])
+        assert estimate_homophily(huge) == estimate_homophily(small) == (pytest.approx(-1 / 3), 1.0)
+
     def test_tree_fed_back_as_graph_matches_graph_statistics(self):
         rng = np.random.default_rng(3)
         for _ in range(10):

@@ -36,6 +36,14 @@ class TestGraph:
         with pytest.raises(ValueError, match="out of range"):
             Graph(3, [0], [3])
 
+    def test_rejects_non_integer_endpoints(self):
+        # int64 casting used to truncate these to src=[0, 1]
+        with pytest.raises(ValueError, match="src must be integers"):
+            Graph(3, [0.9, 1.5], [1, 2])
+        with pytest.raises(ValueError, match="dst must be integers"):
+            Graph(3, [0, 1], np.array([1, 2], dtype=object))
+        assert Graph(3, [], []).edge_count == 0
+
     def test_canonical_edges_and_adjacency(self):
         graph = Graph(4, [2, 0, 3], [0, 1, 1])
         assert graph.src.tolist() == [0, 0, 1]

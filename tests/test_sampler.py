@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdsim import (
     Graph,
@@ -214,6 +216,95 @@ class TestRunRds:
         assert forest.attribute_names == ("first", "second")
         for i, node in enumerate(forest.nodes.tolist()):
             assert forest.attributes[i].tolist() == z[node].tolist()
+
+
+@st.composite
+def component_graphs(draw):
+    """(graph, attribute matrix): a few components, isolated nodes among them, labels shuffled."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    n = sum(sizes)
+    label = draw(st.permutations(range(n)))
+    src, dst = [], []
+    start = 0
+    for size in sizes:
+        pairs = [(i, j) for i in range(start, start + size) for j in range(i + 1, start + size)]
+        for i, j in draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []:
+            src.append(label[i])
+            dst.append(label[j])
+        start += size
+    m = draw(st.integers(1, 2))
+    cells = draw(st.lists(st.integers(0, 1), min_size=n * m, max_size=n * m))
+    return Graph(n, np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)), np.reshape(cells, (n, m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), case=component_graphs(), reseed=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_run_rds_forests_hold_their_invariants(data, case, reseed, seed):
+    graph, z = case
+    n = graph.node_count
+    num_seeds = data.draw(st.integers(1, min(n, 3)))
+    config = SamplerConfig(
+        num_seeds=num_seeds,
+        coupons_per_node=data.draw(st.integers(1, 3)),
+        target_sample_size=data.draw(st.integers(num_seeds, n)),
+        seed_selection=data.draw(st.sampled_from(("uniform", "degree"))),
+        reseed_on_death=reseed,
+    )
+    forest = run_rds(graph, z, config, np.random.default_rng(seed))
+    edges = set(zip(graph.src.tolist(), graph.dst.tolist()))
+    recruiters, recruits = forest.recruitment_edges()
+    for a, b in zip(recruiters.tolist(), recruits.tolist()):
+        assert (min(a, b), max(a, b)) in edges
+    assert forest.degrees.tolist() == graph.degrees[forest.nodes].tolist()
+    assert np.array_equal(forest.attributes, z[forest.nodes])
+    entries = forest.recruiter_entries
+    assert forest.nodes[entries].tolist() == recruiters.tolist()
+    assert np.all(np.diff(entries) >= 0), "recruiters must serve in admission order"
+    assert np.all(forest.coupon_indices[forest.recruiters >= 0] < config.coupons_per_node)
+    assert forest.truncated == (forest.size < config.target_sample_size)
+    assert not (forest.truncated and reseed)
+
+
+def test_explicit_seeds_must_be_nodes():
+    graph = path_graph(50)
+    z = np.zeros(50, dtype=np.int8)
+    config = SamplerConfig(2, 2, 10)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for seeds in ([-1, 3], [0, 50], [0.5, 3], [4, 4], [1]):
+        with pytest.raises(ValueError, match="seeds"):
+            run_rds(graph, z, config, rng, seeds=seeds)
+    assert rng.bit_generator.state == state
+
+
+STAR_COLUMNS = dict(  # a seed and its two recruits, without nodes and recruiters
+    waves=[0, 1, 1],
+    seed_ids=[0, 0, 0],
+    coupon_indices=[-1, 0, 1],
+    degrees=[2, 1, 1],
+    attributes=[1, 0, 1],
+    attribute_names=("z",),
+)
+
+
+def test_forest_records_recruiter_entries():
+    forest = RecruitmentForest(nodes=[7, 3, 9], recruiters=[-1, 7, 7], **STAR_COLUMNS)
+    assert forest.recruiter_entries.tolist() == [0, 0]
+    assert not forest.recruiter_entries.flags.writeable
+
+
+@pytest.mark.parametrize("recruiters", [[-1, 5, 7], [-1, 7, 9], [-1, 9, 7]])
+def test_constructed_forest_needs_earlier_recruiters(recruiters):
+    # 5 is absent; 9 is a later entry
+    with pytest.raises(ValueError, match="is not an earlier entry"):
+        RecruitmentForest(nodes=[7, 3, 9], recruiters=recruiters, **STAR_COLUMNS)
+
+
+def test_integer_columns_reject_floats():
+    with pytest.raises(ValueError, match="nodes must be integers"):
+        RecruitmentForest(nodes=[0.7, 1, 2], recruiters=[-1, 0, 0], **STAR_COLUMNS)
+    with pytest.raises(ValueError, match="waves must be integers"):
+        RecruitmentForest(nodes=[0, 1, 2], recruiters=[-1, 0, 0], **{**STAR_COLUMNS, "waves": [0, 1.0, 1]})
 
 
 def test_forest_checks_attributes_before_narrowing():
