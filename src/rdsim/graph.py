@@ -44,14 +44,21 @@ __all__ = [
 
 EDGE_COLUMNS = ("src", "dst")
 
+# largest n for which every edge key lo * n + hi (at most n*n - 1) fits in int64
+MAX_NODE_COUNT = 3_037_000_499
+
 
 class Graph:
     """Immutable undirected simple graph on nodes ``0 .. node_count-1``.
 
     Edges are stored once in canonical order (``src < dst``, sorted), with a
     CSR-style adjacency (sorted neighbor array per node) built alongside.
-    Self-loops and parallel edges are rejected. All arrays are frozen after
-    construction, so instances are safe to share across workers.
+    Both orders come from sorting one int64 key per edge end (``lo * n +
+    hi`` for the edge list, ``end * n + other`` for the adjacency), so
+    ``node_count`` may not exceed :data:`MAX_NODE_COUNT`, the largest n
+    whose keys fit in int64. Self-loops and parallel edges are rejected.
+    All arrays are frozen after construction, so instances are safe to
+    share across workers.
     """
 
     __slots__ = ("_n", "_src", "_dst", "_indptr", "_indices", "_degrees")
@@ -60,6 +67,8 @@ class Graph:
         n = int(node_count)
         if n < 1:
             raise ValueError("node_count must be >= 1")
+        if n > MAX_NODE_COUNT:
+            raise ValueError(f"node_count must be <= {MAX_NODE_COUNT}, got {n}")
         src = _as_int64(src, "src")
         dst = _as_int64(dst, "dst")
         if src.shape != dst.shape:
@@ -71,20 +80,18 @@ class Graph:
         hi = np.maximum(src, dst)
         if np.any(lo == hi):
             raise ValueError("self-loops are not allowed")
-        order = np.lexsort((hi, lo))
-        lo, hi = lo[order], hi[order]
-        if lo.size > 1:
-            dup = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
-            if np.any(dup):
-                raise ValueError("parallel edges are not allowed")
+        # keys are unique once parallel edges are ruled out, so a plain
+        # (unstable) sort of the key gives the lexicographic (lo, hi) order
+        key = np.sort(lo * n + hi)
+        if np.any(key[1:] == key[:-1]):
+            raise ValueError("parallel edges are not allowed")
+        lo, hi = np.divmod(key, n)
 
         ends = np.concatenate([lo, hi])
-        other = np.concatenate([hi, lo])
         degrees = np.bincount(ends, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
-        adj_order = np.lexsort((other, ends))
-        indices = other[adj_order]
+        indices = np.sort(ends * n + np.concatenate([hi, lo])) % n
 
         for arr in (lo, hi, indptr, indices, degrees):
             arr.flags.writeable = False

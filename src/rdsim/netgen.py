@@ -42,6 +42,9 @@ __all__ = [
 
 GENERATION_MODES = ("bernoulli", "exact-count")
 
+# attribute patterns are packed into int64 codes, one bit per attribute
+MAX_PATTERN_ATTRIBUTES = 62
+
 
 @dataclass(frozen=True)
 class NetworkTargets:
@@ -404,16 +407,17 @@ class _PatternClasses:
         if not np.isin(z, (0, 1)).all():
             raise ValueError("attribute values must be 0 or 1")
         self.n, self.m = z.shape
-        patterns, inverse = np.unique(z, axis=0, return_inverse=True)
-        inverse = inverse.ravel()
-        sizes = np.bincount(inverse, minlength=patterns.shape[0])
-        order = np.argsort(inverse, kind="stable")
-        bounds = np.cumsum(sizes)
-        self.patterns = patterns.astype(np.int64)
-        self.members = [order[start:stop] for start, stop in zip(np.r_[0, bounds[:-1]], bounds)]
+        if self.m > MAX_PATTERN_ATTRIBUTES:
+            raise ValueError(f"at most {MAX_PATTERN_ATTRIBUTES} attributes, got {self.m}")
+        # each row packed into one integer, first column most significant, so
+        # sorted codes follow the lexicographic order of the rows
+        bits = np.arange(self.m - 1, -1, -1, dtype=np.int64)
+        code = z.astype(np.int64) @ (1 << bits)
+        codes, sizes = np.unique(code, return_counts=True)
+        self.patterns = (codes[:, None] >> bits) & 1
+        self.members = np.split(np.argsort(code, kind="stable"), np.cumsum(sizes)[:-1])
 
-        n_patterns = patterns.shape[0]
-        ai, bi = np.triu_indices(n_patterns)
+        ai, bi = np.triu_indices(codes.size)
         counts = np.where(
             ai == bi,
             sizes[ai] * (sizes[ai] - 1) // 2,

@@ -444,6 +444,19 @@ class TestCliMalformedFiles:
             argv = ["estimate", "--forest", str(forest), "--edges", str(edges), "--out", str(tmp_path / "o")]
             self._fails_naming(capsys, argv, edges)
 
+    def test_estimate_edges_with_huge_node_index(self, tmp_path, capsys):
+        # the Graph for the induced-subgraph oracle used to end in a numpy
+        # MemoryError ("Unable to allocate 7.28 TiB") instead of an error line
+        forest = tmp_path / "forest.csv"
+        forest.write_text(
+            "node,recruiter,wave,seed_id,coupon_index,degree,z\n"
+            f"{10**12},,0,0,,2,1\n5,{10**12},1,0,0,1,0\n7,{10**12},1,0,1,1,1\n"
+        )
+        edges = tmp_path / "edges.csv"
+        edges.write_text(f"src,dst\n5,{10**12}\n7,{10**12}\n")
+        argv = ["estimate", "--forest", str(forest), "--edges", str(edges), "--out", str(tmp_path / "o")]
+        self._fails_naming(capsys, argv, edges)
+
     def test_estimate_columns(self, tmp_path):
         forest = tmp_path / "forest.csv"
         forest.write_text(FOREST_CSV)

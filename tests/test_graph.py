@@ -1,5 +1,8 @@
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdsim import (
     AttributeVector,
@@ -20,6 +23,7 @@ from rdsim import (
     write_attributes,
     write_edge_list,
 )
+from rdsim.graph import MAX_NODE_COUNT
 from conftest import brute_force_stats, complete_graph, path_graph, random_graph
 
 
@@ -63,6 +67,86 @@ class TestGraph:
         graph = Graph(3, [0], [1])
         with pytest.raises(ValueError):
             graph.degrees[0] = 99
+
+
+def lexsort_reference(node_count, src, dst):
+    """The lexsort canonicalization ``Graph`` is checked against: (src, dst, degrees, indptr, indices)."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    lo = np.minimum(src, dst)
+    hi = np.maximum(src, dst)
+    if np.any(lo == hi):
+        raise ValueError("self-loops are not allowed")
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    if np.any((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])):
+        raise ValueError("parallel edges are not allowed")
+    ends = np.concatenate([lo, hi])
+    other = np.concatenate([hi, lo])
+    degrees = np.bincount(ends, minlength=node_count)
+    indptr = np.zeros(node_count + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    return lo, hi, degrees, indptr, other[np.lexsort((other, ends))]
+
+
+@st.composite
+def simple_edge_lists(draw):
+    """(node_count, edges): distinct undirected edges, endpoints in either order, shuffled."""
+    n = draw(st.integers(1, 30) | st.integers(31, 5000), label="node_count")
+    if n == 1:
+        return n, []
+    # j is drawn from n - 1 values and skips i, so no self-loop is drawn
+    end = st.tuples(st.integers(0, n - 1), st.integers(0, n - 2)).map(lambda p: (p[0], p[1] + (p[1] >= p[0])))
+    edges = draw(st.lists(end, max_size=min(60, n * (n - 1) // 2), unique_by=lambda e: (min(e), max(e))))
+    return n, draw(st.permutations(edges), label="edges")
+
+
+class TestGraphCanonicalizationOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(simple_edge_lists())
+    def test_matches_lexsort_reference_and_networkx(self, case):
+        n, edges = case
+        src = [u for u, _ in edges]
+        dst = [v for _, v in edges]
+        graph = Graph(n, src, dst)
+        got = (graph.src, graph.dst, graph.degrees, graph._indptr, graph._indices)
+        for actual, expected in zip(got, lexsort_reference(n, src, dst)):
+            assert actual.dtype == expected.dtype
+            assert np.array_equal(actual, expected)
+
+        oracle = nx.Graph()
+        oracle.add_nodes_from(range(n))
+        oracle.add_edges_from(edges)
+        assert graph.degrees.tolist() == [oracle.degree(v) for v in range(n)]
+        for v in {u for e in edges for u in e}:
+            assert graph.neighbors(v).tolist() == sorted(oracle.neighbors(v))
+
+    @settings(max_examples=200, deadline=None)
+    @given(simple_edge_lists(), st.data())
+    def test_duplicates_and_self_loops_fail_like_the_reference(self, case, data):
+        n, edges = case
+        faults = [st.builds(lambda v: (v, v), st.integers(0, n - 1))]
+        if edges:
+            # the same edge again, as given or reversed
+            faults.append(st.sampled_from(edges).flatmap(lambda e: st.sampled_from([e, e[::-1]])))
+        fault = data.draw(st.one_of(faults), label="fault")
+        at = data.draw(st.integers(0, len(edges)), label="at")
+        edges = edges[:at] + [fault] + edges[at:]
+        src = [u for u, _ in edges]
+        dst = [v for _, v in edges]
+        with pytest.raises(ValueError) as expected:
+            lexsort_reference(n, src, dst)
+        with pytest.raises(ValueError) as got:
+            Graph(n, src, dst)
+        assert str(got.value) == str(expected.value)
+
+    def test_node_count_bound_is_checked_first(self):
+        # every key lo * n + hi <= n*n - 1 must fit in int64
+        assert MAX_NODE_COUNT**2 - 1 <= np.iinfo(np.int64).max < (MAX_NODE_COUNT + 1) ** 2 - 1
+        # no graph is built at the limit itself: its indptr alone takes 24 GB
+        for src in ([], [0.5]):
+            with pytest.raises(ValueError, match=f"node_count must be <= {MAX_NODE_COUNT}"):
+                Graph(MAX_NODE_COUNT + 1, src, src)
 
 
 class TestBasicStatistics:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
 from rdsim import (
@@ -20,7 +21,7 @@ from rdsim import (
     simulate_from_model,
     solve_dyad_classes,
 )
-from rdsim.netgen import DyadModel, _apportion_counts, _decode_triangular
+from rdsim.netgen import DyadModel, _apportion_counts, _decode_triangular, _PatternClasses
 
 # Sweep values from the single-attribute study grid.
 GRID_P = (0.1, 0.5, 0.8)
@@ -170,6 +171,73 @@ class TestTriangularDecode:
         assert np.array_equal(row_offset(i) + (j - i - 1), t)
         assert (int(i[-2]), int(j[-2])) == (row, row + 1)
         assert (int(i[-1]), int(j[-1])) == (row, size - 1)
+
+
+def unique_rows_reference(z):
+    """Pattern classes from ``np.unique(z, axis=0)``: (patterns, members, class_a, class_b, dyad_counts, statistics)."""
+    patterns, inverse = np.unique(z, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    sizes = np.bincount(inverse, minlength=patterns.shape[0])
+    order = np.argsort(inverse, kind="stable")
+    bounds = np.cumsum(sizes)
+    members = [order[start:stop] for start, stop in zip(np.r_[0, bounds[:-1]], bounds)]
+    ai, bi = np.triu_indices(patterns.shape[0])
+    counts = np.where(ai == bi, sizes[ai] * (sizes[ai] - 1) // 2, sizes[ai] * sizes[bi]).astype(np.float64)
+    keep = counts > 0
+    pa = patterns.astype(np.int64)[ai[keep]]
+    pb = patterns.astype(np.int64)[bi[keep]]
+    stats = np.ones((pa.shape[0], 1 + 2 * z.shape[1]))
+    stats[:, 1::2] = pa == pb
+    stats[:, 2::2] = pa + pb
+    return patterns.astype(np.int64), members, ai[keep], bi[keep], counts[keep], stats
+
+
+@st.composite
+def attribute_matrices(draw):
+    """0/1 int8 matrices: random, one repeated row, or every pattern present."""
+    n = draw(st.integers(2, 300), label="n")
+    m = draw(st.integers(1, 8), label="m")
+    kind = draw(st.sampled_from(["random", "repeated", "every"]), label="kind")
+    if kind == "repeated":
+        row = draw(arrays(np.int8, m, elements=st.integers(0, 1)), label="row")
+        return np.tile(row, (n, 1))
+    z = draw(arrays(np.int8, (n, m), elements=st.integers(0, 1)), label="z")
+    if kind == "every":
+        m = min(m, n.bit_length() - 1)
+        every = (np.arange(2**m)[:, None] >> np.arange(m)) & 1
+        z = z[:, :m]
+        z[: 2**m] = every
+        z = z[np.asarray(draw(st.permutations(range(n)), label="rows"))]
+    return z
+
+
+class TestPatternClasses:
+    @settings(max_examples=200, deadline=None)
+    @given(attribute_matrices())
+    def test_matches_unique_rows_reference(self, z):
+        classes = _PatternClasses(z)
+        patterns, members, class_a, class_b, dyad_counts, stats = unique_rows_reference(z)
+        assert classes.patterns.dtype == patterns.dtype
+        assert np.array_equal(classes.patterns, patterns)
+        assert len(classes.members) == len(members)
+        for got, expected in zip(classes.members, members):
+            assert np.array_equal(got, expected)
+        for got, expected in [
+            (classes.class_a, class_a),
+            (classes.class_b, class_b),
+            (classes.dyad_counts, dyad_counts),
+            (classes.statistics, stats),
+        ]:
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
+    def test_attribute_count_bound(self):
+        with pytest.raises(ValueError, match="at most 62 attributes"):
+            _PatternClasses(np.zeros((2, 63), dtype=np.int8))
+        # 62 columns still pack: the first column stays the most significant
+        z = np.zeros((3, 62), dtype=np.int8)
+        z[0, 0] = z[1, 61] = 1
+        assert _PatternClasses(z).patterns.tolist() == [z[2].tolist(), z[1].tolist(), z[0].tolist()]
 
 
 class TestApportionment:
