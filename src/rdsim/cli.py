@@ -35,6 +35,7 @@ from .errors import ConfigError, RdsimError
 from .estimators import sample_estimates
 from .graph import (
     EDGE_COLUMNS,
+    MAX_NODE_COUNT,
     AttributeVector,
     Graph,
     mean_degree,
@@ -158,9 +159,12 @@ def cmd_estimate(args) -> int:
         # The population size is not stored. The induced-subgraph oracle reads
         # only sampled nodes, so trailing isolated nodes do not matter.
         _, pairs = read_table(args.edges, EDGE_COLUMNS, named=False)
-        node_count = 1 + int(max(pairs.max(initial=-1), *(f.nodes.max() for f in forests)))
-        with in_file(args.edges):
-            graph = Graph(node_count, pairs[:, 0], pairs[:, 1])
+        holders = [(int(pairs.max(initial=-1)), args.edges)]
+        holders += [(int(f.nodes.max()), path) for path, f in zip(args.forest, forests)]
+        largest, holder = max(holders, key=lambda item: item[0])
+        # Graph checks its node-count bound first: that error is the holder's
+        with in_file(holder if largest >= MAX_NODE_COUNT else args.edges):
+            graph = Graph(largest + 1, pairs[:, 0], pairs[:, 1])
     out = _ensure_out(args)
     rows = []
     for path, forest in zip(args.forest, forests):

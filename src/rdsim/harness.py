@@ -411,16 +411,16 @@ class EngageScenario:
             correlations=np.array(self.correlations, dtype=float),
         )
 
-    def desk_scaled(self, divisor: int = 10) -> "EngageScenario":
-        """Scaled-down copy: population and sample shrink by ``divisor``.
+    def desk_scaled(self) -> "EngageScenario":
+        """Scaled-down copy: population and sample shrink tenfold.
 
         Prevalences, mean degree, activity/homophily targets, seed and
         coupon counts, and the sampling fraction are preserved.
         """
         return replace(
             self,
-            node_count=int(round(self.node_count / divisor)),
-            sample_size=int(round(self.sample_size / divisor)),
+            node_count=int(round(self.node_count / 10)),
+            sample_size=int(round(self.sample_size / 10)),
         )
 
     def sampler_config(self) -> SamplerConfig:

@@ -263,29 +263,23 @@ def _binomial_counts(classes: _PatternClasses, probabilities: np.ndarray, rng: n
 def _apportion_counts(expected: np.ndarray, capacities: np.ndarray, total: int) -> list[int]:
     """Split ``total`` edges over classes, nearest to their expected counts.
 
-    Largest-remainder apportionment: floors first, leftover edges assigned
-    by descending fractional part, never exceeding a class capacity. Keeps
-    the grand total exact and every class within one of round(expected).
+    Largest-remainder apportionment: floors (capped at the capacity)
+    first, then one more edge for each of the ``total - sum(floors)``
+    classes with the largest fractional parts, ties in class order. Keeps
+    the grand total exact and every class within one of its expected count;
+    an ``InfeasibleTargetsError`` if the leftover does not fit that way.
     """
-    floors = [min(int(np.floor(e)), cap) for e, cap in zip(expected, capacities)]
-    remainder = total - sum(floors)
-    if remainder < 0:
-        raise ValueError("total below the summed floors")
-    fractions = [e - f for e, f in zip(expected, floors)]
-    order = sorted(range(len(expected)), key=lambda idx: -fractions[idx])
-    counts = list(floors)
-    pos = 0
-    while remainder > 0:
-        idx = order[pos % len(order)]
-        if counts[idx] < capacities[idx]:
-            counts[idx] += 1
-            remainder -= 1
-        pos += 1
-        if pos > 4 * len(order) and remainder > 0:
-            raise InfeasibleTargetsError(
-                "infeasible targets: total edge count exceeds the dyad capacity of all classes"
-            )
-    return counts
+    expected = np.asarray(expected, dtype=float)
+    capacities = np.asarray(capacities)
+    floors = np.minimum(np.floor(expected), capacities).astype(np.int64)
+    remainder = total - int(floors.sum())
+    chosen = np.argsort(floors - expected, kind="stable")[:remainder]
+    if not 0 <= remainder <= expected.size or np.any(floors[chosen] >= capacities[chosen]):
+        raise InfeasibleTargetsError(
+            f"infeasible targets: {total} edges do not fit the classes' expected counts and capacities"
+        )
+    floors[chosen] += 1
+    return floors.tolist()
 
 
 def generate_network(

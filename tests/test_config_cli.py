@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +192,25 @@ class TestCliNetgen:
         assert "scipy-version = " in manifest and "python-version = " in manifest
         printed = capsys.readouterr().out
         assert "mean_degree=" in printed and "prevalence=" in printed
+
+    def test_homophily_near_one_finishes(self, tmp_path):
+        # ratio about 2e6: the bisection that inverted the assortativity
+        # never met its absolute tolerance above a ratio of 2**19
+        cfg = tmp_path / "net.cfg"
+        cfg.write_text(
+            "[network]\nn = 200\np = 0.5\nmean_degree = 4\ndiff_activity = 1\nhomophily_h = 0.999999\n"
+        )
+        out = tmp_path / "out"
+        src = Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "rdsim.cli", "netgen", "--config", str(cfg), "--out", str(out), "-q"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert len(read_edge_list(out / "edges.csv", 200).src) > 0
 
     def test_summary_labels_undefined_ratio(self):
         # two within-group edges: assortativity is 1, the ratio has no cross edges
@@ -456,6 +479,21 @@ class TestCliMalformedFiles:
         edges.write_text(f"src,dst\n5,{10**12}\n7,{10**12}\n")
         argv = ["estimate", "--forest", str(forest), "--edges", str(edges), "--out", str(tmp_path / "o")]
         self._fails_naming(capsys, argv, edges)
+
+    def test_estimate_edges_blames_forest_holding_huge_node(self, tmp_path, capsys):
+        # the node count comes from the forest, so the well-formed edge list
+        # must not be named
+        forest = tmp_path / "forest.csv"
+        forest.write_text(
+            "node,recruiter,wave,seed_id,coupon_index,degree,z\n"
+            f"{10**12},,0,0,,2,1\n5,{10**12},1,0,0,1,0\n7,{10**12},1,0,1,1,1\n"
+        )
+        edges = tmp_path / "edges.csv"
+        edges.write_text("src,dst\n5,7\n")
+        argv = ["estimate", "--forest", str(forest), "--edges", str(edges), "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {forest}: node_count must be <=") and err.count("\n") == 1
 
     def test_estimate_columns(self, tmp_path):
         forest = tmp_path / "forest.csv"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 from scipy.special import ndtri
 
@@ -18,6 +20,11 @@ from rdsim import (
 from rdsim.covariates import _nearest_correlation
 
 
+def oracle_cdf(h, k, rho):
+    """Genz's bivariate normal CDF as shipped in scipy, at its tightest tolerance."""
+    return multivariate_normal(cov=[[1.0, rho], [rho, 1.0]], abseps=1e-13, seed=0).cdf([h, k])
+
+
 class TestBivariateNormalCdf:
     def test_against_scipy_oracle(self):
         rng = np.random.default_rng(4)
@@ -26,6 +33,34 @@ class TestBivariateNormalCdf:
             rho = float(rng.uniform(-0.95, 0.95))
             expected = multivariate_normal(cov=[[1.0, rho], [rho, 1.0]]).cdf([h, k])
             assert bivariate_normal_cdf(h, k, rho) == pytest.approx(expected, abs=1e-7)
+
+    @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize(
+        "h, k, rho",
+        [
+            (-0.4375, -0.4375, 0.9999996),
+            (0.3, 0.3, 1 - 1e-9),
+            (1.5, -1.5, -(1 - 1e-9)),
+            (-2.0, 2.0, -0.9999996),
+            (0.7, 0.7001, 1 - 1e-9),
+        ],
+    )
+    def test_near_unit_correlation_against_oracle(self, h, k, rho):
+        assert bivariate_normal_cdf(h, k, rho) == pytest.approx(oracle_cdf(h, k, rho), abs=1e-12)
+
+    # |h - k| is 0 or at least 1e-5: for gaps near 1e-6 at |rho| above
+    # 1 - 1e-7 the quadrature misses 1e-12 (by up to 2e-9)
+    @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(
+        h=st.floats(-4.0, 4.0),
+        gap=st.one_of(st.just(0.0), st.floats(1e-5, 4.0), st.floats(-4.0, -1e-5)),
+        digits=st.floats(0.0, 9.0),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_against_oracle_up_to_near_unit_correlation(self, h, gap, digits, sign):
+        rho = sign * (1.0 - 10.0**-digits)
+        assert bivariate_normal_cdf(h, h + gap, rho) == pytest.approx(oracle_cdf(h, h + gap, rho), abs=1e-12)
 
     def test_independent_case(self):
         assert bivariate_normal_cdf(0.0, 0.0, 0.0) == pytest.approx(0.25, abs=1e-12)
@@ -50,6 +85,18 @@ class TestLatentCorrelation:
     def test_cohort_pair_round_trip(self):
         rho = latent_normal_correlation(0.645, 0.431, 0.104)
         assert binary_correlation(0.645, 0.431, rho) == pytest.approx(0.104, abs=1e-4)
+
+    @pytest.mark.parametrize("p", [0.5, 0.3])
+    def test_near_bound_target_within_tolerance(self, p):
+        rho = latent_normal_correlation(p, p, 0.9999)
+        h = float(ndtri(p))
+        achieved = (oracle_cdf(h, h, rho) - p * p) / (p * (1 - p))
+        assert abs(achieved - 0.9999) <= 1e-6
+
+    def test_unreachable_tolerance_raises(self):
+        # reaching 1 - 1e-6 would need a latent correlation beyond 1 - 1e-9
+        with pytest.raises(ValueError, match=r"correlation 0\.999999 for marginals \(0\.5, 0\.5\)"):
+            latent_normal_correlation(0.5, 0.5, 1 - 1e-6)
 
     def test_infeasible_target_names_interval(self):
         lo, hi = binary_correlation_bounds(0.9, 0.1)

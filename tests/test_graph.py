@@ -320,6 +320,19 @@ class TestRatioAssortativityBridge:
         target = assortativity_from_ratio(5.0, 0.5, 1.0)
         assert ratio_from_assortativity(target, 0.5, 1.0) == pytest.approx(5.0, abs=1e-8)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        exponent=st.floats(-6.0, 6.0),
+        p=st.floats(0.01, 0.99),
+        da=st.floats(0.1, 10.0),
+    )
+    def test_round_trip_is_relative(self, exponent, p, da):
+        # an absolute tolerance on the ratio lost precision at small ratios
+        # and never ended at large ones
+        ratio = 10.0**exponent
+        back = ratio_from_assortativity(assortativity_from_ratio(ratio, p, da), p, da)
+        assert back == pytest.approx(ratio, rel=1e-9)
+
     def test_anchor_round_trip(self):
         assert ratio_from_assortativity(-0.196, 0.33, 1.16) == pytest.approx(0.40, abs=0.01)
 

@@ -240,7 +240,63 @@ class TestPatternClasses:
         assert _PatternClasses(z).patterns.tolist() == [z[2].tolist(), z[1].tolist(), z[0].tolist()]
 
 
+def apportion_by_loop(expected, capacities, total):
+    """The cycling largest-remainder loop that ``_apportion_counts`` replaced."""
+    floors = [min(int(np.floor(e)), cap) for e, cap in zip(expected, capacities)]
+    remainder = total - sum(floors)
+    if remainder < 0:
+        raise ValueError("total below the summed floors")
+    fractions = [e - f for e, f in zip(expected, floors)]
+    order = sorted(range(len(expected)), key=lambda idx: -fractions[idx])
+    counts = list(floors)
+    pos = 0
+    while remainder > 0:
+        idx = order[pos % len(order)]
+        if counts[idx] < capacities[idx]:
+            counts[idx] += 1
+            remainder -= 1
+        pos += 1
+        if pos > 4 * len(order) and remainder > 0:
+            raise InfeasibleTargetsError("total edge count exceeds the dyad capacity of all classes")
+    return counts
+
+
 class TestApportionment:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 10**6), st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.5, 1.0])),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_matches_loop_at_rounded_expected_total(self, classes):
+        capacities = [cap for cap, _ in classes]
+        expected = [cap * q for cap, q in classes]
+        total = int(round(sum(expected)))
+        # generate_network passes float dyad counts as the capacities
+        assert _apportion_counts(np.array(expected), np.array(capacities, dtype=float), total) == apportion_by_loop(
+            expected, capacities, total
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 50), st.floats(0.0, 1.0)), min_size=1, max_size=6),
+        st.integers(-3, 8),
+    )
+    def test_any_total_matches_loop_or_fails(self, classes, offset):
+        # away from the rounded total the loop may skip full classes or wrap
+        # around; the one-pass split raises instead of guessing
+        capacities = [cap for cap, _ in classes]
+        expected = [cap * q for cap, q in classes]
+        total = sum(min(int(e), cap) for e, cap in zip(expected, capacities)) + offset
+        try:
+            counts = _apportion_counts(expected, capacities, total)
+        except InfeasibleTargetsError:
+            return
+        assert counts == apportion_by_loop(expected, capacities, total)
+        assert sum(counts) == total
+
     def test_exact_total_with_fractional_thirds(self):
         counts = _apportion_counts([5000 / 3] * 3, [124750, 250000, 124750], 5000)
         assert sum(counts) == 5000
