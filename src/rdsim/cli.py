@@ -16,7 +16,6 @@ import platform
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import (
@@ -62,7 +61,6 @@ def _write_manifest(out_dir: str, command: str, seed: int | None, cfg) -> None:
         # Byte reproducibility also rests on numpy's Generator streams.
         fh.write(f"python-version = {platform.python_version()}\n")
         fh.write(f"numpy-version = {np.__version__}\n")
-        fh.write(f"scipy-version = {scipy.__version__}\n")
         fh.write(f"command = {command}\n")
         if seed is not None:
             fh.write(f"master-seed = {seed}\n")

@@ -295,8 +295,13 @@ def experiment_plan_from_config(cfg, source: str = "<config>") -> ExperimentPlan
         raise ConfigError(f"{source}: {exc}")
 
 
-def _covariate_targets(cfg, source: str) -> tuple[AttributeTargets, ...]:
-    """One AttributeTargets per ``[covariate NAME]`` section, in file order."""
+def _covariate_targets(cfg, source: str, network: bool = True) -> tuple[AttributeTargets, ...]:
+    """One AttributeTargets per ``[covariate NAME]`` section, in file order.
+
+    With ``network=False`` a section needs only ``prevalence``: the network
+    targets it gives are checked as usual, and neutral ones (diff_activity
+    and homophily_r of 1) stand in for those it leaves out.
+    """
     targets = []
     for section in cfg:
         if not section.startswith("covariate "):
@@ -305,6 +310,10 @@ def _covariate_targets(cfg, source: str) -> tuple[AttributeTargets, ...]:
         if not name:
             raise ConfigError(f"{source}: covariate section needs a name: [covariate NAME]")
         values = _read(cfg, section, source, schema=_SCHEMA["covariate"])
+        if not network:
+            values.setdefault("diff_activity", 1.0)
+            if "homophily_r" not in values and "homophily_h" not in values:
+                values["homophily_r"] = 1.0
         key = _homophily_key(values)
         scale = {"homophily_r": "homophily_ratio", "homophily_h": "assortativity"}[key]
         try:
@@ -350,10 +359,14 @@ def _covariate_spec(cfg, targets: tuple[AttributeTargets, ...], source: str) -> 
 
 
 def covariate_spec_from_config(cfg, source: str = "<config>") -> tuple[CovariateSpec, int, int]:
-    """Covariate sections (+ [covgen], [correlations]) -> (spec, n, seed)."""
+    """Covariate sections (+ [covgen], [correlations]) -> (spec, n, seed).
+
+    Only the prevalences and correlations are drawn from, so a covariate
+    section needs no network targets.
+    """
     _check_sections(cfg, {"covgen"}, True, source)
     covgen = _read(cfg, "covgen", source)
-    spec = _covariate_spec(cfg, _covariate_targets(cfg, source), source)
+    spec = _covariate_spec(cfg, _covariate_targets(cfg, source, network=False), source)
     return spec, covgen["n"], covgen["seed"]
 
 

@@ -20,10 +20,9 @@ to populations where enumerating all dyads is impractical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log
+from math import exp, log
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import FitConvergenceError, InfeasibleTargetsError
 from .graph import Graph, ratio_from_assortativity
@@ -389,6 +388,13 @@ class DyadModel:
         object.__setattr__(self, "covariate_names", tuple(self.covariate_names))
 
 
+def _logistic(v: float) -> float:
+    try:
+        return 1.0 / (1.0 + exp(-v))
+    except OverflowError:  # exp(-v) beyond the float range: the tie probability is 0
+        return 0.0
+
+
 class _PatternClasses:
     """Dyads grouped by the unordered pair of endpoint attribute patterns."""
 
@@ -433,7 +439,9 @@ class _PatternClasses:
     def probabilities(self, theta: np.ndarray) -> np.ndarray:
         if theta.size != self.statistics.shape[1]:
             raise ValueError("model and attribute matrix disagree on attribute count")
-        return expit(self.statistics @ theta)
+        # libm's exp per class: numpy's vectorized exp can differ in the last
+        # ulp with the host's instruction set, and so would the draws
+        return np.array([_logistic(v) for v in (self.statistics @ theta).tolist()])
 
     def expected(self, theta: np.ndarray) -> np.ndarray:
         return self.statistics.T @ (self.dyad_counts * self.probabilities(theta))

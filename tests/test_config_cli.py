@@ -161,10 +161,31 @@ class TestSchemas:
         plan = experiment_plan_from_config(parse_config(text.replace("reseed = false", "reseed = true")))
         assert plan.sampler_config(plan.cells()[0]).reseed_on_death
 
-    def test_covgen_covariates_need_full_targets(self):
-        text = "[covgen]\nn = 10\n\n[covariate A]\nprevalence = 0.3\nhomophily_r = 1\n"
-        with pytest.raises(ConfigError, match="missing key 'diff_activity' in \\[covariate A\\]"):
-            covariate_spec_from_config(parse_config(text))
+    def test_covgen_covariates_need_only_prevalence(self):
+        text = (
+            "[covgen]\nn = 10\n\n[covariate A]\nprevalence = 0.3\n\n"
+            "[covariate B]\nprevalence = 0.6\nhomophily_h = 0.2\n\n[correlations]\nA:B = 0.1\n"
+        )
+        spec, n, seed = covariate_spec_from_config(parse_config(text))
+        assert spec.names == ("A", "B")
+        assert spec.marginals.tolist() == [0.3, 0.6]
+        assert spec.correlations[0, 1] == 0.1
+        assert (n, seed) == (10, 0)
+
+    def test_covgen_still_checks_given_network_targets(self):
+        both = (
+            "[covgen]\nn = 10\n\n[covariate A]\nprevalence = 0.3\n"
+            "homophily_r = 1\nhomophily_h = 0.1\n"
+        )
+        with pytest.raises(ConfigError, match="needs exactly one of homophily_r or homophily_h"):
+            covariate_spec_from_config(parse_config(both))
+        negative = "[covgen]\nn = 10\n\n[covariate A]\nprevalence = 0.3\ndiff_activity = -1\n"
+        with pytest.raises(ConfigError, match="diff_activity must be positive"):
+            covariate_spec_from_config(parse_config(negative))
+        # an engage config's covariate sections, targets and all, still work
+        covariates = ENGAGE_CFG[ENGAGE_CFG.index("[covariate A]"):]
+        spec, _, _ = covariate_spec_from_config(parse_config("[covgen]\nn = 50\n\n" + covariates))
+        assert spec.marginals.tolist() == [0.5, 0.3]
 
     def test_correlation_key_validation(self):
         bad = ENGAGE_CFG.replace("A:B = 0.08", "A:C = 0.08")
@@ -189,7 +210,8 @@ class TestCliNetgen:
         assert "master-seed = 3" in manifest
         assert "homophily_r = 0.40" in manifest
         assert f"numpy-version = {np.__version__}" in manifest
-        assert "scipy-version = " in manifest and "python-version = " in manifest
+        assert "python-version = " in manifest and "numpy-version = " in manifest
+        assert "scipy-version" not in manifest
         printed = capsys.readouterr().out
         assert "mean_degree=" in printed and "prevalence=" in printed
 

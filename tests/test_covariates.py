@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from rdsim import (
     CovariateSpec,
@@ -17,7 +21,7 @@ from rdsim import (
     latent_correlation_matrix,
     latent_normal_correlation,
 )
-from rdsim.covariates import _nearest_correlation
+from rdsim.covariates import _nearest_correlation, _normal_cdf
 
 
 def oracle_cdf(h, k, rho):
@@ -43,24 +47,34 @@ class TestBivariateNormalCdf:
             (1.5, -1.5, -(1 - 1e-9)),
             (-2.0, 2.0, -0.9999996),
             (0.7, 0.7001, 1 - 1e-9),
+            (0.3, 0.300001, 1 - 1e-9),
         ],
     )
     def test_near_unit_correlation_against_oracle(self, h, k, rho):
         assert bivariate_normal_cdf(h, k, rho) == pytest.approx(oracle_cdf(h, k, rho), abs=1e-12)
 
-    # |h - k| is 0 or at least 1e-5: for gaps near 1e-6 at |rho| above
-    # 1 - 1e-7 the quadrature misses 1e-12 (by up to 2e-9)
     @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
     @settings(max_examples=300, deadline=None)
     @given(
         h=st.floats(-4.0, 4.0),
-        gap=st.one_of(st.just(0.0), st.floats(1e-5, 4.0), st.floats(-4.0, -1e-5)),
+        gap=st.one_of(
+            st.just(0.0),
+            st.floats(1e-7, 1e-6),
+            st.floats(-1e-6, -1e-7),
+            st.floats(1e-5, 4.0),
+            st.floats(-4.0, -1e-5),
+        ),
         digits=st.floats(0.0, 9.0),
         sign=st.sampled_from([1.0, -1.0]),
     )
     def test_against_oracle_up_to_near_unit_correlation(self, h, gap, digits, sign):
         rho = sign * (1.0 - 10.0**-digits)
         assert bivariate_normal_cdf(h, h + gap, rho) == pytest.approx(oracle_cdf(h, h + gap, rho), abs=1e-12)
+
+    def test_normal_cdf_against_ndtr(self):
+        x = np.linspace(-8.0, 8.0, 16001)
+        ours = np.array([_normal_cdf(v) for v in x])
+        assert np.max(np.abs(ours - ndtr(x))) <= 5e-16
 
     def test_independent_case(self):
         assert bivariate_normal_cdf(0.0, 0.0, 0.0) == pytest.approx(0.25, abs=1e-12)
@@ -224,3 +238,26 @@ class TestLatentMatrixRepair:
         spec = CovariateSpec.independent(("a",), [0.25])
         model = binary_sampler(spec)
         assert model.thresholds[0] == pytest.approx(float(ndtri(0.25)))
+
+    def test_thresholds_match_ndtri(self):
+        marginals = [1e-6, 0.01, 0.127, 0.169, 0.25, 0.431, 0.5, 0.579, 0.645, 0.9, 1 - 1e-6]
+        model = binary_sampler(CovariateSpec.independent(tuple("abcdefghijk"), marginals))
+        assert np.max(np.abs(model.thresholds - ndtri(marginals))) <= 1e-14
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only oracle: the package and its CLI must not load it
+    code = (
+        "import rdsim, rdsim.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import expit
@@ -117,6 +118,26 @@ class TestSolveDyadClasses:
         with pytest.raises(InfeasibleTargetsError, match="q11"):
             solve_dyad_classes(NetworkTargets(1000, 0.1, 99.9, 4.0, 5.0))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(10, 5000),
+        p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        degree_share=st.floats(0.0, 1.0, exclude_min=True),
+        activity=st.floats(0.2, 5.0),
+        ratio=st.floats(0.0, 10.0),
+    )
+    def test_residuals_across_target_box(self, n, p, degree_share, activity, ratio):
+        assume(1 <= round(p * n) <= n - 1)
+        targets = NetworkTargets(n, p, degree_share * (n - 1), activity, ratio)
+        try:
+            solution = solve_dyad_classes(targets)
+        except InfeasibleTargetsError:
+            return
+        total = n * targets.mean_degree / 2.0
+        assert max(solution_residuals(targets, solution)) <= 1e-9 * max(total, 1.0)
+        for q in (solution.q11, solution.q10, solution.q00):
+            assert 0.0 <= q <= 1.0
+
     def test_targets_validation(self):
         with pytest.raises(ValueError):
             NetworkTargets(1, 0.5, 1.0, 1.0, 1.0)
@@ -230,6 +251,19 @@ class TestPatternClasses:
         ]:
             assert got.dtype == expected.dtype
             assert np.array_equal(got, expected)
+
+    def test_probabilities_match_expit_bit_for_bit(self):
+        # one dyad class, statistics (1, 1, 0): its log-odds is theta[0] + theta[1]
+        classes = _PatternClasses(np.zeros((2, 1), dtype=np.int8))
+        grid = np.linspace(-40.0, 40.0, 16001)
+        ours = np.array([classes.probabilities(np.array([v, 0.0, 0.0]))[0] for v in grid])
+        assert np.array_equal(ours, expit(grid))
+
+    def test_probability_underflows_to_zero_without_warning(self):
+        classes = _PatternClasses(np.zeros((2, 1), dtype=np.int8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert classes.probabilities(np.array([-800.0, 0.0, 0.0])).tolist() == [0.0]
 
     def test_attribute_count_bound(self):
         with pytest.raises(ValueError, match="at most 62 attributes"):
