@@ -132,7 +132,6 @@ def cmd_rds(args) -> int:
     sampler_config = sampler_config_from_config(cfg, source=args.config)
     attributes = read_attributes(args.attributes)
     graph = read_edge_list(args.edges, node_count=attributes[0].values.size)
-    out = _ensure_out(args)
     forest = run_rds(
         graph,
         np.column_stack([a.values for a in attributes]),
@@ -140,6 +139,7 @@ def cmd_rds(args) -> int:
         _rng(args.seed, 0),
         tuple(a.name for a in attributes),
     )
+    out = _ensure_out(args)
     write_forest(forest, os.path.join(out, "forest.csv"))
     _write_manifest(out, "rds", args.seed, cfg)
     _say(

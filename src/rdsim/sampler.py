@@ -7,6 +7,12 @@ proceeds first-in-first-out by coupon issuance until the target sample
 size is reached. Nobody is sampled twice. If every chain dies out early,
 the run either reseeds uniformly among the unsampled (default) or returns
 a truncated sample flagged as such.
+
+After seed selection a run makes one draw from its random stream: a block
+of ``target_sample_size - num_seeds`` uniforms, one per admitted non-seed
+entry, whether recruit or reseed. A recruiter takes its recruits by a
+partial Fisher-Yates shuffle of its open neighbors, so its picks are
+uniform without replacement and in uniformly random coupon order.
 """
 
 from __future__ import annotations
@@ -186,6 +192,15 @@ def run_rds(
     ``reseed_on_death`` is set; otherwise the partial sample is returned
     with ``truncated=True``.
 
+    After seed selection the run draws exactly one block,
+    ``rng.random(target_sample_size - num_seeds)``, even when it stops
+    early. The i-th non-seed entry (0-based) enters through ``uniforms[i]``:
+    a reseed takes ``unsampled[int(u * unsampled.size)]``, and recruit t of
+    a recruiter with k open neighbors swaps position t with position
+    ``t + int(u * (k - t))`` of the open list and takes position t
+    (partial Fisher-Yates). ``u < 1`` keeps every index in range, and
+    ``floor(u * k)`` moves an outcome's probability by at most 2**-53.
+
     Args:
         graph: Population graph (shared read-only).
         attributes: Binary attribute matrix (n,) or (n, m).
@@ -204,12 +219,14 @@ def run_rds(
     if z.ndim == 1:
         z = z[:, None]
     if z.shape[0] != graph.node_count:
-        raise ValueError("attribute matrix length must equal the node count")
+        raise ValueError(
+            f"attribute matrix length {z.shape[0]} must equal the node count {graph.node_count}"
+        )
     if attribute_names is None:
         attribute_names = ("z",) if z.shape[1] == 1 else tuple(f"z{k}" for k in range(z.shape[1]))
     n_target = config.target_sample_size
     if n_target > graph.node_count:
-        raise ValueError("target_sample_size exceeds the population size")
+        raise ValueError(f"target_sample_size {n_target} exceeds the population size {graph.node_count}")
 
     if seeds is None:
         seeds = select_seeds(graph, config, rng)
@@ -231,6 +248,8 @@ def run_rds(
     reseed_count = 0
     truncated = False
     coupons = config.coupons_per_node
+    num_seeds = config.num_seeds
+    uniforms = rng.random(n_target - num_seeds).tolist()
 
     while len(nodes) < n_target:
         if head == len(nodes):
@@ -238,28 +257,30 @@ def run_rds(
                 truncated = True
                 break
             unsampled = np.flatnonzero(~sampled)
-            fresh = int(unsampled[rng.integers(unsampled.size)])
+            fresh = int(unsampled[int(uniforms[len(nodes) - num_seeds] * unsampled.size)])
             sampled[fresh] = True
             nodes.append(fresh)
             recruiters.append(-1)
             waves.append(0)
-            seed_ids.append(config.num_seeds + reseed_count)
+            seed_ids.append(num_seeds + reseed_count)
             coupon_indices.append(-1)
             reseed_count += 1
             continue
         recruiter, wave, seed_id = nodes[head], waves[head] + 1, seed_ids[head]
         head += 1
         neighbors = graph.neighbors(recruiter)
-        open_neighbors = neighbors[~sampled[neighbors]]
-        budget = min(coupons, open_neighbors.size, n_target - len(nodes))
+        open_list = neighbors[~sampled[neighbors]].tolist()
+        size = len(open_list)
+        budget = min(coupons, size, n_target - len(nodes))
         if budget <= 0:
             continue
-        if budget == open_neighbors.size:
-            picks = rng.permutation(open_neighbors)
-        else:
-            picks = open_neighbors[rng.choice(open_neighbors.size, size=budget, replace=False)]
-        sampled[picks] = True
-        nodes.extend(picks.tolist())
+        # partial Fisher-Yates: open_list[:budget] is a uniform ordered draw without replacement
+        first = len(nodes) - num_seeds
+        for t in range(budget):
+            j = t + int(uniforms[first + t] * (size - t))
+            open_list[t], open_list[j] = open_list[j], open_list[t]
+            sampled[open_list[t]] = True
+        nodes.extend(open_list[:budget])
         recruiters.extend([recruiter] * budget)
         waves.extend([wave] * budget)
         seed_ids.extend([seed_id] * budget)

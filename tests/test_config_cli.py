@@ -361,6 +361,19 @@ class TestCliPipeline:
         assert text[0].startswith("forest,sample_size,max_wave,est_diff_activity_z")
         assert "est_induced_homophily_z" in text[0]
 
+    def test_rds_sample_larger_than_population_names_both_sizes(self, tmp_path, capsys):
+        net_cfg = tmp_path / "net.cfg"
+        net_cfg.write_text(FIG_NETWORK_CFG)
+        net_out = tmp_path / "net"
+        assert main(["netgen", "--config", str(net_cfg), "--out", str(net_out), "--quiet"]) == 0
+        rds_cfg = tmp_path / "rds.cfg"
+        rds_cfg.write_text("[rds]\nseeds = 2\ncoupons = 2\nsample_size = 100\n")
+        argv = ["rds", "--config", str(rds_cfg), "--out", str(tmp_path / "rds")]
+        argv += ["--edges", str(net_out / "edges.csv"), "--attributes", str(net_out / "attributes.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: target_sample_size 100 exceeds the population size 12\n"
+        assert not (tmp_path / "rds").exists()
+
     def test_estimate_edges_when_highest_node_unsampled(self, tmp_path):
         # A small sample rarely reaches the population's highest-indexed node,
         # so the graph size must not be taken from the sampled nodes.

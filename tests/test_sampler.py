@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 from rdsim import (
     Graph,
@@ -12,6 +13,7 @@ from rdsim import (
     select_seeds,
     write_forest,
 )
+from rdsim.graph import MAX_NODE_COUNT
 from conftest import complete_graph, path_graph, random_graph, star_graph
 
 
@@ -261,6 +263,11 @@ def test_run_rds_forests_hold_their_invariants(data, case, reseed, seed):
     assert forest.nodes[entries].tolist() == recruiters.tolist()
     assert np.all(np.diff(entries) >= 0), "recruiters must serve in admission order"
     assert np.all(forest.coupon_indices[forest.recruiters >= 0] < config.coupons_per_node)
+    recruit_rows = np.flatnonzero(forest.recruiters >= 0)
+    for entry in np.unique(entries).tolist():
+        rows = recruit_rows[entries == entry]
+        assert rows.tolist() == list(range(rows[0], rows[0] + rows.size)), "recruits must be contiguous"
+        assert forest.coupon_indices[rows].tolist() == list(range(rows.size))
     assert forest.truncated == (forest.size < config.target_sample_size)
     assert not (forest.truncated and reseed)
 
@@ -275,6 +282,98 @@ def test_explicit_seeds_must_be_nodes():
         with pytest.raises(ValueError, match="seeds"):
             run_rds(graph, z, config, rng, seeds=seeds)
     assert rng.bit_generator.state == state
+
+
+def recruitment_frequencies(graph, config, seeds, outcome, runs, seed):
+    """Counts of ``outcome(forest)`` over ``runs`` recruitment runs from one stream."""
+    z = np.zeros(graph.node_count, dtype=np.int8)
+    rng = np.random.default_rng(seed)
+    counts = {}
+    for _ in range(runs):
+        key = outcome(run_rds(graph, z, config, rng, seeds=seeds))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def assert_uniform(counts, outcomes):
+    assert set(counts) == set(outcomes)
+    assert chisquare([counts[key] for key in outcomes]).pvalue > 1e-3
+
+
+def picks_in_coupon_order(forest):
+    recruits = forest.recruiters >= 0
+    assert forest.coupon_indices[recruits].tolist() == list(range(int(recruits.sum())))
+    return tuple(forest.nodes[recruits].tolist())
+
+
+def test_picks_are_uniform_ordered_draws_without_replacement():
+    # the centre of a 5-leaf star recruits 3: 5 * 4 * 3 = 60 equally likely ordered picks
+    leaves = range(1, 6)
+    outcomes = [(a, b, c) for a in leaves for b in leaves for c in leaves if len({a, b, c}) == 3]
+    config = SamplerConfig(1, 3, 4)
+    counts = recruitment_frequencies(star_graph(5), config, [0], picks_in_coupon_order, 24_000, 5)
+    assert_uniform(counts, outcomes)
+
+
+def test_all_open_neighbours_come_in_uniform_order():
+    # the centre has 4 neighbours and 4 coupons, but seed 1 is sampled: all 3! orders of 2, 3, 4
+    graph = Graph(5, [0, 0, 0, 0], [1, 2, 3, 4])
+    outcomes = [(2, 3, 4), (2, 4, 3), (3, 2, 4), (3, 4, 2), (4, 2, 3), (4, 3, 2)]
+    config = SamplerConfig(2, 4, 5)
+    counts = recruitment_frequencies(graph, config, [0, 1], picks_in_coupon_order, 6_000, 7)
+    assert_uniform(counts, outcomes)
+
+
+def test_reseeds_are_uniform_over_the_unsampled():
+    # the chain 0 -> 1 dies, so the third entry is a reseed among nodes 2..7
+    graph = Graph(8, [0, 2, 4], [1, 3, 5])
+
+    def reseed(forest):
+        assert forest.reseed_count == 1 and forest.recruiters[2] == -1
+        return int(forest.nodes[2])
+
+    counts = recruitment_frequencies(graph, SamplerConfig(1, 2, 3), [0], reseed, 6_000, 9)
+    assert_uniform(counts, list(range(2, 8)))
+
+
+TWO_TRIANGLES = Graph(6, [0, 0, 1, 3, 3, 4], [1, 2, 2, 4, 5, 5])
+
+
+@pytest.mark.parametrize(
+    "config, seeds",
+    [
+        (SamplerConfig(1, 2, 6), None),  # reseeds once the first triangle is spent
+        (SamplerConfig(1, 2, 6, seed_selection="degree"), None),
+        (SamplerConfig(1, 2, 6, reseed_on_death=False), None),  # truncated at 3
+        (SamplerConfig(2, 1, 5), [4, 0]),
+    ],
+    ids=["reseeding", "degree-seeds", "truncated", "explicit-seeds"],
+)
+def test_run_draws_one_block_after_seed_selection(config, seeds):
+    rng, twin = np.random.default_rng(123), np.random.default_rng(123)
+    forest = run_rds(TWO_TRIANGLES, np.zeros(6, dtype=np.int8), config, rng, seeds=seeds)
+    assert forest.truncated == (not config.reseed_on_death)
+    if seeds is None:
+        select_seeds(TWO_TRIANGLES, config, twin)
+    twin.random(config.target_sample_size - config.num_seeds)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_largest_uniform_scales_to_an_index_in_range():
+    top = np.nextafter(1.0, 0.0)  # the largest value ``Generator.random`` returns
+    sizes = {MAX_NODE_COUNT}
+    for power in range(53):
+        sizes.update({2**power - 1, 2**power, 2**power + 1})
+    for k in sorted(sizes - {0}):
+        assert int(top * k) < k, k
+
+
+def test_size_errors_name_both_numbers():
+    graph = path_graph(4)
+    with pytest.raises(ValueError, match="target_sample_size 5 exceeds the population size 4"):
+        run_rds(graph, np.zeros(4, dtype=np.int8), SamplerConfig(1, 2, 5), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="attribute matrix length 3 must equal the node count 4"):
+        run_rds(graph, np.zeros(3, dtype=np.int8), SamplerConfig(1, 2, 3), np.random.default_rng(0))
 
 
 STAR_COLUMNS = dict(  # a seed and its two recruits, without nodes and recruiters
