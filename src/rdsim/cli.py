@@ -43,7 +43,7 @@ from .graph import (
     write_attributes,
     write_edge_list,
 )
-from .harness import _ESTIMATES, _TRUTHS, _realized_truth, _rng, run_engage_mimic, run_experiment
+from .harness import _TRUTHS, _realized_truth, _rng, run_engage_mimic, run_experiment
 from .netgen import fit_dyad_model, generate_network, simulate_from_model
 from .sampler import read_forest, run_rds, write_forest
 from .tables import in_file, read_table, write_rows
@@ -169,11 +169,7 @@ def cmd_estimate(args) -> int:
         est = sample_estimates(forest, graph)
         row = {"forest": path, "sample_size": est.sample_size, "max_wave": est.max_wave}
         for k, name in enumerate(est.attribute_names):
-            row.update(
-                (f"est_{field}_{name}", getattr(est, field)[k])
-                for field in _ESTIMATES
-                if getattr(est, field) is not None
-            )
+            row.update((f"est_{field}_{name}", value) for field, value in est.for_attribute(k).items())
         rows.append(row)
         _say(args, f"estimate: {path} sampled={est.sample_size} max_wave={est.max_wave}")
     # forests may name different attributes: take every row's columns, in order

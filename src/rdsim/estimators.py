@@ -11,7 +11,7 @@ edges, zero truth) are returned as ``None`` rather than sentinel numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -132,6 +132,14 @@ class SampleEstimates:
     rds2_prevalence: tuple[float | None, ...]
     crude_prevalence: tuple[float, ...]
     induced_homophily: tuple[float | None, ...] | None = None
+
+    def for_attribute(self, k: int) -> dict[str, float | None]:
+        """Attribute k's estimates by name, in field order; a field that is None is left out."""
+        return {name: getattr(self, name)[k] for name in _PER_ATTRIBUTE if getattr(self, name) is not None}
+
+
+# Every estimate's name: the per-attribute fields of SampleEstimates, after its three per-forest ones
+_PER_ATTRIBUTE = tuple(f.name for f in fields(SampleEstimates))[3:]
 
 
 def sample_estimates(forest: RecruitmentForest, graph: Graph | None = None) -> SampleEstimates:

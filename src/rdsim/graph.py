@@ -142,15 +142,10 @@ class AttributeVector:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values).ravel()
-        if values.size < 1:
-            raise ValueError("attribute vector must be non-empty")
-        # check before narrowing: int8 would wrap 256 to 0
-        if not np.isin(values, (0, 1)).all():
-            raise ValueError(f"attribute {self.name!r} has values outside {{0, 1}}")
-        values = values.astype(np.int8)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        try:
+            object.__setattr__(self, "values", _as_attribute(self.values))
+        except ValueError as exc:
+            raise ValueError(f"attribute {self.name!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -206,15 +201,34 @@ def _as_int64(values, name: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def _as_attribute(values, node_count: int | None = None) -> np.ndarray:
-    z = np.asarray(values).ravel()
-    if z.size < 1:
-        raise ValueError("attribute vector must be non-empty")
-    if node_count is not None and z.size != node_count:
-        raise ValueError(f"attribute length {z.size} != node count {node_count}")
+def _as_attributes(values, rows: int | None = None) -> np.ndarray:
+    """``values`` as a read-only (n, m) int8 matrix of 0/1 values; a vector is one column.
+
+    Every attribute matrix of the package is checked here: its shape, its
+    row count when ``rows`` is given, and its values, before the narrowing
+    that would wrap 256 to 0.
+    """
+    given = np.asarray(values)
+    z = given[:, None] if given.ndim == 1 else given
+    if z.ndim != 2 or not z.size:
+        raise ValueError(f"attribute matrix must be (n, m) with n, m >= 1, got shape {given.shape}")
+    if rows is not None and z.shape[0] != rows:
+        raise ValueError(
+            f"attribute matrix length {z.shape[0]} must equal the node count {rows} (shape {given.shape})"
+        )
     if not np.isin(z, (0, 1)).all():
-        raise ValueError("attribute values must be 0 or 1")
-    return z.astype(np.int64, copy=False)
+        raise ValueError("attribute values must be 0 or 1, found values outside {0, 1}")
+    z = z.astype(np.int8)
+    z.flags.writeable = False
+    return z
+
+
+def _as_attribute(values, rows: int | None = None) -> np.ndarray:
+    """One attribute column, checked by :func:`_as_attributes`, as a read-only int8 vector."""
+    z = _as_attributes(values, rows)
+    if z.shape[1] != 1:
+        raise ValueError(f"expected one attribute column, got shape {np.shape(values)}")
+    return z[:, 0]
 
 
 def mean_degree(graph: Graph) -> float:

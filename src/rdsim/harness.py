@@ -25,7 +25,7 @@ import numpy as np
 
 from .covariates import CovariateSpec, LatentBinaryModel, binary_sampler
 from .errors import FitConvergenceError, InfeasibleTargetsError, or_none
-from .estimators import relative_bias, sample_estimates
+from .estimators import _PER_ATTRIBUTE, relative_bias, sample_estimates
 from .graph import (
     differential_activity,
     homophily_ratio,
@@ -181,17 +181,6 @@ class ExperimentPlan:
 
 
 _TRUTHS = ("prevalence", "diff_activity", "homophily", "homophily_ratio")
-# SampleEstimates fields, in the column order of `estimate` and engage
-# tables; induced_homophily is last, as it is set only when the estimates
-# were given the population graph.
-_ESTIMATES = (
-    "diff_activity",
-    "homophily",
-    "homophily_ratio",
-    "rds2_prevalence",
-    "crude_prevalence",
-    "induced_homophily",
-)
 # Estimand -> the realized truth its relative bias is measured against.
 _BIAS_TRUTH = {
     "diff_activity": "diff_activity",
@@ -260,7 +249,7 @@ def _ok_row(key: dict, replicate: int, forest, est, truths: list[dict], suffixes
     row = dict(key, replicate=replicate, status="ok", reason=None)
     row["truth_mean_degree"] = truths[0]["mean_degree"]
     for k, (truth, suffix) in enumerate(zip(truths, suffixes)):
-        estimates = {name: getattr(est, name)[k] for name in _ESTIMATES if getattr(est, name) is not None}
+        estimates = est.for_attribute(k)
         row.update((f"truth_{name}{suffix}", truth[name]) for name in _TRUTHS)
         row.update((f"est_{name}{suffix}", value) for name, value in estimates.items())
         row.update(
@@ -447,7 +436,7 @@ def engage_columns(names: tuple[str, ...]) -> list[str]:
     columns = ["replicate", "status", "reason", "truth_mean_degree"]
     for name in names:
         columns.extend(f"truth_{truth}_{name}" for truth in _TRUTHS)
-        columns.extend(f"est_{est}_{name}" for est in _ESTIMATES if est != "induced_homophily")
+        columns.extend(f"est_{est}_{name}" for est in _PER_ATTRIBUTE if est != "induced_homophily")
         columns.extend(f"{column}_{name}" for column in _ENGAGE_RB_COLUMNS)
     columns.extend(["reseed_count", "max_wave", "truncated"])
     return columns

@@ -25,7 +25,7 @@ from math import exp, log
 import numpy as np
 
 from .errors import FitConvergenceError, InfeasibleTargetsError
-from .graph import Graph, ratio_from_assortativity
+from .graph import Graph, _as_attributes, ratio_from_assortativity
 
 __all__ = [
     "NetworkTargets",
@@ -399,14 +399,10 @@ class _PatternClasses:
     """Dyads grouped by the unordered pair of endpoint attribute patterns."""
 
     def __init__(self, z: np.ndarray):
-        z = np.asarray(z)
-        if z.ndim == 1:
-            z = z[:, None]
-        if z.ndim != 2 or z.shape[0] < 2:
-            raise ValueError("attribute matrix must be (n >= 2, m)")
-        if not np.isin(z, (0, 1)).all():
-            raise ValueError("attribute values must be 0 or 1")
+        z = _as_attributes(z)
         self.n, self.m = z.shape
+        if self.n < 2:
+            raise ValueError(f"attribute matrix must have n >= 2 rows, got shape {z.shape}")
         if self.m > MAX_PATTERN_ATTRIBUTES:
             raise ValueError(f"at most {MAX_PATTERN_ATTRIBUTES} attributes, got {self.m}")
         # each row packed into one integer, first column most significant, so

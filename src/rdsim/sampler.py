@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, _as_int64
+from .graph import Graph, _as_attributes, _as_int64
 from .tables import in_file, read_table, write_table
 
 __all__ = [
@@ -105,23 +105,17 @@ class RecruitmentForest:
         size = arrays["nodes"].size
         if any(arr.size != size for arr in arrays.values()):
             raise ValueError("forest columns must have equal length")
-        attrs = np.asarray(self.attributes)
-        if attrs.ndim == 1:
-            attrs = attrs[:, None]
-        if attrs.shape != (size, len(self.attribute_names)):
-            raise ValueError("attribute matrix must be (entries, len(attribute_names))")
-        # check before narrowing: int8 would wrap 256 to 0
-        if not np.isin(attrs, (0, 1)).all():
-            raise ValueError("attribute values must be 0 or 1")
-        attrs = attrs.astype(np.int8)
-        attrs.flags.writeable = False
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "attributes", attrs)
-        object.__setattr__(self, "attribute_names", tuple(self.attribute_names))
         entries = _check_recruitment(self)
         entries.flags.writeable = False
         object.__setattr__(self, "recruiter_entries", entries)
+        attrs = _as_attributes(self.attributes, rows=size)
+        names = tuple(self.attribute_names)
+        if attrs.shape[1] != len(names):
+            raise ValueError(f"{attrs.shape[1]} attribute columns for {len(names)} attribute names")
+        object.__setattr__(self, "attributes", attrs)
+        object.__setattr__(self, "attribute_names", names)
 
     @property
     def size(self) -> int:
@@ -215,13 +209,7 @@ def run_rds(
     Returns:
         The recruitment forest, with all invariants holding.
     """
-    z = np.asarray(attributes)
-    if z.ndim == 1:
-        z = z[:, None]
-    if z.shape[0] != graph.node_count:
-        raise ValueError(
-            f"attribute matrix length {z.shape[0]} must equal the node count {graph.node_count}"
-        )
+    z = _as_attributes(attributes, rows=graph.node_count)
     if attribute_names is None:
         attribute_names = ("z",) if z.shape[1] == 1 else tuple(f"z{k}" for k in range(z.shape[1]))
     n_target = config.target_sample_size
