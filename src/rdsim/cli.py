@@ -251,6 +251,13 @@ def cmd_engage(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(parser, config=True, seed_default=0, threads=False, desk=False):
     if config:
         parser.add_argument("--config", required=True, help="config file path")
@@ -263,7 +270,13 @@ def _add_common(parser, config=True, seed_default=0, threads=False, desk=False):
         help="master seed" + (" (overrides the config)" if seed_default is None else ""),
     )
     if threads:
-        parser.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
+        parser.add_argument(
+            "--threads",
+            type=_positive_int,
+            default=1,
+            help="most worker processes (default 1); the pool never exceeds the tasks "
+            "or the CPUs this process may use",
+        )
     if desk:
         parser.add_argument(
             "--desk-scale",

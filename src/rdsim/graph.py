@@ -6,7 +6,9 @@ differential activity, attribute mixing counts, and two homophily metrics
 (Newman's assortativity coefficient and the within/cross edge ratio),
 together with the analytic bridge between those two metrics.
 
-Two interchange file formats live here as well: an edge-list CSV
+Attribute values are checked here wherever they enter the package, and
+held as a read-only (n, m) int8 matrix of 0/1 values, a vector being one
+column. Two interchange file formats live here as well: an edge-list CSV
 (``src,dst`` with 0-based indices, ``src < dst``) and an attribute CSV
 (``node,<name1>,...`` with 0/1 values). Both are parsed and written by
 :mod:`rdsim.tables`.

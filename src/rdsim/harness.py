@@ -287,11 +287,20 @@ def _skip_row(key: dict, replicate: int, reason: str, columns: list[str]) -> dic
     return row
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # not on every platform
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_tasks(tasks: list, worker, threads: int) -> list[dict]:
-    if threads <= 1 or len(tasks) <= 1:
+    # a worker beyond the tasks or the usable CPUs would only be forked and wait
+    workers = min(threads, len(tasks), _usable_cpus())
+    if workers <= 1:
         return [worker(task) for task in tasks]
-    chunksize = max(1, len(tasks) // (threads * 8))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    chunksize = max(1, len(tasks) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks, chunksize=chunksize))
 
 
@@ -307,7 +316,8 @@ def run_experiment(
 
     Args:
         plan: Sweep description.
-        threads: Process workers; 1 runs inline.
+        threads: Most process workers; the pool is capped at the task count
+            and the CPUs this process may use, and one worker runs inline.
         out_dir: When given, write ``replicates.csv`` and ``summary.csv``
             there.
 

@@ -35,8 +35,9 @@ def read_table(path, fixed: tuple[str, ...], named: bool) -> tuple[tuple[str, ..
 
     ``named`` tables (attributes, forests) have at least one named column
     after ``fixed``; other tables (edge lists) have none. Returns those
-    names and the int64 matrix of all columns, with -1 for empty cells.
-    A malformed header or row is a ``ValueError`` naming ``path``.
+    names, which must be distinct, and the int64 matrix of all columns,
+    with -1 for empty cells. A malformed header or row is a ``ValueError``
+    naming ``path``.
     """
     with open(path, newline="") as fh:
         header = [h.strip() for h in next(csv.reader(fh), [])]
@@ -44,6 +45,9 @@ def read_table(path, fixed: tuple[str, ...], named: bool) -> tuple[tuple[str, ..
         if header[: len(fixed)] != list(fixed) or bool(names) != named or not all(names):
             expected = ",".join(fixed) + (",<name>,..." if named else "")
             raise ValueError(f"{path}: expected header '{expected}'")
+        repeated = [name for name in names if names.count(name) > 1]
+        if repeated:
+            raise ValueError(f"{path}: column name {repeated[0]!r} is repeated")
         with warnings.catch_warnings():
             # an edge list with no edges is a valid, empty table
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")

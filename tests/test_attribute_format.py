@@ -1,0 +1,149 @@
+"""One attribute matrix format at every entry point, and distinct attribute names in files.
+
+Every function that takes attribute values checks them through one helper
+in ``rdsim.graph``, so they all give the same verdict on the same input:
+a 0/1 vector or single column is accepted, while a second column, a row
+vector, an empty input or a value other than 0 or 1 is a ``ValueError``.
+"""
+
+import numpy as np
+import pytest
+
+from rdsim import (
+    AttributeVector,
+    DyadModel,
+    RecruitmentForest,
+    SamplerConfig,
+    differential_activity,
+    expected_statistics,
+    mixing_counts,
+    prevalence,
+    run_rds,
+)
+from rdsim.cli import main
+from rdsim.tables import read_table
+from conftest import path_graph
+
+N = 4
+GRAPH = path_graph(N)
+BASE = np.array([1, 0, 1, 0])
+# the path 0-1-2-3 recruited as one chain
+CHAIN = dict(
+    nodes=[0, 1, 2, 3],
+    recruiters=[-1, 0, 1, 2],
+    waves=[0, 1, 2, 3],
+    seed_ids=[0, 0, 0, 0],
+    coupon_indices=[-1, 0, 0, 0],
+    degrees=[1, 2, 2, 1],
+)
+
+# Each entry point in its one-attribute form.
+ENTRY_POINTS = {
+    "AttributeVector": lambda z: AttributeVector("z", z),
+    "prevalence": prevalence,
+    "differential_activity": lambda z: differential_activity(GRAPH, z),
+    "mixing_counts": lambda z: mixing_counts(GRAPH, z),
+    "expected_statistics": lambda z: expected_statistics(DyadModel(np.zeros(3), ("z",)), z),
+    "run_rds": lambda z: run_rds(GRAPH, z, SamplerConfig(1, 2, N), np.random.default_rng(0), ("z",)),
+    "RecruitmentForest": lambda z: RecruitmentForest(**CHAIN, attributes=z, attribute_names=("z",)),
+}
+SINGLE_COLUMN = {"AttributeVector", "prevalence", "differential_activity", "mixing_counts"}
+
+# input -> accepted?
+INPUTS = {
+    "vector": (BASE, True),
+    "column": (BASE[:, None], True),
+    "bool vector": (BASE.astype(bool), True),
+    "two columns": (np.column_stack([BASE, BASE]), False),
+    "row": (BASE[None, :], False),
+    "empty": (np.array([]), False),
+    "no column": (np.zeros((N, 0), dtype=np.int8), False),
+    "256": (np.array([256, 0, 1, 0]), False),
+    "0.5": (np.array([0.5, 0.0, 1.0, 0.0]), False),
+    "-1": (np.array([-1, 0, 1, 0]), False),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("case", INPUTS)
+def test_every_entry_point_gives_the_same_verdict(entry, case):
+    values, accepted = INPUTS[case]
+    call = ENTRY_POINTS[entry]
+    if accepted:
+        call(values)
+        return
+    with pytest.raises(ValueError) as info:
+        call(values)
+    if entry in SINGLE_COLUMN and case in ("two columns", "row"):
+        assert str(values.shape) in str(info.value)
+
+
+def test_accepted_values_become_a_read_only_int8_column():
+    forest = RecruitmentForest(**CHAIN, attributes=BASE.astype(np.float64), attribute_names=("z",))
+    assert forest.attributes.dtype == np.int8 and forest.attributes.shape == (N, 1)
+    assert not forest.attributes.flags.writeable
+    vector = AttributeVector("z", BASE[:, None]).values
+    assert vector.dtype == np.int8 and vector.tolist() == BASE.tolist()
+    assert not vector.flags.writeable
+
+
+def test_forest_columns_must_match_names():
+    two = np.column_stack([BASE, BASE])
+    with pytest.raises(ValueError, match="2 attribute columns for 1 attribute names"):
+        RecruitmentForest(**CHAIN, attributes=two, attribute_names=("z",))
+    assert RecruitmentForest(**CHAIN, attributes=two, attribute_names=("a", "b")).attributes.shape == (N, 2)
+
+
+def test_two_attribute_run_keeps_both_columns():
+    z = np.column_stack([BASE, 1 - BASE])
+    forest = run_rds(GRAPH, z, SamplerConfig(1, 2, N), np.random.default_rng(0))
+    assert forest.attribute_names == ("z0", "z1")
+    assert np.array_equal(forest.attributes, z[forest.nodes])
+
+
+def test_attribute_vector_error_names_the_attribute():
+    with pytest.raises(ValueError, match="attribute 'hiv': .*0 or 1.*outside"):
+        AttributeVector("hiv", [0, 2])
+
+
+# ---------------------------------------------------------------------------
+# Repeated attribute names
+# ---------------------------------------------------------------------------
+
+EDGES_CSV = "src,dst\n0,1\n1,2\n"
+FOREST_CSV = "node,recruiter,wave,seed_id,coupon_index,degree,z,z\n0,,0,0,,1,1,0\n1,0,1,0,0,2,0,1\n"
+
+
+def test_read_table_rejects_a_repeated_name(tmp_path):
+    path = tmp_path / "attributes.csv"
+    path.write_text("node,a,b,a\n0,1,0,1\n")
+    with pytest.raises(ValueError, match=f"{path}: column name 'a' is repeated"):
+        read_table(path, ("node",), named=True)
+
+
+def _fails_naming(capsys, argv, path, name):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and repr(name) in err
+
+
+def test_rds_rejects_repeated_attribute_names(tmp_path, capsys):
+    (tmp_path / "edges.csv").write_text(EDGES_CSV)
+    attributes = tmp_path / "attributes.csv"
+    attributes.write_text("node,z,z\n0,1,0\n1,0,1\n2,1,1\n")
+    (tmp_path / "rds.cfg").write_text("[rds]\nseeds = 1\ncoupons = 2\nsample_size = 3\n")
+    argv = [
+        "rds",
+        "--config", str(tmp_path / "rds.cfg"),
+        "--edges", str(tmp_path / "edges.csv"),
+        "--attributes", str(attributes),
+        "--out", str(tmp_path / "out"),
+    ]
+    _fails_naming(capsys, argv, attributes, "z")
+    assert not (tmp_path / "out").exists()
+
+
+def test_estimate_rejects_repeated_attribute_names(tmp_path, capsys):
+    forest = tmp_path / "forest.csv"
+    forest.write_text(FOREST_CSV)
+    _fails_naming(capsys, ["estimate", "--forest", str(forest), "--out", str(tmp_path / "out")], forest, "z")
