@@ -190,23 +190,26 @@ def solve_dyad_classes(targets: NetworkTargets) -> DyadClassSolution:
 def _decode_triangular(t: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Map linear dyad indices to (i, j), i < j, within a ``size``-node group.
 
-    Dyads are enumerated row-major: index = i*(2*size-i-1)/2 + (j-i-1).
-    The discriminant is formed exactly in int64 (``size`` up to 2**30);
-    the float square root can be off by one near row boundaries, so it is
-    followed by integer corrections.
+    Dyads are enumerated row-major: row i holds the ``size - 1 - i`` dyads
+    from index ``start(i) = i*(b-i)/2`` on, ``b = 2*size - 1``, so index t
+    is dyad (i, i + 1 + t - start(i)), where i is the floor of the smaller
+    root ``(b - sqrt(b*b - 8t))/2`` of ``start(i) = t``.
+
+    The root is taken in float64 from a discriminant formed exactly in
+    int64 (``size`` up to 2**30), and one correction makes it exact. The
+    estimate is never below the true row i: the discriminant is at most
+    ``(b - 2i)**2``, rounding and the square root are monotone, and the
+    rounded square root of an integer square below 2**62 is exact, so the
+    float root is at least i. Its error is below 2**-20, so the estimate is
+    at most i + 1, and it is i + 1 exactly when ``start`` of it exceeds t.
     """
     b = 2 * size - 1
-
-    def row_offset(i: np.ndarray) -> np.ndarray:
-        return i * (2 * size - i - 1) // 2
-
     i = np.floor((b - np.sqrt((b * b - 8 * t).astype(np.float64))) / 2.0).astype(np.int64)
-    for _ in range(2):
-        i = np.where(row_offset(i + 1) <= t, i + 1, i)
-    for _ in range(2):
-        i = np.where((i > 0) & (row_offset(i) > t), i - 1, i)
-    j = t - row_offset(i) + i + 1
-    return i, j
+    start = i * (b - i) // 2
+    over = start > t
+    i -= over
+    start -= over * (size - 1 - i)
+    return i, t - start + i + 1
 
 
 def _sample_class_dyads(
@@ -229,11 +232,12 @@ def _sample_class_dyads(
     if k == population:
         chosen = np.arange(population, dtype=np.int64)
     else:
-        chosen = rng.choice(population, size=k, replace=False).astype(np.int64)
+        chosen = rng.choice(population, size=k, replace=False).astype(np.int64, copy=False)
     if group_b is None:
         i, j = _decode_triangular(chosen, group_a.size)
         return group_a[i], group_a[j]
-    return group_a[chosen // group_b.size], group_b[chosen % group_b.size]
+    i, j = np.divmod(chosen, group_b.size)
+    return group_a[i], group_b[j]
 
 
 def _draw_graph(classes: _PatternClasses, counts, rng: np.random.Generator) -> Graph:

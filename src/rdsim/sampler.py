@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph, _as_attributes, _as_int64
-from .tables import in_file, read_table, write_table
+from .tables import check_names, in_file, read_table, write_table
 
 __all__ = [
     "SamplerConfig",
@@ -80,8 +80,10 @@ class RecruitmentForest:
     degree here).
 
     Construction checks the invariants that need no graph, whatever the
-    source, and raises ``ValueError`` on a break. ``recruiter_entries``
-    holds the entry position of each recruit's recruiter, in entry order.
+    source, and raises ``ValueError`` on a break; an empty or repeated
+    attribute name is one, as it would make a forest file that does not
+    read back. ``recruiter_entries`` holds the entry position of each
+    recruit's recruiter, in entry order.
     """
 
     nodes: np.ndarray
@@ -111,7 +113,7 @@ class RecruitmentForest:
         entries.flags.writeable = False
         object.__setattr__(self, "recruiter_entries", entries)
         attrs = _as_attributes(self.attributes, rows=size)
-        names = tuple(self.attribute_names)
+        names = check_names(self.attribute_names)
         if attrs.shape[1] != len(names):
             raise ValueError(f"{attrs.shape[1]} attribute columns for {len(names)} attribute names")
         object.__setattr__(self, "attributes", attrs)

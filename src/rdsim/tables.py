@@ -14,7 +14,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-__all__ = ["in_file", "read_table", "write_table", "write_rows"]
+__all__ = ["check_names", "in_file", "read_table", "write_table", "write_rows"]
 
 
 @contextmanager
@@ -24,6 +24,22 @@ def in_file(path):
         yield
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def check_names(names) -> tuple[str, ...]:
+    """``names`` as a tuple; a ``ValueError`` names the first one that is empty or repeated.
+
+    Names are compared as :func:`read_table` reads a header back, stripped
+    of surrounding blanks, so a header of accepted names reads back.
+    """
+    names = tuple(names)
+    stripped = [str(name).strip() for name in names]
+    for name, key in zip(names, stripped):
+        if not key:
+            raise ValueError(f"column name {name!r} is empty")
+        if stripped.count(key) > 1:
+            raise ValueError(f"column name {name!r} is repeated")
+    return names
 
 
 def _int_cell(text: str) -> int:
@@ -45,9 +61,8 @@ def read_table(path, fixed: tuple[str, ...], named: bool) -> tuple[tuple[str, ..
         if header[: len(fixed)] != list(fixed) or bool(names) != named or not all(names):
             expected = ",".join(fixed) + (",<name>,..." if named else "")
             raise ValueError(f"{path}: expected header '{expected}'")
-        repeated = [name for name in names if names.count(name) > 1]
-        if repeated:
-            raise ValueError(f"{path}: column name {repeated[0]!r} is repeated")
+        with in_file(path):
+            check_names(names)
         with warnings.catch_warnings():
             # an edge list with no edges is a valid, empty table
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")

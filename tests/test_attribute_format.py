@@ -18,7 +18,11 @@ from rdsim import (
     expected_statistics,
     mixing_counts,
     prevalence,
+    read_attributes,
+    read_forest,
     run_rds,
+    write_attributes,
+    write_forest,
 )
 from rdsim.cli import main
 from rdsim.tables import read_table
@@ -147,3 +151,38 @@ def test_estimate_rejects_repeated_attribute_names(tmp_path, capsys):
     forest = tmp_path / "forest.csv"
     forest.write_text(FOREST_CSV)
     _fails_naming(capsys, ["estimate", "--forest", str(forest), "--out", str(tmp_path / "out")], forest, "z")
+
+
+def test_forest_rejects_a_repeated_attribute_name():
+    with pytest.raises(ValueError, match="column name 'z' is repeated"):
+        run_rds(GRAPH, np.column_stack([BASE, BASE]), SamplerConfig(1, 2, N), np.random.default_rng(0), ("z", "z"))
+
+
+@pytest.mark.parametrize("names, empty", [(("a", ""), "''"), ((" ", "b"), "' '")])
+def test_forest_rejects_an_empty_attribute_name(names, empty):
+    with pytest.raises(ValueError, match=f"column name {empty} is empty"):
+        RecruitmentForest(**CHAIN, attributes=np.column_stack([BASE, BASE]), attribute_names=names)
+
+
+def test_write_attributes_rejects_a_repeated_or_empty_name(tmp_path):
+    path = tmp_path / "attributes.csv"
+    with pytest.raises(ValueError, match="column name 'z' is repeated"):
+        write_attributes(path, [AttributeVector("z", BASE), AttributeVector("z", 1 - BASE)])
+    with pytest.raises(ValueError, match="column name '' is empty"):
+        write_attributes(path, [AttributeVector("", BASE)])
+    assert not path.exists()
+
+
+def test_names_that_differ_only_in_blanks_are_repeated(tmp_path):
+    # read_table strips the header cells, so " z" reads back as "z"
+    with pytest.raises(ValueError, match="column name 'z' is repeated"):
+        write_attributes(tmp_path / "attributes.csv", [AttributeVector("z", BASE), AttributeVector(" z", BASE)])
+
+
+def test_distinct_names_round_trip(tmp_path):
+    z = np.column_stack([BASE, 1 - BASE])
+    forest = run_rds(GRAPH, z, SamplerConfig(1, 2, N), np.random.default_rng(0), ("a", "b"))
+    write_forest(forest, tmp_path / "forest.csv")
+    assert read_forest(tmp_path / "forest.csv").attribute_names == ("a", "b")
+    write_attributes(tmp_path / "attributes.csv", [AttributeVector("a", BASE), AttributeVector("b", 1 - BASE)])
+    assert [a.name for a in read_attributes(tmp_path / "attributes.csv")] == ["a", "b"]

@@ -23,7 +23,7 @@ from rdsim import (
     write_attributes,
     write_edge_list,
 )
-from rdsim.graph import MAX_NODE_COUNT
+from rdsim.graph import MAX_KEY32_NODE_COUNT, MAX_NODE_COUNT
 from conftest import brute_force_stats, complete_graph, path_graph, random_graph
 
 
@@ -147,6 +147,68 @@ class TestGraphCanonicalizationOracle:
         for src in ([], [0.5]):
             with pytest.raises(ValueError, match=f"node_count must be <= {MAX_NODE_COUNT}"):
                 Graph(MAX_NODE_COUNT + 1, src, src)
+
+
+
+@st.composite
+def sparse_edge_lists(draw):
+    """(node_count, edges) on up to 200,000 nodes, either key width, with the top nodes drawn often."""
+    n = draw(
+        st.integers(2, 200_000)
+        | st.sampled_from([MAX_KEY32_NODE_COUNT - 1, MAX_KEY32_NODE_COUNT, MAX_KEY32_NODE_COUNT + 1]),
+        label="node_count",
+    )
+    # the largest keys come from the largest nodes
+    node = st.integers(0, n - 1) | st.integers(max(0, n - 4), n - 1)
+    end = st.tuples(node, node).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(end, max_size=min(80, n * (n - 1) // 2), unique_by=lambda e: (min(e), max(e))))
+    return n, draw(st.permutations(edges), label="edges")
+
+
+class TestGraphKeyWidths:
+    """Both key widths, uint32 up to MAX_KEY32_NODE_COUNT nodes and int64 above, give the reference graph."""
+
+    @staticmethod
+    def assert_matches_oracles(n, edges):
+        src = [u for u, _ in edges]
+        dst = [v for _, v in edges]
+        graph = Graph(n, src, dst)
+        got = (graph.src, graph.dst, graph.degrees, graph._indptr, graph._indices)
+        for actual, expected in zip(got, lexsort_reference(n, src, dst)):
+            assert actual.dtype == expected.dtype == np.int64
+            assert np.array_equal(actual, expected)
+            assert not actual.flags.writeable
+
+        # networkx on the touched nodes only: every other node has degree 0
+        oracle = nx.Graph(edges)
+        assert graph.degrees.sum() == 2 * oracle.number_of_edges()
+        for v in oracle:
+            assert graph.degrees[v] == oracle.degree(v)
+            assert graph.neighbors(v).tolist() == sorted(oracle.neighbors(v))
+
+    def test_switch_point_is_the_largest_uint32_node_count(self):
+        # the largest key of a simple graph is the adjacency key (n-1) * n + (n-2) = n*n - 2
+        assert MAX_KEY32_NODE_COUNT**2 - 2 == np.iinfo(np.uint32).max - 1
+        assert (MAX_KEY32_NODE_COUNT + 1) ** 2 - 2 > np.iinfo(np.uint32).max
+
+    @pytest.mark.parametrize("n", [MAX_KEY32_NODE_COUNT, MAX_KEY32_NODE_COUNT + 1])
+    def test_largest_keys_at_the_switch_point(self, n):
+        # (n-2, n-1) has the largest edge key n*n - n - 1 and adjacency key
+        # n*n - 2: 2**32 - 2 at n = 65,536, beyond uint32 at n = 65,537
+        edges = [(n - 1, n - 2), (0, n - 1), (n - 3, n - 2), (1, 0), (n - 1, n - 3)]
+        self.assert_matches_oracles(n, edges)
+
+    @pytest.mark.parametrize("n", [MAX_KEY32_NODE_COUNT, MAX_KEY32_NODE_COUNT + 1])
+    def test_top_keys_still_detect_faults(self, n):
+        with pytest.raises(ValueError, match="parallel edges are not allowed"):
+            Graph(n, [n - 2, n - 1], [n - 1, n - 2])
+        with pytest.raises(ValueError, match="self-loops are not allowed"):
+            Graph(n, [n - 2, n - 1], [n - 1, n - 1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_edge_lists())
+    def test_matches_lexsort_reference_and_networkx(self, case):
+        self.assert_matches_oracles(*case)
 
 
 class TestBasicStatistics:

@@ -155,6 +155,18 @@ class TestSolveDyadClasses:
         assert targets.homophily_ratio == pytest.approx(0.40, abs=0.01)
 
 
+def exact_dyad(t, size):
+    """Dyad t of a ``size``-node group in Python integers: row i is the floor of the smaller root of start(i) = t."""
+    b = 2 * size - 1
+    disc = b * b - 8 * t
+    root = math.isqrt(disc)
+    root += root * root < disc  # ceil(sqrt(disc)), so (b - root) // 2 is the floor of the real root
+    i = (b - root) // 2
+    start = i * (b - i) // 2
+    assert start <= t < start + size - 1 - i
+    return i, i + 1 + t - start
+
+
 class TestTriangularDecode:
     def test_exhaustive_small_groups(self):
         for size in (2, 3, 5, 11):
@@ -192,6 +204,24 @@ class TestTriangularDecode:
         assert np.array_equal(row_offset(i) + (j - i - 1), t)
         assert (int(i[-2]), int(j[-2])) == (row, row + 1)
         assert (int(i[-1]), int(j[-1])) == (row, size - 1)
+
+    def test_every_dyad_of_small_groups(self):
+        for size in range(2, 65):
+            count = size * (size - 1) // 2
+            i, j = _decode_triangular(np.arange(count, dtype=np.int64), size)
+            assert i.dtype == j.dtype == np.int64
+            assert list(zip(i.tolist(), j.tolist())) == [(a, b) for a in range(size) for b in range(a + 1, size)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 2**30) | st.integers(2**29, 2**30), st.data())
+    def test_row_starts_match_exact_integer_decoding(self, size, data):
+        # random rows plus the first and last, each at its start and one dyad either side
+        rows = data.draw(st.lists(st.integers(0, size - 2), min_size=1, max_size=20), label="rows")
+        starts = [row * (2 * size - row - 1) // 2 for row in rows + [0, size - 2]]
+        count = size * (size - 1) // 2
+        t = sorted(x for x in {s + d for s in starts for d in (-1, 0, 1)} if 0 <= x < count)
+        i, j = _decode_triangular(np.array(t, dtype=np.int64), size)
+        assert list(zip(i.tolist(), j.tolist())) == [exact_dyad(x, size) for x in t]
 
 
 def unique_rows_reference(z):
