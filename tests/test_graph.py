@@ -149,7 +149,6 @@ class TestGraphCanonicalizationOracle:
                 Graph(MAX_NODE_COUNT + 1, src, src)
 
 
-
 @st.composite
 def sparse_edge_lists(draw):
     """(node_count, edges) on up to 200,000 nodes, either key width, with the top nodes drawn often."""
