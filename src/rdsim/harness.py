@@ -11,7 +11,9 @@ Reproducibility: every replicate derives its random streams from entropy
 tuples built out of the master seed, a stream tag, the cell's parameter
 content, and the replicate index. Streams therefore do not depend on cell
 order or worker scheduling, and runs are byte-identical for a given master
-seed at any worker count.
+seed at any worker count. The network stream omits the sample size, so the
+sample sizes of one (prevalence, activity, homophily) replicate share their
+population network and give paired comparisons across sampling fractions.
 """
 
 from __future__ import annotations
@@ -98,7 +100,9 @@ class ExperimentPlan:
 
     The grid crosses ``prevalences x diff_activities x homophily_ratios x
     sample_sizes`` at fixed population size, mean degree, and sampler
-    settings, with ``replicates`` runs per cell.
+    settings, with ``replicates`` runs per cell. Each replicate of a
+    (p, Da, R) builds one network, shared by its sample sizes; with
+    ``regenerate_network=False`` one network serves every replicate too.
     """
 
     node_count: int
@@ -133,10 +137,9 @@ class ExperimentPlan:
         # validates num_seeds/coupons against the smallest sample size
         SamplerConfig(self.num_seeds, self.coupons_per_node, min(self.sample_sizes), self.seed_selection)
         # Out-of-range targets fail here, before any cell runs; infeasible ones
-        # become skip rows. sample_size is the innermost grid axis, so this
-        # checks each (p, Da, R) once.
-        for cell in self.cells()[:: len(self.sample_sizes)]:
-            self.network_targets(cell)
+        # become skip rows.
+        for group in self.cell_groups():
+            self.network_targets(group[0])
 
     def cells(self) -> list[Cell]:
         combos = product(self.prevalences, self.diff_activities, self.homophily_ratios, self.sample_sizes)
@@ -144,6 +147,16 @@ class ExperimentPlan:
             Cell(index, p, da, r, n)
             for index, (p, da, r, n) in enumerate(combos)
         ]
+
+    def cell_groups(self) -> list[tuple[Cell, ...]]:
+        """The cells of each (p, Da, R), one tuple per network target.
+
+        ``sample_size`` is the innermost grid axis, so each tuple is a run of
+        consecutive cells that differ only in their sample size.
+        """
+        cells = self.cells()
+        width = len(self.sample_sizes)
+        return [tuple(cells[i : i + width]) for i in range(0, len(cells), width)]
 
     def sampler_config(self, cell: Cell) -> SamplerConfig:
         return SamplerConfig(
@@ -163,6 +176,9 @@ class ExperimentPlan:
         )
 
     def _entropy(self, tag: int, cell: Cell, replicate: int) -> tuple[int, ...]:
+        # the network stream leaves out the sample size, so all sample sizes
+        # of a (p, Da, R) replicate draw from one population
+        sample_size = () if tag == _TAG_NETWORK else (cell.sample_size,)
         return (
             self.master_seed,
             tag,
@@ -175,7 +191,7 @@ class ExperimentPlan:
             _scaled(cell.prevalence),
             _scaled(cell.diff_activity),
             _scaled(cell.homophily_ratio),
-            cell.sample_size,
+            *sample_size,
             replicate,
         )
 
@@ -261,22 +277,26 @@ def _ok_row(key: dict, replicate: int, forest, est, truths: list[dict], suffixes
     return row
 
 
-def _experiment_task(args: tuple[ExperimentPlan, Cell, tuple[int, ...]]) -> list[dict]:
-    """Generate one network and run each of ``replicates`` over it.
+def _experiment_task(args: tuple[ExperimentPlan, tuple[Cell, ...], tuple[int, ...]]) -> list[dict]:
+    """Generate one network and run every cell and replicate over it.
 
-    The network is derived from the first replicate's index, which is 0
-    for every replicate of a fixed-network cell.
+    The cells are one (p, Da, R) group, so they share the network targets
+    and differ only in sample size. The network is derived from the first
+    replicate's index, which is 0 for every replicate of a fixed-network
+    group. Rows come cell by cell, each cell's replicates in order.
     """
-    plan, cell, replicates = args
-    network_rng = _rng(*plan._entropy(_TAG_NETWORK, cell, replicates[0]))
-    graph, z = generate_network(plan.network_targets(cell), network_rng, plan.mode)
+    plan, cells, replicates = args
+    network_rng = _rng(*plan._entropy(_TAG_NETWORK, cells[0], replicates[0]))
+    graph, z = generate_network(plan.network_targets(cells[0]), network_rng, plan.mode)
     truth = _realized_truth(graph, z)
     rows = []
-    for replicate in replicates:
-        rds_rng = _rng(*plan._entropy(_TAG_RDS, cell, replicate))
-        forest = run_rds(graph, z, plan.sampler_config(cell), rds_rng)
-        est = sample_estimates(forest, graph)
-        rows.append(_ok_row(_cell_key(cell), replicate, forest, est, [truth], [""]))
+    for cell in cells:
+        config = plan.sampler_config(cell)
+        for replicate in replicates:
+            rds_rng = _rng(*plan._entropy(_TAG_RDS, cell, replicate))
+            forest = run_rds(graph, z, config, rds_rng)
+            est = sample_estimates(forest, graph)
+            rows.append(_ok_row(_cell_key(cell), replicate, forest, est, [truth], [""]))
     return rows
 
 
@@ -324,30 +344,28 @@ def run_experiment(
     Returns:
         (replicate rows, summary rows).
     """
+    replicates = tuple(range(plan.replicates))
     tasks = []
-    rows: list[dict | None] = []
-    row_slots: list[int] = []
-    for cell in plan.cells():
+    rows = []
+    for group in plan.cell_groups():
         try:
-            solve_dyad_classes(plan.network_targets(cell))
+            solve_dyad_classes(plan.network_targets(group[0]))
         except InfeasibleTargetsError as exc:
-            key = _cell_key(cell)
             rows.extend(
-                _skip_row(key, rep, str(exc), EXPERIMENT_COLUMNS) for rep in range(plan.replicates)
+                _skip_row(_cell_key(cell), rep, str(exc), EXPERIMENT_COLUMNS)
+                for cell in group
+                for rep in replicates
             )
             continue
-        replicates = tuple(range(plan.replicates))
         if plan.regenerate_network:
-            tasks.extend((plan, cell, (rep,)) for rep in replicates)
+            tasks.extend((plan, group, (rep,)) for rep in replicates)
         else:
-            tasks.append((plan, cell, replicates))
-        row_slots.extend(range(len(rows), len(rows) + plan.replicates))
-        rows.extend([None] * plan.replicates)
+            tasks.append((plan, group, replicates))
 
-    computed = _run_tasks(tasks, _experiment_task, threads)
-    for slot, row in zip(row_slots, (row for task_rows in computed for row in task_rows)):
-        rows[slot] = row
-    assert all(row is not None for row in rows)
+    for task_rows in _run_tasks(tasks, _experiment_task, threads):
+        rows.extend(task_rows)
+    rows.sort(key=lambda row: (row["cell"], row["replicate"]))
+    assert len(rows) == len(plan.cells()) * plan.replicates
 
     summary = summarize_replicates(rows, EXPERIMENT_GROUP_COLUMNS, RB_COLUMNS, plan.replicates)
     if out_dir is not None:

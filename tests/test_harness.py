@@ -138,7 +138,8 @@ class TestRunExperiment:
         assert len(truths_frozen) == 1
         assert len(truths_moving) > 1
 
-    def test_fixed_network_builds_one_network_per_feasible_cell(self, monkeypatch):
+    @staticmethod
+    def _count_networks(monkeypatch, regenerate_network: bool) -> tuple[list, list[dict]]:
         calls = []
         original = harness.generate_network
 
@@ -153,13 +154,53 @@ class TestRunExperiment:
             homophily_ratios=(1.0, 2.0),
             sample_sizes=(40, 60),
             replicates=3,
-            regenerate_network=False,
+            regenerate_network=regenerate_network,
         )
         rows, _ = run_experiment(plan)
-        feasible = {row["cell"] for row in rows if row["status"] == "ok"}
-        assert len(feasible) > 1
+        assert len({row["cell"] for row in rows if row["status"] == "ok"}) == 8
         assert any(row["status"] == "skipped" for row in rows)
-        assert len(calls) == len(feasible)
+        return calls, rows
+
+    @staticmethod
+    def _feasible_groups(rows: list[dict]) -> set[tuple]:
+        return {
+            (row["prevalence"], row["diff_activity"], row["homophily_ratio"])
+            for row in rows
+            if row["status"] == "ok"
+        }
+
+    def test_fixed_network_builds_one_network_per_feasible_group(self, monkeypatch):
+        calls, rows = self._count_networks(monkeypatch, regenerate_network=False)
+        # 8 feasible cells over 2 sample sizes: 4 feasible (p, Da, R)
+        assert len(self._feasible_groups(rows)) == 4
+        assert len(calls) == 4
+
+    def test_fresh_networks_built_per_feasible_group_and_replicate(self, monkeypatch):
+        calls, rows = self._count_networks(monkeypatch, regenerate_network=True)
+        assert len(calls) == 3 * len(self._feasible_groups(rows)) == 12
+
+    @pytest.mark.parametrize("regenerate_network", [True, False], ids=["fresh", "fixed"])
+    def test_sample_sizes_share_the_population(self, regenerate_network):
+        plan = small_plan(
+            prevalences=(0.3, 0.5),
+            sample_sizes=(40, 60, 80),
+            replicates=3,
+            regenerate_network=regenerate_network,
+        )
+        rows, _ = run_experiment(plan)
+        truth_columns = [column for column in EXPERIMENT_COLUMNS if column.startswith("truth_")]
+        truths: dict[tuple, set] = {}
+        for row in rows:
+            assert row["status"] == "ok"
+            key = (row["prevalence"], row["diff_activity"], row["homophily_ratio"], row["replicate"])
+            truths.setdefault(key, set()).add(tuple(row[c] for c in truth_columns))
+        # every sample size of a (p, Da, R) replicate sees one population
+        assert len(truths) == 2 * 3
+        assert all(len(seen) == 1 for seen in truths.values())
+        population = {key: seen.pop() for key, seen in truths.items()}
+        for p in plan.prevalences:
+            replicates = {population[(p, 1.0, 1.0, rep)] for rep in range(3)}
+            assert len(replicates) == (3 if regenerate_network else 1)
 
     def test_csv_round_trip_preserves_floats(self, tmp_path):
         plan = small_plan(replicates=2)
