@@ -43,7 +43,7 @@ from .graph import (
     write_attributes,
     write_edge_list,
 )
-from .harness import _TRUTHS, _realized_truth, _rng, run_engage_mimic, run_experiment
+from .harness import _TRUTHS, _realized_truth, run_engage_mimic, run_experiment
 from .netgen import fit_dyad_model, generate_network, simulate_from_model
 from .sampler import read_forest, run_rds, write_forest
 from .tables import in_file, read_table, write_rows
@@ -84,9 +84,9 @@ def cmd_netgen(args) -> int:
     cfg = load_config(args.config)
     if has_covariate_sections(cfg):
         n, mean_deg, targets, spec = multi_network_run_from_config(cfg, source=args.config)
-        z = generate_binary_covariates(spec, n, _rng(args.seed, 0))
+        z = generate_binary_covariates(spec, n, np.random.default_rng((args.seed, 0)))
         model = fit_dyad_model(targets, mean_deg, z)
-        graph = simulate_from_model(model, z, _rng(args.seed, 1))
+        graph = simulate_from_model(model, z, np.random.default_rng((args.seed, 1)))
         attributes = [AttributeVector(name, z[:, k]) for k, name in enumerate(spec.names)]
         per_attr = [
             f"{name}: " + " ".join(_attribute_stats(graph, z[:, k]))
@@ -95,7 +95,7 @@ def cmd_netgen(args) -> int:
         summary = " | ".join(per_attr)
     else:
         targets, mode = network_run_from_config(cfg, source=args.config)
-        graph, z = generate_network(targets, _rng(args.seed, 0), mode)
+        graph, z = generate_network(targets, np.random.default_rng((args.seed, 0)), mode)
         attributes = [AttributeVector("z", z)]
         summary = " ".join(_attribute_stats(graph, z))
     out = _ensure_out(args)
@@ -116,7 +116,7 @@ def cmd_covgen(args) -> int:
     if args.seed is not None:
         seed = args.seed
     out = _ensure_out(args)
-    values = generate_binary_covariates(spec, n, _rng(seed, 0))
+    values = generate_binary_covariates(spec, n, np.random.default_rng((seed, 0)))
     write_attributes(
         os.path.join(out, "attributes.csv"),
         [AttributeVector(name, values[:, k]) for k, name in enumerate(spec.names)],
@@ -136,7 +136,7 @@ def cmd_rds(args) -> int:
         graph,
         np.column_stack([a.values for a in attributes]),
         sampler_config,
-        _rng(args.seed, 0),
+        np.random.default_rng((args.seed, 0)),
         tuple(a.name for a in attributes),
     )
     out = _ensure_out(args)
@@ -191,14 +191,14 @@ def _apply_seed_override(cfg, section: str, seed: int | None) -> None:
 def cmd_experiment(args) -> int:
     cfg = load_config(args.config)
     _apply_seed_override(cfg, "experiment", args.seed)
-    if args.desk_scale:
-        cfg.setdefault("network", {})["mean_degree"] = "20"
-        raw = cfg.setdefault("experiment", {}).setdefault("replicates", "100")
-        try:
-            cfg["experiment"]["replicates"] = str(min(int(raw), 100))
-        except ValueError:
-            pass  # the plan builder reports the malformed value with context
     plan = experiment_plan_from_config(cfg, source=args.config)
+    if args.desk_scale:
+        try:
+            plan = plan.desk_scaled()
+        except ValueError as exc:
+            raise ConfigError(f"{args.config}: {exc}")
+        cfg["network"]["mean_degree"] = f"{plan.mean_degree:g}"
+        cfg["experiment"]["replicates"] = str(plan.replicates)
     out = _ensure_out(args)
     _say(
         args,

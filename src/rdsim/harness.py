@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -77,10 +77,6 @@ def _scaled(x: float) -> int:
     if value < 0:
         raise ValueError("stream-entropy parameters must be nonnegative")
     return value
-
-
-def _rng(*entropy: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(list(entropy)))
 
 
 @dataclass(frozen=True)
@@ -158,6 +154,15 @@ class ExperimentPlan:
         width = len(self.sample_sizes)
         return [tuple(cells[i : i + width]) for i in range(0, len(cells), width)]
 
+    def desk_scaled(self) -> "ExperimentPlan":
+        """Scaled-down copy: mean degree 20 and at most 100 replicates.
+
+        The population size, swept targets, sample sizes, sampler settings
+        and seed are preserved; a copy with infeasible targets is rejected
+        as any plan is.
+        """
+        return replace(self, mean_degree=20.0, replicates=min(self.replicates, 100))
+
     def sampler_config(self, cell: Cell) -> SamplerConfig:
         return SamplerConfig(
             num_seeds=self.num_seeds,
@@ -196,6 +201,8 @@ class ExperimentPlan:
         )
 
 
+# The realized statistic of the whole graph; the rest are per attribute.
+_GRAPH_TRUTH = "mean_degree"
 _TRUTHS = ("prevalence", "diff_activity", "homophily", "homophily_ratio")
 # Estimand -> the realized truth its relative bias is measured against.
 _BIAS_TRUTH = {
@@ -206,50 +213,40 @@ _BIAS_TRUTH = {
     "rds2_prevalence": "prevalence",
 }
 
+
+def _replicate_columns(suffixes: list[str], oracle: bool) -> list[str]:
+    """Replicate-table columns after the group key.
+
+    Status first, then the graph truth, then one block per attribute
+    suffix: its truths, estimates and relative biases. Forest statistics
+    close the row. ``oracle`` says whether the estimators saw the
+    population graph, which alone gives induced homophily.
+    """
+    estimates = [name for name in _PER_ATTRIBUTE if oracle or name != "induced_homophily"]
+    columns = ["replicate", "status", "reason", f"truth_{_GRAPH_TRUTH}"]
+    for suffix in suffixes:
+        columns.extend(f"truth_{name}{suffix}" for name in _TRUTHS)
+        columns.extend(f"est_{name}{suffix}" for name in estimates)
+        columns.extend(f"rb_{name}{suffix}" for name in _BIAS_TRUTH if name in estimates)
+    return columns + ["reseed_count", "max_wave", "truncated"]
+
+
 EXPERIMENT_GROUP_COLUMNS = ["cell", "prevalence", "diff_activity", "homophily_ratio", "sample_size"]
 
-RB_COLUMNS = [f"rb_{name}" for name in _BIAS_TRUTH]
+EXPERIMENT_COLUMNS = EXPERIMENT_GROUP_COLUMNS + _replicate_columns([""], oracle=True)
 
-# The cohort mimic has no population graph to estimate from, so no induced homophily.
-_ENGAGE_RB_COLUMNS = [column for column in RB_COLUMNS if column != "rb_induced_homophily"]
-
-EXPERIMENT_COLUMNS = EXPERIMENT_GROUP_COLUMNS + [
-    "replicate",
-    "status",
-    "reason",
-    "truth_prevalence",
-    "truth_mean_degree",
-    "truth_diff_activity",
-    "truth_homophily",
-    "truth_homophily_ratio",
-    "est_diff_activity",
-    "est_homophily",
-    "est_homophily_ratio",
-    "est_induced_homophily",
-    "est_rds2_prevalence",
-    "est_crude_prevalence",
-    *RB_COLUMNS,
-    "reseed_count",
-    "max_wave",
-    "truncated",
-]
+RB_COLUMNS = [column for column in EXPERIMENT_COLUMNS if column.startswith("rb_")]
 
 
 def _cell_key(cell: Cell) -> dict:
-    return {
-        "cell": cell.index,
-        "prevalence": cell.prevalence,
-        "diff_activity": cell.diff_activity,
-        "homophily_ratio": cell.homophily_ratio,
-        "sample_size": cell.sample_size,
-    }
+    return dict(zip(EXPERIMENT_GROUP_COLUMNS, astuple(cell)))
 
 
 def _realized_truth(graph, z) -> dict:
     counts = mixing_counts(graph, z)
     return {
         "prevalence": prevalence(z),
-        "mean_degree": mean_degree(graph),
+        _GRAPH_TRUTH: mean_degree(graph),
         "diff_activity": or_none(differential_activity, graph, z),
         "homophily": or_none(newman_assortativity, counts),
         "homophily_ratio": or_none(homophily_ratio, counts),
@@ -263,7 +260,7 @@ def _ok_row(key: dict, replicate: int, forest, est, truths: list[dict], suffixes
     ``truths[k]`` and ``est``, named with the suffix ``suffixes[k]``.
     """
     row = dict(key, replicate=replicate, status="ok", reason=None)
-    row["truth_mean_degree"] = truths[0]["mean_degree"]
+    row[f"truth_{_GRAPH_TRUTH}"] = truths[0][_GRAPH_TRUTH]
     for k, (truth, suffix) in enumerate(zip(truths, suffixes)):
         estimates = est.for_attribute(k)
         row.update((f"truth_{name}{suffix}", truth[name]) for name in _TRUTHS)
@@ -286,14 +283,14 @@ def _experiment_task(args: tuple[ExperimentPlan, tuple[Cell, ...], tuple[int, ..
     group. Rows come cell by cell, each cell's replicates in order.
     """
     plan, cells, replicates = args
-    network_rng = _rng(*plan._entropy(_TAG_NETWORK, cells[0], replicates[0]))
+    network_rng = np.random.default_rng(plan._entropy(_TAG_NETWORK, cells[0], replicates[0]))
     graph, z = generate_network(plan.network_targets(cells[0]), network_rng, plan.mode)
     truth = _realized_truth(graph, z)
     rows = []
     for cell in cells:
         config = plan.sampler_config(cell)
         for replicate in replicates:
-            rds_rng = _rng(*plan._entropy(_TAG_RDS, cell, replicate))
+            rds_rng = np.random.default_rng(plan._entropy(_TAG_RDS, cell, replicate))
             forest = run_rds(graph, z, config, rds_rng)
             est = sample_estimates(forest, graph)
             rows.append(_ok_row(_cell_key(cell), replicate, forest, est, [truth], [""]))
@@ -461,27 +458,22 @@ class EngageScenario:
 
 def engage_columns(names: tuple[str, ...]) -> list[str]:
     """Replicate-table column order for a covariate name tuple."""
-    columns = ["replicate", "status", "reason", "truth_mean_degree"]
-    for name in names:
-        columns.extend(f"truth_{truth}_{name}" for truth in _TRUTHS)
-        columns.extend(f"est_{est}_{name}" for est in _PER_ATTRIBUTE if est != "induced_homophily")
-        columns.extend(f"{column}_{name}" for column in _ENGAGE_RB_COLUMNS)
-    columns.extend(["reseed_count", "max_wave", "truncated"])
-    return columns
+    return _replicate_columns([f"_{name}" for name in names], oracle=False)
 
 
 def _engage_task(args: tuple[EngageScenario, LatentBinaryModel, int]) -> dict:
     scenario, sampler_model, replicate = args
     names = scenario.covariate_names
-    z = sampler_model.sample(scenario.node_count, _rng(*scenario._entropy(_TAG_COVARIATES, replicate)))
+    covariate_rng = np.random.default_rng(scenario._entropy(_TAG_COVARIATES, replicate))
+    z = sampler_model.sample(scenario.node_count, covariate_rng)
     try:
         model = fit_dyad_model(scenario.covariates, scenario.mean_degree, z)
     except (InfeasibleTargetsError, FitConvergenceError) as exc:
         return _skip_row({}, replicate, f"fit failed: {exc}", engage_columns(names))
-    graph = simulate_from_model(model, z, _rng(*scenario._entropy(_TAG_NETWORK, replicate)))
-    forest = run_rds(
-        graph, z, scenario.sampler_config(), _rng(*scenario._entropy(_TAG_RDS, replicate)), names
-    )
+    network_rng = np.random.default_rng(scenario._entropy(_TAG_NETWORK, replicate))
+    graph = simulate_from_model(model, z, network_rng)
+    rds_rng = np.random.default_rng(scenario._entropy(_TAG_RDS, replicate))
+    forest = run_rds(graph, z, scenario.sampler_config(), rds_rng, names)
     est = sample_estimates(forest)
     truths = [_realized_truth(graph, z[:, k]) for k in range(len(names))]
     return _ok_row({}, replicate, forest, est, truths, [f"_{name}" for name in names])
@@ -501,17 +493,16 @@ def run_engage_mimic(
     rows = _run_tasks(tasks, _engage_task, threads)
 
     names = scenario.covariate_names
+    rb_columns = [column for column in _replicate_columns([""], oracle=False) if column.startswith("rb_")]
     summary: list[dict] = []
     for name in names:
         per_cov = []
         for row in rows:
             flat = {"covariate": name, "status": row["status"]}
-            for column in _ENGAGE_RB_COLUMNS:
+            for column in rb_columns:
                 flat[column] = row.get(f"{column}_{name}")
             per_cov.append(flat)
-        summary.extend(
-            summarize_replicates(per_cov, ["covariate"], _ENGAGE_RB_COLUMNS, scenario.replicates)
-        )
+        summary.extend(summarize_replicates(per_cov, ["covariate"], rb_columns, scenario.replicates))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_rows(os.path.join(out_dir, "replicates.csv"), engage_columns(names), rows)

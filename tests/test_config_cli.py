@@ -573,6 +573,49 @@ class TestCliExperiment:
         manifest = (out / "manifest.txt").read_text()
         assert "mean_degree = 20" in manifest
 
+    def test_desk_scale_matches_the_hand_scaled_config(self, tmp_path):
+        desk_cfg = tmp_path / "desk.cfg"
+        desk_cfg.write_text(EXPERIMENT_CFG.replace("replicates = 2", "replicates = 300"))
+        hand_cfg = tmp_path / "hand.cfg"
+        hand_cfg.write_text(EXPERIMENT_CFG.replace("mean_degree = 10", "mean_degree = 20").replace(
+            "replicates = 2", "replicates = 100"
+        ))
+        desk, hand = tmp_path / "desk", tmp_path / "hand"
+        assert main(["experiment", "--config", str(desk_cfg), "--out", str(desk), "--desk-scale", "-q"]) == 0
+        assert main(["experiment", "--config", str(hand_cfg), "--out", str(hand), "-q"]) == 0
+        for name in ("replicates.csv", "summary.csv", "manifest.txt"):
+            assert (desk / name).read_bytes() == (hand / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("mean_degree = 10", "mean_degree = nan", "[network] mean_degree = 'nan' is not a finite number"),
+            ("replicates = 2\n", "", "missing key 'replicates' in [experiment]"),
+        ],
+        ids=["non-finite-mean-degree", "missing-replicates"],
+    )
+    @pytest.mark.parametrize("desk", [False, True], ids=["as-written", "desk-scale"])
+    def test_desk_scale_checks_the_config_as_written(self, tmp_path, capsys, old, new, message, desk):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(EXPERIMENT_CFG.replace(old, new))
+        out = tmp_path / "out"
+        argv = ["experiment", "--config", str(cfg), "--out", str(out)] + ["--desk-scale"] * desk
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {cfg}: {message}\n"
+        assert not out.exists()
+
+    def test_desk_scale_rejects_a_population_too_small_for_it(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(EXPERIMENT_CFG.replace("n = 300", "n = 20").replace("sample_size = 40, 60", "sample_size = 10"))
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out), "--desk-scale"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config error: {cfg}: mean_degree must be in (0, node_count - 1]" in captured.err
+        assert not out.exists()
+
     def test_non_finite_sweep_value_fails_before_the_run(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(EXPERIMENT_CFG.replace("diff_activity = 1, 4", "diff_activity = 1, nan"))

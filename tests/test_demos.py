@@ -1,7 +1,7 @@
 """The walkthrough demos run to completion against the package sources.
 
-Demos 05 and 06 (the bias experiment and the cohort mimic) take several
-seconds each and are left out to keep the suite short.
+Demos 05 and 06 drive the sweep and the cohort mimic end to end through
+the public API; each takes one to two seconds.
 """
 
 import os
@@ -17,6 +17,8 @@ DEMOS = (
     "02_generate_population.py",
     "03_rds_recruitment.py",
     "04_correlated_covariates.py",
+    "05_bias_experiment.py",
+    "06_engage_mimic.py",
 )
 
 

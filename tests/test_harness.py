@@ -82,6 +82,14 @@ class TestRunExperiment:
         for entry in summary:
             assert entry["count"] + entry["undefined"] == 3
 
+    def test_row_keys_are_the_header(self):
+        # write_rows leaves out a row key missing from the header, so drift would pass silently
+        plan = small_plan(prevalences=(0.5, 0.8), diff_activities=(1.0, 4.0), replicates=2)
+        rows, _ = run_experiment(plan)
+        assert {row["status"] for row in rows} == {"ok", "skipped"}
+        for row in rows:
+            assert set(row) == set(EXPERIMENT_COLUMNS), row["status"]
+
     def test_skip_reason_names_bound(self):
         plan = small_plan(prevalences=(0.8,), diff_activities=(4.0,), replicates=1)
         rows, _ = run_experiment(plan)
@@ -290,6 +298,19 @@ class TestEngageMimic:
         assert all(r["status"] == "skipped" for r in rows)
         assert all("fit failed" in r["reason"] for r in rows)
         assert all(e["count"] == 0 and e["undefined"] == 2 for e in summary)
+
+    def test_row_keys_are_the_header(self):
+        feasible = tiny_scenario(replicates=2)
+        infeasible = tiny_scenario(
+            covariates=(AttributeTargets("A", 0.5, 40.0, homophily_ratio=1.0), feasible.covariates[1]),
+            correlations=((1.0, 0.0), (0.0, 1.0)),
+            replicates=1,
+        )
+        rows = run_engage_mimic(feasible)[0] + run_engage_mimic(infeasible)[0]
+        assert [row["status"] for row in rows] == ["ok", "ok", "skipped"]
+        columns = set(harness.engage_columns(feasible.covariate_names))
+        for row in rows:
+            assert set(row) == columns, row["status"]
 
     def test_desk_scaling(self):
         scenario = tiny_scenario(node_count=40400, sample_size=1179)
