@@ -192,13 +192,6 @@ def cmd_experiment(args) -> int:
     cfg = load_config(args.config)
     _apply_seed_override(cfg, "experiment", args.seed)
     plan = experiment_plan_from_config(cfg, source=args.config)
-    if args.desk_scale:
-        try:
-            plan = plan.desk_scaled()
-        except ValueError as exc:
-            raise ConfigError(f"{args.config}: {exc}")
-        cfg["network"]["mean_degree"] = f"{plan.mean_degree:g}"
-        cfg["experiment"]["replicates"] = str(plan.replicates)
     out = _ensure_out(args)
     _say(
         args,
@@ -225,10 +218,6 @@ def cmd_engage(args) -> int:
     cfg = load_config(args.config)
     _apply_seed_override(cfg, "engage", args.seed)
     scenario = engage_scenario_from_config(cfg, source=args.config)
-    if args.desk_scale:
-        scenario = scenario.desk_scaled()
-        cfg["engage"]["n"] = str(scenario.node_count)
-        cfg["engage"]["sample_size"] = str(scenario.sample_size)
     out = _ensure_out(args)
     _say(
         args,
@@ -258,7 +247,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(parser, config=True, seed_default=0, threads=False, desk=False):
+def _add_common(parser, config=True, seed_default=0, threads=False):
     if config:
         parser.add_argument("--config", required=True, help="config file path")
     parser.add_argument("--out", default=".", help="output directory (default: current)")
@@ -276,13 +265,6 @@ def _add_common(parser, config=True, seed_default=0, threads=False, desk=False):
             default=1,
             help="most worker processes (default 1); the pool never exceeds the tasks "
             "or the CPUs this process may use",
-        )
-    if desk:
-        parser.add_argument(
-            "--desk-scale",
-            action="store_true",
-            help="shrink the run to desk scale (experiment: mean_degree=20, <=100 replicates; "
-            "engage-mimic: population and sample divided by 10)",
         )
 
 
@@ -317,11 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_estimate)
 
     p = sub.add_parser("experiment", help="run the replicated grid sweep")
-    _add_common(p, seed_default=None, threads=True, desk=True)
+    _add_common(p, seed_default=None, threads=True)
     p.set_defaults(handler=cmd_experiment)
 
     p = sub.add_parser("engage-mimic", help="run the multi-attribute cohort-mimic scenario")
-    _add_common(p, seed_default=None, threads=True, desk=True)
+    _add_common(p, seed_default=None, threads=True)
     p.set_defaults(handler=cmd_engage)
 
     return parser

@@ -236,6 +236,10 @@ def multi_network_run_from_config(cfg, source: str = "<config>"):
                 f"(use per-covariate blocks for targets)"
             )
     net = _read(cfg, "network", source)
+    if net["n"] < 2:
+        raise ConfigError(f"{source}: [network] n must be >= 2")
+    if not 0.0 < net["mean_degree"] <= net["n"] - 1:
+        raise ConfigError(f"{source}: [network] mean_degree must be in (0, n - 1]")
     targets = _covariate_targets(cfg, source)
     return net["n"], net["mean_degree"], targets, _covariate_spec(cfg, targets, source)
 
@@ -366,6 +370,8 @@ def covariate_spec_from_config(cfg, source: str = "<config>") -> tuple[Covariate
     """
     _check_sections(cfg, {"covgen"}, True, source)
     covgen = _read(cfg, "covgen", source)
+    if covgen["n"] < 1:
+        raise ConfigError(f"{source}: [covgen] n must be >= 1")
     spec = _covariate_spec(cfg, _covariate_targets(cfg, source, network=False), source)
     return spec, covgen["n"], covgen["seed"]
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 from itertools import product
 
 import numpy as np
@@ -153,15 +153,6 @@ class ExperimentPlan:
         cells = self.cells()
         width = len(self.sample_sizes)
         return [tuple(cells[i : i + width]) for i in range(0, len(cells), width)]
-
-    def desk_scaled(self) -> "ExperimentPlan":
-        """Scaled-down copy: mean degree 20 and at most 100 replicates.
-
-        The population size, swept targets, sample sizes, sampler settings
-        and seed are preserved; a copy with infeasible targets is rejected
-        as any plan is.
-        """
-        return replace(self, mean_degree=20.0, replicates=min(self.replicates, 100))
 
     def sampler_config(self, cell: Cell) -> SamplerConfig:
         return SamplerConfig(
@@ -409,6 +400,8 @@ class EngageScenario:
             raise ValueError("replicates must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
+        if not 0.0 < self.mean_degree <= self.node_count - 1:
+            raise ValueError("mean_degree must be in (0, node_count - 1]")
         if self.sample_size > self.node_count:
             raise ValueError("sample_size cannot exceed the population size")
         SamplerConfig(self.num_seeds, self.coupons_per_node, self.sample_size)
@@ -423,18 +416,6 @@ class EngageScenario:
             names=self.covariate_names,
             marginals=np.array([c.prevalence for c in self.covariates]),
             correlations=np.array(self.correlations, dtype=float),
-        )
-
-    def desk_scaled(self) -> "EngageScenario":
-        """Scaled-down copy: population and sample shrink tenfold.
-
-        Prevalences, mean degree, activity/homophily targets, seed and
-        coupon counts, and the sampling fraction are preserved.
-        """
-        return replace(
-            self,
-            node_count=int(round(self.node_count / 10)),
-            sample_size=int(round(self.sample_size / 10)),
         )
 
     def sampler_config(self) -> SamplerConfig:

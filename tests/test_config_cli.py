@@ -565,27 +565,6 @@ class TestCliExperiment:
         assert "master-seed = 78" in (out_b / "manifest.txt").read_text()
         assert "seed = 78" in (out_b / "manifest.txt").read_text()
 
-    def test_desk_scale_flag(self, tmp_path, capsys):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(EXPERIMENT_CFG.replace("mean_degree = 10", "mean_degree = 99.9"))
-        out = tmp_path / "desk"
-        assert main(["experiment", "--config", str(cfg), "--out", str(out), "--desk-scale"]) == 0
-        manifest = (out / "manifest.txt").read_text()
-        assert "mean_degree = 20" in manifest
-
-    def test_desk_scale_matches_the_hand_scaled_config(self, tmp_path):
-        desk_cfg = tmp_path / "desk.cfg"
-        desk_cfg.write_text(EXPERIMENT_CFG.replace("replicates = 2", "replicates = 300"))
-        hand_cfg = tmp_path / "hand.cfg"
-        hand_cfg.write_text(EXPERIMENT_CFG.replace("mean_degree = 10", "mean_degree = 20").replace(
-            "replicates = 2", "replicates = 100"
-        ))
-        desk, hand = tmp_path / "desk", tmp_path / "hand"
-        assert main(["experiment", "--config", str(desk_cfg), "--out", str(desk), "--desk-scale", "-q"]) == 0
-        assert main(["experiment", "--config", str(hand_cfg), "--out", str(hand), "-q"]) == 0
-        for name in ("replicates.csv", "summary.csv", "manifest.txt"):
-            assert (desk / name).read_bytes() == (hand / name).read_bytes()
-
     @pytest.mark.parametrize(
         "old, new, message",
         [
@@ -594,26 +573,14 @@ class TestCliExperiment:
         ],
         ids=["non-finite-mean-degree", "missing-replicates"],
     )
-    @pytest.mark.parametrize("desk", [False, True], ids=["as-written", "desk-scale"])
-    def test_desk_scale_checks_the_config_as_written(self, tmp_path, capsys, old, new, message, desk):
+    def test_bad_config_fails_early(self, tmp_path, capsys, old, new, message):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(EXPERIMENT_CFG.replace(old, new))
         out = tmp_path / "out"
-        argv = ["experiment", "--config", str(cfg), "--out", str(out)] + ["--desk-scale"] * desk
-        assert main(argv) == 2
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"config error: {cfg}: {message}\n"
-        assert not out.exists()
-
-    def test_desk_scale_rejects_a_population_too_small_for_it(self, tmp_path, capsys):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(EXPERIMENT_CFG.replace("n = 300", "n = 20").replace("sample_size = 40, 60", "sample_size = 10"))
-        out = tmp_path / "out"
-        assert main(["experiment", "--config", str(cfg), "--out", str(out), "--desk-scale"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"config error: {cfg}: mean_degree must be in (0, node_count - 1]" in captured.err
         assert not out.exists()
 
     def test_non_finite_sweep_value_fails_before_the_run(self, tmp_path, capsys):
@@ -656,18 +623,26 @@ class TestCliExperiment:
 
 
 class TestCliEngage:
-    def test_desk_scale_and_manifest(self, tmp_path):
+    def test_run_and_manifest(self, tmp_path):
         cfg = tmp_path / "engage.cfg"
-        cfg.write_text(ENGAGE_CFG.replace("n = 1010", "n = 10100").replace("sample_size = 80", "sample_size = 800"))
+        cfg.write_text(ENGAGE_CFG)
         out = tmp_path / "out"
-        code = main(["engage-mimic", "--config", str(cfg), "--out", str(out), "--desk-scale"])
-        assert code == 0
+        assert main(["engage-mimic", "--config", str(cfg), "--out", str(out), "-q"]) == 0
         manifest = (out / "manifest.txt").read_text()
         assert "n = 1010" in manifest
         assert "sample_size = 80" in manifest
         assert (out / "replicates.csv").exists()
         assert (out / "summary.csv").exists()
 
+    @pytest.mark.parametrize("mean_degree", ["0", "1009.5"])
+    def test_out_of_range_mean_degree_fails_before_the_run(self, tmp_path, capsys, mean_degree):
+        cfg = tmp_path / "engage.cfg"
+        cfg.write_text(ENGAGE_CFG.replace("mean_degree = 10", f"mean_degree = {mean_degree}"))
+        out = tmp_path / "out"
+        assert main(["engage-mimic", "--config", str(cfg), "--out", str(out)]) == 2
+        message = f"config error: {cfg}: mean_degree must be in (0, node_count - 1]\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
     def test_non_finite_covariate_target_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "engage.cfg"
@@ -695,3 +670,34 @@ class TestCliCovgen:
         values = np.array([[int(v) for v in line.split(",")[1:]] for line in lines[1:]])
         assert abs(values[:, 0].mean() - 0.3) < 0.05
         assert abs(values[:, 1].mean() - 0.7) < 0.05
+
+
+@pytest.mark.parametrize("command", ["experiment", "engage-mimic"])
+def test_desk_scale_is_an_unrecognized_argument(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(tmp_path / "any.cfg"), "--desk-scale"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --desk-scale" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, sizes, message",
+    [
+        ("covgen", "[covgen]\nn = 0\n", "[covgen] n must be >= 1"),
+        ("netgen", "[network]\nn = 50\nmean_degree = 0\n", "[network] mean_degree must be in (0, n - 1]"),
+        ("netgen", "[network]\nn = 50\nmean_degree = -3\n", "[network] mean_degree must be in (0, n - 1]"),
+        ("netgen", "[network]\nn = 50\nmean_degree = 500\n", "[network] mean_degree must be in (0, n - 1]"),
+        ("netgen", "[network]\nn = 1\nmean_degree = 0.5\n", "[network] n must be >= 2"),
+    ],
+    ids=["covgen-n-0", "netgen-mean-degree-0", "netgen-mean-degree-negative",
+         "netgen-mean-degree-above-n", "netgen-n-1"],
+)
+def test_out_of_range_size_fails_before_the_run(tmp_path, capsys, command, sizes, message):
+    cfg = tmp_path / "cov.cfg"
+    covariates = ENGAGE_CFG[ENGAGE_CFG.index("[covariate A]"):]
+    cfg.write_text(f"{sizes}\n{covariates}")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}: {message}\n"
+    assert not out.exists()
+

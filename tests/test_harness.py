@@ -312,14 +312,6 @@ class TestEngageMimic:
         for row in rows:
             assert set(row) == columns, row["status"]
 
-    def test_desk_scaling(self):
-        scenario = tiny_scenario(node_count=40400, sample_size=1179)
-        desk = scenario.desk_scaled()
-        assert desk.node_count == 4040
-        assert desk.sample_size == 118
-        assert desk.mean_degree == scenario.mean_degree
-        assert desk.num_seeds == scenario.num_seeds
-
 
 def test_write_rows_formats(tmp_path):
     path = tmp_path / "rows.csv"
