@@ -160,7 +160,9 @@ def _read(cfg, section: str, source: str, lists=(), schema=None) -> _Section:
 
     ``schema`` maps each allowed key to its type (default: the section's
     entry in ``_SCHEMA``). Keys named in ``lists`` are comma-separated lists
-    of that type. Non-finite numbers are rejected.
+    of that type, with no value repeated: the lists are sweep axes, where a
+    repeat would run a copy of the same cells. Non-finite numbers are
+    rejected.
     """
     schema = _SCHEMA[section] if schema is None else schema
 
@@ -194,6 +196,8 @@ def _read(cfg, section: str, source: str, lists=(), schema=None) -> _Section:
             if not all(parts):
                 raise ConfigError(f"{source}: [{section}] {key} has an empty list entry")
             values[key] = [parse(key, part) for part in parts]
+            if len(set(values[key])) != len(parts):
+                raise ConfigError(f"{source}: [{section}] {key} = {text!r} repeats a value")
         else:
             values[key] = parse(key, text)
     return values

@@ -16,7 +16,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import or_none
-from .graph import Graph, _activity_ratio, _classify, homophily_ratio, newman_assortativity
+from .graph import (
+    Graph,
+    MixingCounts,
+    _activity_ratio,
+    _classify,
+    homophily_ratio,
+    newman_assortativity,
+)
 from .sampler import RecruitmentForest
 
 __all__ = [
@@ -68,13 +75,18 @@ def induced_homophily(
     Uses every population edge whose two endpoints were both sampled;
     such edges are unobservable in a real recruitment survey, so this is
     for bias diagnostics, not estimation.
+
+    Each node gets a code, 0 if unsampled and 2 + z if sampled, so one
+    bincount of ``4 * code[src] + code[dst]`` over the population edges
+    is the pair table: cells 10 (0-0), 15 (1-1), 11 and 14 (cross) hold
+    the induced edges, and the cells with an unsampled end are dropped.
     """
-    in_sample = np.zeros(graph.node_count, dtype=bool)
-    in_sample[forest.nodes] = True
-    keep = in_sample[graph.src] & in_sample[graph.dst]
-    z_full = np.zeros(graph.node_count, dtype=np.int64)
-    z_full[forest.nodes] = forest.attribute_column(attribute)
-    counts = _classify(z_full[graph.src[keep]], z_full[graph.dst[keep]])
+    code = np.zeros(graph.node_count, dtype=np.int8)
+    code[forest.nodes] = forest.attribute_column(attribute) + 2
+    pairs = np.bincount(code[graph.src] * 4 + code[graph.dst], minlength=16)
+    counts = MixingCounts(
+        within_1=int(pairs[15]), within_0=int(pairs[10]), cross=int(pairs[11] + pairs[14])
+    )
     return or_none(newman_assortativity, counts), or_none(homophily_ratio, counts)
 
 

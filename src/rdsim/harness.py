@@ -11,9 +11,12 @@ Reproducibility: every replicate derives its random streams from entropy
 tuples built out of the master seed, a stream tag, the cell's parameter
 content, and the replicate index. Streams therefore do not depend on cell
 order or worker scheduling, and runs are byte-identical for a given master
-seed at any worker count. The network stream omits the sample size, so the
-sample sizes of one (prevalence, activity, homophily) replicate share their
-population network and give paired comparisons across sampling fractions.
+seed at any worker count. The network and recruitment streams omit the
+sample size, so the sample sizes of one (prevalence, activity, homophily)
+replicate share their population network and one recruitment run: each
+sample is the first ``sample_size`` entries of the run to the largest size,
+as a study that stopped recruiting earlier would have drawn it. Samples
+are nested, and comparisons across sampling fractions are paired.
 """
 
 from __future__ import annotations
@@ -97,8 +100,10 @@ class ExperimentPlan:
     The grid crosses ``prevalences x diff_activities x homophily_ratios x
     sample_sizes`` at fixed population size, mean degree, and sampler
     settings, with ``replicates`` runs per cell. Each replicate of a
-    (p, Da, R) builds one network, shared by its sample sizes; with
-    ``regenerate_network=False`` one network serves every replicate too.
+    (p, Da, R) builds one network and runs one recruitment, shared by its
+    sample sizes; with ``regenerate_network=False`` one network serves
+    every replicate too. A swept list must not repeat a value: a repeat
+    would not be a replicate but a copy of the same rows.
     """
 
     node_count: int
@@ -120,8 +125,12 @@ class ExperimentPlan:
         object.__setattr__(self, "diff_activities", tuple(float(v) for v in self.diff_activities))
         object.__setattr__(self, "homophily_ratios", tuple(float(v) for v in self.homophily_ratios))
         object.__setattr__(self, "sample_sizes", tuple(int(v) for v in self.sample_sizes))
-        if not (self.prevalences and self.diff_activities and self.homophily_ratios and self.sample_sizes):
-            raise ValueError("every swept parameter list must be non-empty")
+        for name in ("prevalences", "diff_activities", "homophily_ratios", "sample_sizes"):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError("every swept parameter list must be non-empty")
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} repeats a value: {values}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.master_seed < 0:
@@ -172,9 +181,8 @@ class ExperimentPlan:
         )
 
     def _entropy(self, tag: int, cell: Cell, replicate: int) -> tuple[int, ...]:
-        # the network stream leaves out the sample size, so all sample sizes
-        # of a (p, Da, R) replicate draw from one population
-        sample_size = () if tag == _TAG_NETWORK else (cell.sample_size,)
+        # no stream holds the sample size, so all sample sizes of a
+        # (p, Da, R) replicate share one population and one recruitment run
         return (
             self.master_seed,
             tag,
@@ -187,7 +195,6 @@ class ExperimentPlan:
             _scaled(cell.prevalence),
             _scaled(cell.diff_activity),
             _scaled(cell.homophily_ratio),
-            *sample_size,
             replicate,
         )
 
@@ -266,23 +273,28 @@ def _ok_row(key: dict, replicate: int, forest, est, truths: list[dict], suffixes
 
 
 def _experiment_task(args: tuple[ExperimentPlan, tuple[Cell, ...], tuple[int, ...]]) -> list[dict]:
-    """Generate one network and run every cell and replicate over it.
+    """Generate one network and run every replicate of a cell group over it.
 
     The cells are one (p, Da, R) group, so they share the network targets
     and differ only in sample size. The network is derived from the first
     replicate's index, which is 0 for every replicate of a fixed-network
-    group. Rows come cell by cell, each cell's replicates in order.
+    group. Each replicate makes one recruitment run, to the group's
+    largest sample size, and every cell's forest is its prefix of that
+    size. Rows come replicate by replicate, each replicate's cells in
+    group order.
     """
     plan, cells, replicates = args
     network_rng = np.random.default_rng(plan._entropy(_TAG_NETWORK, cells[0], replicates[0]))
     graph, z = generate_network(plan.network_targets(cells[0]), network_rng, plan.mode)
     truth = _realized_truth(graph, z)
+    # the config does not sort the sample sizes, so the largest need not be last
+    config = plan.sampler_config(max(cells, key=lambda cell: cell.sample_size))
     rows = []
-    for cell in cells:
-        config = plan.sampler_config(cell)
-        for replicate in replicates:
-            rds_rng = np.random.default_rng(plan._entropy(_TAG_RDS, cell, replicate))
-            forest = run_rds(graph, z, config, rds_rng)
+    for replicate in replicates:
+        rds_rng = np.random.default_rng(plan._entropy(_TAG_RDS, cells[0], replicate))
+        run = run_rds(graph, z, config, rds_rng)
+        for cell in cells:
+            forest = run.prefix(cell.sample_size)
             est = sample_estimates(forest, graph)
             rows.append(_ok_row(_cell_key(cell), replicate, forest, est, [truth], [""]))
     return rows

@@ -12,7 +12,10 @@ After seed selection a run makes one draw from its random stream: a block
 of ``target_sample_size - num_seeds`` uniforms, one per admitted non-seed
 entry, whether recruit or reseed. A recruiter takes its recruits by a
 partial Fisher-Yates shuffle of its open neighbors, so its picks are
-uniform without replacement and in uniformly random coupon order.
+uniform without replacement and in uniformly random coupon order. From
+one generator state, a run to a smaller target is therefore the start of a
+run to a larger one, and ``RecruitmentForest.prefix`` cuts the one from the
+other.
 """
 
 from __future__ import annotations
@@ -136,6 +139,38 @@ class RecruitmentForest:
         if isinstance(attribute, str):
             attribute = self.attribute_names.index(attribute)
         return self.attributes[:, attribute]
+
+    def prefix(self, size: int) -> RecruitmentForest:
+        """The first ``size`` entries, as a run that stopped at ``size`` records them.
+
+        From one generator state, a run to target n1 is the first n1
+        entries of a run to any larger target (see :func:`run_rds`), so
+        ``run_rds(..., n2).prefix(n1)`` equals ``run_rds(..., n1)``.
+        ``reseed_count`` counts the prefix's own reseeds, and the prefix is
+        truncated only when the cut reaches past a truncated run's end. A
+        cut at or past the end of a run that reached its target returns
+        the forest itself.
+
+        Raises:
+            ValueError: If ``size < 1``.
+        """
+        if size < 1:
+            raise ValueError(f"a forest prefix needs size >= 1, not {size}")
+        if size > self.size or (size == self.size and not self.truncated):
+            return self
+        # the reseeds are the run's last seed entries, so those past the cut are reseeds first
+        reseeds_cut = int(np.count_nonzero(self.recruiters[size:] < 0))
+        return RecruitmentForest(
+            nodes=self.nodes[:size],
+            recruiters=self.recruiters[:size],
+            waves=self.waves[:size],
+            seed_ids=self.seed_ids[:size],
+            coupon_indices=self.coupon_indices[:size],
+            degrees=self.degrees[:size],
+            attributes=self.attributes[:size],
+            attribute_names=self.attribute_names,
+            reseed_count=max(self.reseed_count - reseeds_cut, 0),
+        )
 
 
 def select_seeds(graph: Graph, config: SamplerConfig, rng: np.random.Generator) -> np.ndarray:

@@ -612,6 +612,26 @@ class TestCliExperiment:
         assert f"config error: {cfg}: {message}" in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("p = 0.5, 0.8", "p = 0.5, 0.8, 0.50", "[network] p = '0.5, 0.8, 0.50' repeats a value"),
+            ("diff_activity = 1, 4", "diff_activity = 1, 1.0", "[network] diff_activity = '1, 1.0' repeats a value"),
+            ("homophily_r = 1", "homophily_r = 2, 1, 2", "[network] homophily_r = '2, 1, 2' repeats a value"),
+            ("sample_size = 40, 60", "sample_size = 60, 40, 60", "[rds] sample_size = '60, 40, 60' repeats a value"),
+        ],
+        ids=["p", "diff_activity", "homophily_r", "sample_size"],
+    )
+    def test_repeated_grid_value_fails_before_the_run(self, tmp_path, capsys, old, new, message):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(EXPERIMENT_CFG.replace(old, new))
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {cfg}: {message}\n"
+        assert not out.exists()
+
     def test_skipped_cells_warn_but_exit_zero(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(EXPERIMENT_CFG)

@@ -68,7 +68,7 @@ def rds_section(draw, node_count: int, sweep: bool):
     seeds = draw(st.integers(1, 5))
     body = {"seeds": str(seeds), "coupons": str(draw(st.integers(1, 6)))}
     if sweep:
-        sizes = draw(st.lists(st.integers(seeds, node_count), min_size=1, max_size=3))
+        sizes = draw(st.lists(st.integers(seeds, node_count), min_size=1, max_size=3, unique=True))
         body["sample_size"] = draw(separators).join(map(str, sizes))
     else:
         sizes = draw(st.integers(seeds, node_count))
@@ -116,9 +116,9 @@ def covariate_sections(draw):
 @st.composite
 def experiment_cases(draw):
     n = draw(st.integers(100, 2000))
-    prevalences = draw(st.lists(floats(0.05, 0.95), min_size=1, max_size=3))
-    diff_activities = draw(st.lists(floats(0.1, 5.0), min_size=1, max_size=3))
-    ratios = draw(st.lists(floats(0.0, 10.0), min_size=1, max_size=3))
+    prevalences = draw(st.lists(floats(0.05, 0.95), min_size=1, max_size=3, unique=True))
+    diff_activities = draw(st.lists(floats(0.1, 5.0), min_size=1, max_size=3, unique=True))
+    ratios = draw(st.lists(floats(0.0, 10.0), min_size=1, max_size=3, unique=True))
     mean_degree = draw(floats(0.5, 50.0))
     network = {
         "n": str(n),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdsim import (
     Graph,
@@ -17,6 +19,8 @@ from rdsim import (
     run_rds,
     sample_estimates,
 )
+from rdsim.errors import or_none
+from rdsim.graph import _classify
 from conftest import complete_graph, random_graph
 
 
@@ -151,6 +155,83 @@ class TestInducedHomophily:
         counts = mixing_counts(graph, z)
         assert h == newman_assortativity(counts)
         assert r == homophily_ratio(counts)
+
+
+def keep_mask_homophily(forest, graph, k):
+    """Induced homophily by the keep-mask route: mask the induced edges, then classify them."""
+    in_sample = np.zeros(graph.node_count, dtype=bool)
+    in_sample[forest.nodes] = True
+    keep = in_sample[graph.src] & in_sample[graph.dst]
+    z_full = np.zeros(graph.node_count, dtype=np.int64)
+    z_full[forest.nodes] = forest.attribute_column(k)
+    counts = _classify(z_full[graph.src[keep]], z_full[graph.dst[keep]])
+    return or_none(newman_assortativity, counts), or_none(homophily_ratio, counts)
+
+
+def seed_forest(graph, z, nodes) -> RecruitmentForest:
+    """A forest of seeds only: any node set is one."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    return RecruitmentForest(
+        nodes=nodes,
+        recruiters=np.full(nodes.size, -1),
+        waves=np.zeros(nodes.size, dtype=np.int64),
+        seed_ids=np.arange(nodes.size),
+        coupon_indices=np.full(nodes.size, -1),
+        degrees=graph.degrees[nodes],
+        attributes=z[nodes],
+        attribute_names=tuple(f"z{j}" for j in range(z.shape[1])),
+    )
+
+
+@st.composite
+def sampled_graphs(draw):
+    """(graph, forest): a random graph with constant and mixed attribute columns, and a sample of it."""
+    n = draw(st.integers(1, 24))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    graph = Graph(n, [e[0] for e in edges], [e[1] for e in edges])
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        constant = draw(st.sampled_from([None, 0, 1]))
+        cells = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        columns.append(cells if constant is None else [constant] * n)
+    z = np.array(columns, dtype=np.int8).T
+    order = draw(st.permutations(range(n)))
+    size = draw(st.one_of(st.just(n), st.integers(1, n)))
+    if draw(st.booleans()):
+        return graph, seed_forest(graph, z, order[:size])
+    config = SamplerConfig(draw(st.integers(1, size)), draw(st.integers(1, 3)), size)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return graph, run_rds(graph, z, config, rng, tuple(f"z{j}" for j in range(z.shape[1])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sampled_graphs())
+def test_induced_homophily_matches_the_keep_mask_route(case):
+    graph, forest = case
+    for k in range(len(forest.attribute_names)):
+        assert induced_homophily(forest, graph, k) == keep_mask_homophily(forest, graph, k)
+
+
+class TestInducedHomophilyCases:
+    GRAPH = Graph(6, [0, 0, 1, 2, 3, 4], [1, 2, 2, 3, 4, 5])  # a triangle 0-1-2 and a path 2-3-4-5
+    Z = np.array([[1, 0], [1, 0], [0, 0], [1, 0], [0, 0], [1, 0]], dtype=np.int8)
+
+    def test_census(self):
+        forest = seed_forest(self.GRAPH, self.Z, range(6))
+        # within-1: 0-1; within-0: none; cross: 0-2, 1-2, 2-3, 3-4, 4-5
+        assert induced_homophily(forest, self.GRAPH, 0) == keep_mask_homophily(forest, self.GRAPH, 0)
+        assert induced_homophily(forest, self.GRAPH, 0)[1] == 1 / 5
+
+    def test_single_class_sample(self):
+        forest = seed_forest(self.GRAPH, self.Z, [0, 1, 3])
+        # one within-1 edge and nothing else: every edge end in one class
+        assert induced_homophily(forest, self.GRAPH, 0) == (None, None)
+        assert induced_homophily(forest, self.GRAPH, 1) == (None, None)
+
+    def test_no_induced_edges(self):
+        forest = seed_forest(self.GRAPH, self.Z, [0, 3, 5])
+        assert induced_homophily(forest, self.GRAPH, 0) == (None, None)
 
 
 class TestRds2Prevalence:

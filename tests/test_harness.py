@@ -1,5 +1,6 @@
 import csv
 
+import numpy as np
 import pytest
 
 from rdsim import (
@@ -8,6 +9,8 @@ from rdsim import (
     ExperimentPlan,
     run_engage_mimic,
     run_experiment,
+    run_rds,
+    sample_estimates,
     summarize_replicates,
 )
 from rdsim import harness
@@ -210,6 +213,69 @@ class TestRunExperiment:
             replicates = {population[(p, 1.0, 1.0, rep)] for rep in range(3)}
             assert len(replicates) == (3 if regenerate_network else 1)
 
+    @pytest.mark.parametrize("regenerate_network", [True, False], ids=["fresh", "fixed"])
+    def test_rows_equal_independent_runs_at_each_sample_size(self, regenerate_network):
+        plan = small_plan(
+            prevalences=(0.3, 0.5),
+            sample_sizes=(40, 80, 60),
+            replicates=3,
+            regenerate_network=regenerate_network,
+        )
+        rows, _ = run_experiment(plan)
+        cells = {cell.index: cell for cell in plan.cells()}
+        for row in rows:
+            cell = cells[row["cell"]]
+            replicate = row["replicate"]
+            network_rep = replicate if regenerate_network else 0
+            network_rng = np.random.default_rng(plan._entropy(harness._TAG_NETWORK, cell, network_rep))
+            graph, z = harness.generate_network(plan.network_targets(cell), network_rng, plan.mode)
+            # the recruitment stream holds no sample size, so a run to this size alone is the reference
+            rds_rng = np.random.default_rng(plan._entropy(harness._TAG_RDS, cell, replicate))
+            forest = run_rds(graph, z, plan.sampler_config(cell), rds_rng)
+            est = sample_estimates(forest, graph)
+            truth = harness._realized_truth(graph, z)
+            assert row == harness._ok_row(harness._cell_key(cell), replicate, forest, est, [truth], [""])
+
+    @pytest.mark.parametrize("regenerate_network", [True, False], ids=["fresh", "fixed"])
+    def test_smaller_samples_are_prefixes_of_one_run(self, monkeypatch, regenerate_network):
+        runs, forests = [], []
+
+        def recording_run(*args):
+            runs.append(run_rds(*args))
+            return runs[-1]
+
+        def recording_estimates(forest, graph):
+            forests.append((runs[-1], forest))
+            return sample_estimates(forest, graph)
+
+        monkeypatch.setattr(harness, "run_rds", recording_run)
+        monkeypatch.setattr(harness, "sample_estimates", recording_estimates)
+        plan = small_plan(
+            prevalences=(0.3, 0.5),
+            sample_sizes=(60, 40, 80),
+            replicates=3,
+            regenerate_network=regenerate_network,
+        )
+        rows, _ = run_experiment(plan)
+        assert all(row["status"] == "ok" for row in rows)
+        # one run per (p, Da, R) and replicate, to the largest sample size
+        assert [run.size for run in runs] == [80] * 2 * 3
+        assert sorted(forest.size for _, forest in forests) == [40] * 6 + [60] * 6 + [80] * 6
+        for run, forest in forests:
+            assert forest.nodes.tolist() == run.nodes[: forest.size].tolist()
+            assert forest.reseed_count <= run.reseed_count
+
+    @pytest.mark.parametrize("regenerate_network", [True, False], ids=["fresh", "fixed"])
+    def test_sample_size_order_does_not_change_rows(self, regenerate_network):
+        def rows_by_size(sample_sizes):
+            plan = small_plan(
+                node_count=500, sample_sizes=sample_sizes, replicates=3, regenerate_network=regenerate_network
+            )
+            rows, _ = run_experiment(plan)
+            return {(row["sample_size"], row["replicate"]): {**row, "cell": None} for row in rows}
+
+        assert rows_by_size((400, 200)) == rows_by_size((200, 400))
+
     def test_csv_round_trip_preserves_floats(self, tmp_path):
         plan = small_plan(replicates=2)
         rows, _ = run_experiment(plan, out_dir=tmp_path)
@@ -232,6 +298,19 @@ class TestRunExperiment:
             small_plan(master_seed=-1)
         with pytest.raises(ValueError):
             small_plan(mode="nope")
+
+    @pytest.mark.parametrize(
+        "field, values",
+        [
+            ("prevalences", (0.3, 0.5, 0.3)),
+            ("diff_activities", (1.0, 1)),
+            ("homophily_ratios", (2.0, 1.0, 2.0)),
+            ("sample_sizes", (60, 40, 60)),
+        ],
+    )
+    def test_a_repeated_grid_value_is_rejected(self, field, values):
+        with pytest.raises(ValueError, match=f"{field} repeats a value"):
+            small_plan(**{field: values})
 
 
 class TestSummarize:

@@ -359,6 +359,86 @@ def test_run_draws_one_block_after_seed_selection(config, seeds):
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
+FOREST_ARRAYS = ("nodes", "recruiters", "waves", "seed_ids", "coupon_indices", "degrees", "attributes")
+
+
+def assert_same_forest(a: RecruitmentForest, b: RecruitmentForest):
+    for name in FOREST_ARRAYS + ("recruiter_entries",):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.attribute_names == b.attribute_names
+    assert (a.reseed_count, a.truncated) == (b.reseed_count, b.truncated)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), case=component_graphs(), reseed=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_a_shorter_run_is_a_prefix_of_a_longer_one(data, case, reseed, seed):
+    graph, z = case
+    n = graph.node_count
+    num_seeds = data.draw(st.integers(1, min(n, 3)))
+    longer = data.draw(st.integers(num_seeds, n))
+    shorter = data.draw(st.integers(num_seeds, longer))
+    coupons = data.draw(st.integers(1, 3))
+    selection = data.draw(st.sampled_from(("uniform", "degree")))
+
+    def run(target):
+        config = SamplerConfig(num_seeds, coupons, target, selection, reseed)
+        return run_rds(graph, z, config, np.random.default_rng(seed))
+
+    assert_same_forest(run(longer).prefix(shorter), run(shorter))
+
+
+@pytest.mark.parametrize("selection", ["uniform", "degree"])
+def test_every_prefix_of_a_reseeding_run_is_the_shorter_run(selection):
+    # six disjoint edges and three isolated nodes: a run to 15 reseeds at least 8 times
+    graph = Graph(15, [0, 2, 4, 6, 8, 10], [1, 3, 5, 7, 9, 11])
+    z = np.arange(15) % 2
+    for seed in range(5):
+        run = run_rds(graph, z, SamplerConfig(1, 1, 15, selection), np.random.default_rng(seed))
+        assert run.reseed_count >= 8
+        for size in range(1, 16):
+            alone = run_rds(graph, z, SamplerConfig(1, 1, size, selection), np.random.default_rng(seed))
+            assert_same_forest(run.prefix(size), alone)
+
+
+def triangles_run(config, seed, seeds=None) -> RecruitmentForest:
+    rng = np.random.default_rng(seed)
+    return run_rds(TWO_TRIANGLES, np.zeros(6, dtype=np.int8), config, rng, seeds=seeds)
+
+
+def test_prefix_at_or_past_the_end_is_the_run():
+    forest = triangles_run(SamplerConfig(1, 2, 5), 4)
+    assert forest.size == 5 and not forest.truncated
+    assert forest.prefix(5) is forest
+    assert forest.prefix(6) is forest
+
+
+def test_prefix_of_a_truncated_run():
+    forest = triangles_run(SamplerConfig(1, 2, 6, reseed_on_death=False), 4, seeds=[0])
+    assert forest.truncated and forest.size == 3
+    # only a cut past the end of a truncated run stops short of its target
+    assert forest.prefix(4) is forest
+    cut = forest.prefix(3)
+    assert not cut.truncated
+    assert cut.nodes.tolist() == forest.nodes.tolist()
+
+
+def test_prefix_of_the_seeds_alone():
+    forest = triangles_run(SamplerConfig(2, 2, 6), 5, seeds=[0, 1])
+    assert forest.reseed_count == 1
+    seeds = forest.prefix(2)
+    assert seeds.nodes.tolist() == [0, 1]
+    assert seeds.recruiters.tolist() == [-1, -1]
+    assert seeds.recruiter_entries.size == 0
+    assert (seeds.reseed_count, seeds.truncated) == (0, False)
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_prefix_needs_one_entry(size):
+    forest = triangles_run(SamplerConfig(1, 2, 4), 6)
+    with pytest.raises(ValueError, match="size >= 1"):
+        forest.prefix(size)
+
+
 def test_largest_uniform_scales_to_an_index_in_range():
     top = np.nextafter(1.0, 0.0)  # the largest value ``Generator.random`` returns
     sizes = {MAX_NODE_COUNT}
