@@ -75,19 +75,52 @@ def induced_homophily(
     Uses every population edge whose two endpoints were both sampled;
     such edges are unobservable in a real recruitment survey, so this is
     for bias diagnostics, not estimation.
-
-    Each node gets a code, 0 if unsampled and 2 + z if sampled, so one
-    bincount of ``4 * code[src] + code[dst]`` over the population edges
-    is the pair table: cells 10 (0-0), 15 (1-1), 11 and 14 (cross) hold
-    the induced edges, and the cells with an unsampled end are dropped.
     """
-    code = np.zeros(graph.node_count, dtype=np.int8)
-    code[forest.nodes] = forest.attribute_column(attribute) + 2
-    pairs = np.bincount(code[graph.src] * 4 + code[graph.dst], minlength=16)
-    counts = MixingCounts(
-        within_1=int(pairs[15]), within_0=int(pairs[10]), cross=int(pairs[11] + pairs[14])
-    )
+    (counts,) = _induced_counts(forest.nodes, forest.attribute_column(attribute)[:, None], graph)
     return or_none(newman_assortativity, counts), or_none(homophily_ratio, counts)
+
+
+# Attribute columns per pair table: codes up to 1 + 2**3 - 1 = 8 keep every key below 81, in int8.
+_BLOCK = 3
+_PACK = np.array([1, 2, 4], dtype=np.int8)
+
+
+def _pair_cells(columns: int) -> np.ndarray:
+    """0/1 rows that sum a pair table's cells into each column's (within-1, within-0, cross) counts.
+
+    Code 0 is an unsampled node and code 1 + pattern a sampled one, so the
+    cells with a code-0 end are in no row.
+    """
+    code = np.arange(1 + (1 << columns))
+    bit = ((code[:, None] - 1) >> np.arange(columns)) & 1  # code x column
+    a, b = bit[:, None, :], bit[None, :, :]
+    sampled = ((code[:, None] > 0) & (code[None, :] > 0))[..., None]
+    cells = np.stack([sampled & (a == 1) & (b == 1), sampled & (a == 0) & (b == 0), sampled & (a != b)], -1)
+    return cells.reshape(code.size * code.size, 3 * columns).T.astype(np.int64)
+
+
+_PAIR_CELLS = {columns: _pair_cells(columns) for columns in range(1, _BLOCK + 1)}
+
+
+def _induced_counts(nodes: np.ndarray, attributes: np.ndarray, graph: Graph) -> list[MixingCounts]:
+    """Induced-subgraph mixing counts of each attribute column, sampled ``nodes`` by row.
+
+    The columns go in blocks of up to three. In a block each node gets a
+    code, 0 if unsampled and 1 plus its packed pattern if sampled, so one
+    bincount of ``width * code[src] + code[dst]`` over the population
+    edges is the block's pair table, and fixed sums of its cells give each
+    column's counts.
+    """
+    counts = []
+    for start in range(0, attributes.shape[1], _BLOCK):
+        block = attributes[:, start : start + _BLOCK]
+        width = 1 + (1 << block.shape[1])
+        code = np.zeros(graph.node_count, dtype=np.int8)
+        code[nodes] = 1 + block @ _PACK[: block.shape[1]]
+        pairs = np.bincount(code[graph.src] * width + code[graph.dst], minlength=width * width)
+        table = (_PAIR_CELLS[block.shape[1]] @ pairs).reshape(-1, 3).tolist()
+        counts.extend(MixingCounts(*row) for row in table)
+    return counts
 
 
 def rds2_prevalence(forest: RecruitmentForest, attribute: int | str = 0) -> float:
@@ -168,7 +201,6 @@ def sample_estimates(forest: RecruitmentForest, graph: Graph | None = None) -> S
     ratio = []
     rds2 = []
     crude = []
-    ind_h: list[float | None] = []
     # An isolated node can enter the sample as a seed, in which case the
     # inverse-degree weights are undefined; record a marker, not a crash.
     degrees_ok = bool(np.all(forest.degrees > 0))
@@ -179,8 +211,6 @@ def sample_estimates(forest: RecruitmentForest, graph: Graph | None = None) -> S
         ratio.append(r_k)
         rds2.append(rds2_prevalence(forest, k) if degrees_ok else None)
         crude.append(crude_prevalence(forest, k))
-        if graph is not None:
-            ind_h.append(induced_homophily(forest, graph, k)[0])
     return SampleEstimates(
         attribute_names=forest.attribute_names,
         sample_size=forest.size,
@@ -190,5 +220,8 @@ def sample_estimates(forest: RecruitmentForest, graph: Graph | None = None) -> S
         homophily_ratio=tuple(ratio),
         rds2_prevalence=tuple(rds2),
         crude_prevalence=tuple(crude),
-        induced_homophily=tuple(ind_h) if graph is not None else None,
+        induced_homophily=None if graph is None else tuple(
+            or_none(newman_assortativity, counts)
+            for counts in _induced_counts(forest.nodes, forest.attributes, graph)
+        ),
     )

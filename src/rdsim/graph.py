@@ -308,9 +308,9 @@ def mixing_counts(graph: Graph, values) -> MixingCounts:
 
 
 def _classify(za: np.ndarray, zb: np.ndarray) -> MixingCounts:
-    """Mixing counts of the edges whose endpoint attributes are ``za[i]``, ``zb[i]``."""
-    within_1 = int(np.sum((za == 1) & (zb == 1)))
-    within_0 = int(np.sum((za == 0) & (zb == 0)))
+    """Mixing counts of the edges whose endpoint attributes are ``za[i]``, ``zb[i]``, each 0 or 1."""
+    within_1 = int(np.count_nonzero(za & zb))
+    within_0 = int(za.size) - int(np.count_nonzero(za | zb))
     return MixingCounts(within_1=within_1, within_0=within_0, cross=int(za.size) - within_1 - within_0)
 
 

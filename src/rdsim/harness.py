@@ -212,26 +212,25 @@ _BIAS_TRUTH = {
 }
 
 
-def _replicate_columns(suffixes: list[str], oracle: bool) -> list[str]:
-    """Replicate-table columns after the group key.
+def _replicate_columns(suffixes: list[str]) -> list[str]:
+    """Replicate-table columns after the group key, the one layout of both studies.
 
     Status first, then the graph truth, then one block per attribute
-    suffix: its truths, estimates and relative biases. Forest statistics
-    close the row. ``oracle`` says whether the estimators saw the
-    population graph, which alone gives induced homophily.
+    suffix: its truths, every estimate (the estimators see the population
+    graph, so induced homophily too) and the relative biases. Forest
+    statistics close the row.
     """
-    estimates = [name for name in _PER_ATTRIBUTE if oracle or name != "induced_homophily"]
     columns = ["replicate", "status", "reason", f"truth_{_GRAPH_TRUTH}"]
     for suffix in suffixes:
         columns.extend(f"truth_{name}{suffix}" for name in _TRUTHS)
-        columns.extend(f"est_{name}{suffix}" for name in estimates)
-        columns.extend(f"rb_{name}{suffix}" for name in _BIAS_TRUTH if name in estimates)
+        columns.extend(f"est_{name}{suffix}" for name in _PER_ATTRIBUTE)
+        columns.extend(f"rb_{name}{suffix}" for name in _BIAS_TRUTH)
     return columns + ["reseed_count", "max_wave", "truncated"]
 
 
 EXPERIMENT_GROUP_COLUMNS = ["cell", "prevalence", "diff_activity", "homophily_ratio", "sample_size"]
 
-EXPERIMENT_COLUMNS = EXPERIMENT_GROUP_COLUMNS + _replicate_columns([""], oracle=True)
+EXPERIMENT_COLUMNS = EXPERIMENT_GROUP_COLUMNS + _replicate_columns([""])
 
 RB_COLUMNS = [column for column in EXPERIMENT_COLUMNS if column.startswith("rb_")]
 
@@ -266,7 +265,6 @@ def _ok_row(key: dict, replicate: int, forest, est, truths: list[dict], suffixes
         row.update(
             (f"rb_{name}{suffix}", relative_bias(estimates[name], truth[of]))
             for name, of in _BIAS_TRUTH.items()
-            if name in estimates
         )
     row.update(reseed_count=forest.reseed_count, max_wave=forest.max_wave, truncated=forest.truncated)
     return row
@@ -388,7 +386,8 @@ class EngageScenario:
     Each replicate draws correlated binary covariates, fits the dyad model
     to the per-covariate activity/homophily targets at the realized group
     sizes, simulates the population network, and runs one recruitment
-    sample over it.
+    sample over it. Its rows take the ``experiment`` layout, one block per
+    covariate, so they carry the induced-subgraph oracle too.
     """
 
     node_count: int
@@ -451,7 +450,7 @@ class EngageScenario:
 
 def engage_columns(names: tuple[str, ...]) -> list[str]:
     """Replicate-table column order for a covariate name tuple."""
-    return _replicate_columns([f"_{name}" for name in names], oracle=False)
+    return _replicate_columns([f"_{name}" for name in names])
 
 
 def _engage_task(args: tuple[EngageScenario, LatentBinaryModel, int]) -> dict:
@@ -467,7 +466,7 @@ def _engage_task(args: tuple[EngageScenario, LatentBinaryModel, int]) -> dict:
     graph = simulate_from_model(model, z, network_rng)
     rds_rng = np.random.default_rng(scenario._entropy(_TAG_RDS, replicate))
     forest = run_rds(graph, z, scenario.sampler_config(), rds_rng, names)
-    est = sample_estimates(forest)
+    est = sample_estimates(forest, graph)
     truths = [_realized_truth(graph, z[:, k]) for k in range(len(names))]
     return _ok_row({}, replicate, forest, est, truths, [f"_{name}" for name in names])
 
@@ -486,16 +485,15 @@ def run_engage_mimic(
     rows = _run_tasks(tasks, _engage_task, threads)
 
     names = scenario.covariate_names
-    rb_columns = [column for column in _replicate_columns([""], oracle=False) if column.startswith("rb_")]
     summary: list[dict] = []
     for name in names:
         per_cov = []
         for row in rows:
             flat = {"covariate": name, "status": row["status"]}
-            for column in rb_columns:
+            for column in RB_COLUMNS:
                 flat[column] = row.get(f"{column}_{name}")
             per_cov.append(flat)
-        summary.extend(summarize_replicates(per_cov, ["covariate"], rb_columns, scenario.replicates))
+        summary.extend(summarize_replicates(per_cov, ["covariate"], RB_COLUMNS, scenario.replicates))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_rows(os.path.join(out_dir, "replicates.csv"), engage_columns(names), rows)

@@ -80,7 +80,7 @@ class RecruitmentForest:
     is its recruiter's wave plus one and its seed_id its recruiter's, and
     recruiter-recruit pairs are edges of the population graph. ``degrees``
     holds the reported network size of each entry (equal to the true graph
-    degree here).
+    degree here). ``reseed_count`` is at most the seed entries minus one.
 
     Construction checks the invariants that need no graph, whatever the
     source, and raises ``ValueError`` on a break; an empty or repeated
@@ -115,6 +115,12 @@ class RecruitmentForest:
         entries = _check_recruitment(self)
         entries.flags.writeable = False
         object.__setattr__(self, "recruiter_entries", entries)
+        # the first entry is a seed, so the seed entries after it are the most reseeds there can be
+        most = size - entries.size - 1
+        if not 0 <= self.reseed_count <= most:
+            raise ValueError(
+                f"reseed_count must be in 0..{most} for {most + 1} seed entries, not {self.reseed_count}"
+            )
         attrs = _as_attributes(self.attributes, rows=size)
         names = check_names(self.attribute_names)
         if attrs.shape[1] != len(names):
@@ -160,6 +166,7 @@ class RecruitmentForest:
             return self
         # the reseeds are the run's last seed entries, so those past the cut are reseeds first
         reseeds_cut = int(np.count_nonzero(self.recruiters[size:] < 0))
+        # read_forest resets the count to 0 while the file can still hold reseed entries
         return RecruitmentForest(
             nodes=self.nodes[:size],
             recruiters=self.recruiters[:size],

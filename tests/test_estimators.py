@@ -191,7 +191,7 @@ def sampled_graphs(draw):
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     graph = Graph(n, [e[0] for e in edges], [e[1] for e in edges])
     columns = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, 5))):  # past three columns, a forest spans two blocks
         constant = draw(st.sampled_from([None, 0, 1]))
         cells = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
         columns.append(cells if constant is None else [constant] * n)
@@ -209,8 +209,11 @@ def sampled_graphs(draw):
 @given(sampled_graphs())
 def test_induced_homophily_matches_the_keep_mask_route(case):
     graph, forest = case
+    together = sample_estimates(forest, graph).induced_homophily
     for k in range(len(forest.attribute_names)):
-        assert induced_homophily(forest, graph, k) == keep_mask_homophily(forest, graph, k)
+        expected = keep_mask_homophily(forest, graph, k)
+        assert induced_homophily(forest, graph, k) == expected
+        assert together[k] == expected[0]
 
 
 class TestInducedHomophilyCases:

@@ -9,6 +9,9 @@ purpose regenerates the table in the same commit, from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py --write
 
+which also prints each entry that changed from the old table, with its
+old and new digest.
+
 The runs go through ``rdsim.cli.main`` in-process, with relative paths
 inside a scratch working directory, because ``estimate`` echoes each forest
 path as given.
@@ -161,5 +164,9 @@ if __name__ == "__main__":
             digests = output_digests()
         finally:
             os.chdir(home)
+    old = json.loads(TABLE.read_text())["digests"] if TABLE.exists() else {}
     TABLE.write_text(json.dumps({"numpy": np.__version__, "digests": digests}, indent=2) + "\n")
     print(f"wrote {len(digests)} digests to {TABLE}")
+    for name in sorted(old.keys() | digests.keys()):
+        if old.get(name) != digests.get(name):
+            print(f"changed: {name} {old.get(name, '-')} -> {digests.get(name, '-')}")

@@ -351,9 +351,14 @@ class TestEngageMimic:
         for name in ("A", "B"):
             assert rows[0][f"truth_diff_activity_{name}"] is not None
             assert rows[0][f"est_rds2_prevalence_{name}"] is not None
+            # the population graph is at hand, so every row holds the oracle
+            for row in rows:
+                assert row[f"est_induced_homophily_{name}"] not in (None, "")
+                assert row[f"rb_induced_homophily_{name}"] not in (None, "")
         estimands = {(e["covariate"], e["estimand"]) for e in summary}
         assert ("A", "diff_activity") in estimands
         assert ("B", "rds2_prevalence") in estimands
+        assert {("A", "induced_homophily"), ("B", "induced_homophily")} <= estimands
 
     def test_deterministic_across_thread_counts(self, tmp_path):
         scenario = tiny_scenario(replicates=4)

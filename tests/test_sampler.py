@@ -432,6 +432,20 @@ def test_prefix_of_the_seeds_alone():
     assert (seeds.reseed_count, seeds.truncated) == (0, False)
 
 
+def test_prefix_of_a_read_back_forest_with_reseeds(tmp_path):
+    forest = triangles_run(SamplerConfig(2, 2, 6), 5, seeds=[0, 1])
+    assert forest.reseed_count == 1
+    path = tmp_path / "forest.csv"
+    write_forest(forest, path)
+    back = read_forest(path)
+    # the file holds the reseed entry, but not the count
+    assert back.reseed_count == 0
+    assert np.count_nonzero(back.recruiters < 0) == 3
+    cut = back.prefix(2)
+    assert cut.nodes.tolist() == [0, 1]
+    assert cut.reseed_count == 0
+
+
 @pytest.mark.parametrize("size", [0, -1])
 def test_prefix_needs_one_entry(size):
     forest = triangles_run(SamplerConfig(1, 2, 4), 6)
@@ -477,6 +491,20 @@ def test_constructed_forest_needs_earlier_recruiters(recruiters):
     # 5 is absent; 9 is a later entry
     with pytest.raises(ValueError, match="is not an earlier entry"):
         RecruitmentForest(nodes=[7, 3, 9], recruiters=recruiters, **STAR_COLUMNS)
+
+
+@pytest.mark.parametrize("count", [-4, -1])
+def test_forest_rejects_a_negative_reseed_count(count):
+    with pytest.raises(ValueError, match=f"reseed_count must be in 0..0 for 1 seed entries, not {count}"):
+        RecruitmentForest(nodes=[7, 3, 9], recruiters=[-1, 7, 7], **STAR_COLUMNS, reseed_count=count)
+
+
+def test_forest_rejects_a_reseed_count_of_every_seed_entry():
+    columns = dict(STAR_COLUMNS, waves=[0, 1, 0], seed_ids=[0, 0, 1], coupon_indices=[-1, 0, -1])
+    # two seed entries: the first is no reseed, so one reseed at most
+    assert RecruitmentForest(nodes=[7, 3, 9], recruiters=[-1, 7, -1], **columns, reseed_count=1).reseed_count == 1
+    with pytest.raises(ValueError, match="reseed_count must be in 0..1 for 2 seed entries, not 2"):
+        RecruitmentForest(nodes=[7, 3, 9], recruiters=[-1, 7, -1], **columns, reseed_count=2)
 
 
 def test_integer_columns_reject_floats():
