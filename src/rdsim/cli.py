@@ -163,6 +163,13 @@ def cmd_estimate(args) -> int:
         # Graph checks its node-count bound first: that error is the holder's
         with in_file(holder if largest >= MAX_NODE_COUNT else args.edges):
             graph = Graph(largest + 1, pairs[:, 0], pairs[:, 1])
+        # a forest drawn on another network has recruiter-recruit pairs that are not edges here
+        edge_keys = graph.src * graph.node_count + graph.dst
+        for path, forest in zip(args.forest, forests):
+            lo, hi = np.sort(np.stack(forest.recruitment_edges()), axis=0)
+            stray = ~np.isin(lo * graph.node_count + hi, edge_keys)
+            if stray.any():
+                raise ValueError(f"{path}: tie {lo[stray][0]}-{hi[stray][0]} is not an edge of {args.edges}")
     out = _ensure_out(args)
     rows = []
     for path, forest in zip(args.forest, forests):

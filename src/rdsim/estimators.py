@@ -80,47 +80,15 @@ def induced_homophily(
     return or_none(newman_assortativity, counts), or_none(homophily_ratio, counts)
 
 
-# Attribute columns per pair table: codes up to 1 + 2**3 - 1 = 8 keep every key below 81, in int8.
-_BLOCK = 3
-_PACK = np.array([1, 2, 4], dtype=np.int8)
-
-
-def _pair_cells(columns: int) -> np.ndarray:
-    """0/1 rows that sum a pair table's cells into each column's (within-1, within-0, cross) counts.
-
-    Code 0 is an unsampled node and code 1 + pattern a sampled one, so the
-    cells with a code-0 end are in no row.
-    """
-    code = np.arange(1 + (1 << columns))
-    bit = ((code[:, None] - 1) >> np.arange(columns)) & 1  # code x column
-    a, b = bit[:, None, :], bit[None, :, :]
-    sampled = ((code[:, None] > 0) & (code[None, :] > 0))[..., None]
-    cells = np.stack([sampled & (a == 1) & (b == 1), sampled & (a == 0) & (b == 0), sampled & (a != b)], -1)
-    return cells.reshape(code.size * code.size, 3 * columns).T.astype(np.int64)
-
-
-_PAIR_CELLS = {columns: _pair_cells(columns) for columns in range(1, _BLOCK + 1)}
-
-
 def _induced_counts(nodes: np.ndarray, attributes: np.ndarray, graph: Graph) -> list[MixingCounts]:
-    """Induced-subgraph mixing counts of each attribute column, sampled ``nodes`` by row.
-
-    The columns go in blocks of up to three. In a block each node gets a
-    code, 0 if unsampled and 1 plus its packed pattern if sampled, so one
-    bincount of ``width * code[src] + code[dst]`` over the population
-    edges is the block's pair table, and fixed sums of its cells give each
-    column's counts.
-    """
-    counts = []
-    for start in range(0, attributes.shape[1], _BLOCK):
-        block = attributes[:, start : start + _BLOCK]
-        width = 1 + (1 << block.shape[1])
-        code = np.zeros(graph.node_count, dtype=np.int8)
-        code[nodes] = 1 + block @ _PACK[: block.shape[1]]
-        pairs = np.bincount(code[graph.src] * width + code[graph.dst], minlength=width * width)
-        table = (_PAIR_CELLS[block.shape[1]] @ pairs).reshape(-1, 3).tolist()
-        counts.extend(MixingCounts(*row) for row in table)
-    return counts
+    """Induced-subgraph mixing counts of each attribute column, sampled ``nodes`` by row."""
+    inside = np.zeros(graph.node_count, dtype=bool)
+    inside[nodes] = True
+    keep = np.flatnonzero(inside[graph.src] & inside[graph.dst])  # gathers beat two mask compressions
+    entry = np.zeros(graph.node_count, dtype=np.int64)
+    entry[nodes] = np.arange(nodes.size)
+    a, b = entry[graph.src[keep]], entry[graph.dst[keep]]
+    return [_classify(column[a], column[b]) for column in attributes.T]
 
 
 def rds2_prevalence(forest: RecruitmentForest, attribute: int | str = 0) -> float:

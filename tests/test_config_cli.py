@@ -502,6 +502,17 @@ class TestCliMalformedFiles:
             argv = ["estimate", "--forest", str(forest), "--edges", str(edges), "--out", str(tmp_path / "o")]
             self._fails_naming(capsys, argv, edges)
 
+    def test_estimate_forest_from_another_network(self, tmp_path, capsys):
+        # the recruitment tie 1-2 is no edge of this network: the forest was drawn on another
+        forest = tmp_path / "forest.csv"
+        forest.write_text(FOREST_CSV)
+        edges = tmp_path / "edges.csv"
+        edges.write_text("src,dst\n0,1\n0,2\n")
+        out = tmp_path / "o"
+        assert main(["estimate", "--forest", str(forest), "--edges", str(edges), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {forest}: tie 1-2 is not an edge of {edges}\n"
+        assert not out.exists()
+
     def test_estimate_edges_with_huge_node_index(self, tmp_path, capsys):
         # the Graph for the induced-subgraph oracle used to end in a numpy
         # MemoryError ("Unable to allocate 7.28 TiB") instead of an error line

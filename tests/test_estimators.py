@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from rdsim import (
     sample_estimates,
 )
 from rdsim.errors import or_none
-from rdsim.graph import _classify
+from rdsim.graph import MixingCounts, _classify
 from conftest import complete_graph, random_graph
 
 
@@ -168,6 +169,24 @@ def keep_mask_homophily(forest, graph, k):
     return or_none(newman_assortativity, counts), or_none(homophily_ratio, counts)
 
 
+def networkx_homophily(forest, graph, k):
+    """Induced homophily by networkx's subgraph of the sampled nodes, its edges classified by a pair loop."""
+    population = nx.Graph()
+    population.add_nodes_from(range(graph.node_count))
+    population.add_edges_from(zip(graph.src.tolist(), graph.dst.tolist()))
+    z = dict(zip(forest.nodes.tolist(), forest.attribute_column(k).tolist()))
+    w1 = w0 = cross = 0
+    for u, v in population.subgraph(forest.nodes.tolist()).edges:
+        if z[u] == 1 and z[v] == 1:
+            w1 += 1
+        elif z[u] == 0 and z[v] == 0:
+            w0 += 1
+        else:
+            cross += 1
+    counts = MixingCounts(within_1=w1, within_0=w0, cross=cross)
+    return or_none(newman_assortativity, counts), or_none(homophily_ratio, counts)
+
+
 def seed_forest(graph, z, nodes) -> RecruitmentForest:
     """A forest of seeds only: any node set is one."""
     nodes = np.asarray(nodes, dtype=np.int64)
@@ -191,7 +210,7 @@ def sampled_graphs(draw):
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     graph = Graph(n, [e[0] for e in edges], [e[1] for e in edges])
     columns = []
-    for _ in range(draw(st.integers(1, 5))):  # past three columns, a forest spans two blocks
+    for _ in range(draw(st.integers(1, 5))):
         constant = draw(st.sampled_from([None, 0, 1]))
         cells = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
         columns.append(cells if constant is None else [constant] * n)
@@ -207,11 +226,12 @@ def sampled_graphs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(sampled_graphs())
-def test_induced_homophily_matches_the_keep_mask_route(case):
+def test_induced_homophily_matches_keep_mask_and_networkx_subgraph(case):
     graph, forest = case
     together = sample_estimates(forest, graph).induced_homophily
     for k in range(len(forest.attribute_names)):
-        expected = keep_mask_homophily(forest, graph, k)
+        expected = networkx_homophily(forest, graph, k)
+        assert keep_mask_homophily(forest, graph, k) == expected
         assert induced_homophily(forest, graph, k) == expected
         assert together[k] == expected[0]
 

@@ -2,9 +2,11 @@
 
 Desk scale is the shipped ``*_desk.cfg`` files, so each must stay its
 full-size config with only the desk keys changed. README's command-line
-section must name only commands and options that the parser accepts.
+section must name only commands and options that the parser accepts, and
+the CI workflow must run ROADMAP's tier-1 command on the golden numpy.
 """
 
+import json
 import re
 import shlex
 from argparse import _SubParsersAction
@@ -88,3 +90,13 @@ def test_readme_command_line_names_only_parser_options():
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", command_line_section()))
     assert named
     assert named - parser_options(build_parser()) == set()
+
+
+def test_ci_runs_the_roadmap_tier1_command_on_the_golden_numpy():
+    yaml = pytest.importorskip("yaml")
+    steps = yaml.safe_load((ROOT / ".github/workflows/tier1.yml").read_text())["jobs"]["tier1"]["steps"]
+    runs = [step["run"] for step in steps if "run" in step]
+    tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text()).group(1)
+    golden = json.loads((ROOT / "tests/golden_digests.json").read_text())["numpy"]
+    assert runs[-1] == tier1
+    assert f'"numpy=={golden}"' in runs[0].split()
