@@ -236,7 +236,11 @@ def _as_attributes(values, rows: int | None = None) -> np.ndarray:
         raise ValueError(
             f"attribute matrix length {z.shape[0]} must equal the node count {rows} (shape {given.shape})"
         )
-    if not np.isin(z, (0, 1)).all():
+    if z.dtype.kind in "biu":  # bool or integer: the range decides, at a fraction of isin's cost
+        binary = z.min() >= 0 and z.max() <= 1
+    else:
+        binary = np.isin(z, (0, 1)).all()
+    if not binary:
         raise ValueError("attribute values must be 0 or 1, found values outside {0, 1}")
     z = z.astype(np.int8)
     z.flags.writeable = False

@@ -16,6 +16,10 @@ uniform without replacement and in uniformly random coupon order. From
 one generator state, a run to a smaller target is therefore the start of a
 run to a larger one, and ``RecruitmentForest.prefix`` cuts the one from the
 other.
+
+The shuffle's swaps are applied to positions of the open-neighbor array,
+and only the picked positions are read from it. That picks what swapping a
+full list of the open neighbors would, without building the list.
 """
 
 from __future__ import annotations
@@ -238,6 +242,10 @@ def run_rds(
     ``t + int(u * (k - t))`` of the open list and takes position t
     (partial Fisher-Yates). ``u < 1`` keeps every index in range, and
     ``floor(u * k)`` moves an outcome's probability by at most 2**-53.
+    The swaps act on positions only: the open neighbors stay one array in
+    ``graph.neighbors`` order, a dict holds the positions that earlier
+    swaps moved, and each pick reads one cell of the array. That equals
+    the shuffle of the full list.
 
     Args:
         graph: Population graph (shared read-only).
@@ -269,13 +277,14 @@ def run_rds(
         if seeds.min() < 0 or seeds.max() >= graph.node_count:
             raise ValueError(f"explicit seeds must be nodes in 0..{graph.node_count - 1}")
 
-    sampled = np.zeros(graph.node_count, dtype=bool)
-    sampled[seeds] = True
+    is_open = np.ones(graph.node_count, dtype=bool)  # not yet sampled
+    is_open[seeds] = False
     nodes = seeds.tolist()
     recruiters = [-1] * len(nodes)
     waves = [0] * len(nodes)
     seed_ids = list(range(len(nodes)))
     coupon_indices = [-1] * len(nodes)
+    count = len(nodes)  # entries so far
     head = 0  # the queue is nodes[head:]
     reseed_count = 0
     truncated = False
@@ -283,40 +292,45 @@ def run_rds(
     num_seeds = config.num_seeds
     uniforms = rng.random(n_target - num_seeds).tolist()
 
-    while len(nodes) < n_target:
-        if head == len(nodes):
+    while count < n_target:
+        if head == count:
             if not config.reseed_on_death:
                 truncated = True
                 break
-            unsampled = np.flatnonzero(~sampled)
-            fresh = int(unsampled[int(uniforms[len(nodes) - num_seeds] * unsampled.size)])
-            sampled[fresh] = True
+            unsampled = np.flatnonzero(is_open)
+            fresh = int(unsampled[int(uniforms[count - num_seeds] * unsampled.size)])
+            is_open[fresh] = False
             nodes.append(fresh)
             recruiters.append(-1)
             waves.append(0)
             seed_ids.append(num_seeds + reseed_count)
             coupon_indices.append(-1)
             reseed_count += 1
+            count += 1
             continue
         recruiter, wave, seed_id = nodes[head], waves[head] + 1, seed_ids[head]
         head += 1
         neighbors = graph.neighbors(recruiter)
-        open_list = neighbors[~sampled[neighbors]].tolist()
-        size = len(open_list)
-        budget = min(coupons, size, n_target - len(nodes))
+        open_nbrs = neighbors[is_open.take(neighbors)]
+        size = open_nbrs.size
+        budget = min(coupons, size, n_target - count)
         if budget <= 0:
             continue
-        # partial Fisher-Yates: open_list[:budget] is a uniform ordered draw without replacement
-        first = len(nodes) - num_seeds
+        # partial Fisher-Yates on positions of open_nbrs, a uniform ordered draw without replacement;
+        # moved[p] is the position that a swap put at p
+        first = count - num_seeds
+        moved = {}
         for t in range(budget):
             j = t + int(uniforms[first + t] * (size - t))
-            open_list[t], open_list[j] = open_list[j], open_list[t]
-            sampled[open_list[t]] = True
-        nodes.extend(open_list[:budget])
+            node = open_nbrs.item(moved.get(j, j))
+            moved[j] = moved.get(t, t)
+            is_open[node] = False
+            nodes.append(node)
         recruiters.extend([recruiter] * budget)
         waves.extend([wave] * budget)
         seed_ids.extend([seed_id] * budget)
         coupon_indices.extend(range(budget))
+        count += budget
 
     node_arr = np.asarray(nodes, dtype=np.int64)
     return RecruitmentForest(

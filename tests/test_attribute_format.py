@@ -8,6 +8,9 @@ vector, an empty input or a value other than 0 or 1 is a ``ValueError``.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays, from_dtype
 
 from rdsim import (
     AttributeVector,
@@ -25,6 +28,7 @@ from rdsim import (
     write_forest,
 )
 from rdsim.cli import main
+from rdsim.graph import _as_attributes
 from rdsim.tables import read_table
 from conftest import path_graph
 
@@ -65,6 +69,12 @@ INPUTS = {
     "256": (np.array([256, 0, 1, 0]), False),
     "0.5": (np.array([0.5, 0.0, 1.0, 0.0]), False),
     "-1": (np.array([-1, 0, 1, 0]), False),
+    "int8 2": (np.array([2, 0, 1, 0], dtype=np.int8), False),
+    "uint8 255": (np.array([255, 0, 1, 0], dtype=np.uint8), False),
+    "uint64 2**63": (np.array([2**63, 0, 1, 0], dtype=np.uint64), False),
+    "nan": (np.array([np.nan, 0.0, 1.0, 0.0]), False),
+    "float 0/1": (BASE.astype(np.float64), True),
+    "bool matrix": (BASE.astype(bool)[:, None], True),
 }
 
 
@@ -80,6 +90,28 @@ def test_every_entry_point_gives_the_same_verdict(entry, case):
         call(values)
     if entry in SINGLE_COLUMN and case in ("two columns", "row"):
         assert str(values.shape) in str(info.value)
+
+
+DTYPES = (np.int8, np.int16, np.int64, np.uint8, np.uint64, np.float64, np.bool_)
+
+
+@st.composite
+def small_matrices(draw):
+    """Small arrays of one dtype, mostly 0 and 1, sometimes any value of the dtype."""
+    dtype = np.dtype(draw(st.sampled_from(DTYPES)))
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 3)))
+    elements = st.one_of(st.sampled_from([0, 1]).map(dtype.type), from_dtype(dtype))
+    return draw(arrays(dtype, shape, elements=elements))
+
+
+@settings(max_examples=400, deadline=None)
+@given(z=small_matrices())
+def test_attribute_check_accepts_exactly_the_zero_one_values(z):
+    if np.isin(z, (0, 1)).all():
+        assert np.array_equal(_as_attributes(z), z.astype(np.int8))
+    else:
+        with pytest.raises(ValueError, match="attribute values must be 0 or 1"):
+            _as_attributes(z)
 
 
 def test_accepted_values_become_a_read_only_int8_column():

@@ -400,6 +400,110 @@ def test_every_prefix_of_a_reseeding_run_is_the_shorter_run(selection):
             assert_same_forest(run.prefix(size), alone)
 
 
+def run_rds_by_list(graph, z, config, rng, attribute_names, seeds=None) -> RecruitmentForest:
+    """The list-swapping loop that the position-only shuffle of ``run_rds`` replaced; ``z`` is (n, m)."""
+    n_target = config.target_sample_size
+    if seeds is None:
+        seeds = select_seeds(graph, config, rng)
+    sampled = np.zeros(graph.node_count, dtype=bool)
+    sampled[seeds] = True
+    nodes = np.asarray(seeds, dtype=np.int64).tolist()
+    recruiters = [-1] * len(nodes)
+    waves = [0] * len(nodes)
+    seed_ids = list(range(len(nodes)))
+    coupon_indices = [-1] * len(nodes)
+    head = 0
+    reseed_count = 0
+    truncated = False
+    coupons = config.coupons_per_node
+    num_seeds = config.num_seeds
+    uniforms = rng.random(n_target - num_seeds).tolist()
+
+    while len(nodes) < n_target:
+        if head == len(nodes):
+            if not config.reseed_on_death:
+                truncated = True
+                break
+            unsampled = np.flatnonzero(~sampled)
+            fresh = int(unsampled[int(uniforms[len(nodes) - num_seeds] * unsampled.size)])
+            sampled[fresh] = True
+            nodes.append(fresh)
+            recruiters.append(-1)
+            waves.append(0)
+            seed_ids.append(num_seeds + reseed_count)
+            coupon_indices.append(-1)
+            reseed_count += 1
+            continue
+        recruiter, wave, seed_id = nodes[head], waves[head] + 1, seed_ids[head]
+        head += 1
+        neighbors = graph.neighbors(recruiter)
+        open_list = neighbors[~sampled[neighbors]].tolist()
+        size = len(open_list)
+        budget = min(coupons, size, n_target - len(nodes))
+        if budget <= 0:
+            continue
+        first = len(nodes) - num_seeds
+        for t in range(budget):
+            j = t + int(uniforms[first + t] * (size - t))
+            open_list[t], open_list[j] = open_list[j], open_list[t]
+            sampled[open_list[t]] = True
+        nodes.extend(open_list[:budget])
+        recruiters.extend([recruiter] * budget)
+        waves.extend([wave] * budget)
+        seed_ids.extend([seed_id] * budget)
+        coupon_indices.extend(range(budget))
+
+    node_arr = np.asarray(nodes, dtype=np.int64)
+    return RecruitmentForest(
+        nodes=node_arr,
+        recruiters=recruiters,
+        waves=waves,
+        seed_ids=seed_ids,
+        coupon_indices=coupon_indices,
+        degrees=graph.degrees[node_arr],
+        attributes=z[node_arr],
+        attribute_names=attribute_names,
+        truncated=truncated,
+        reseed_count=reseed_count,
+    )
+
+
+@st.composite
+def sparse_to_dense_graphs(draw):
+    """(graph, attribute matrix): iid edges at a mean degree from 0 up to about n / 2, isolated nodes allowed."""
+    n = draw(st.integers(1, 60))
+    edge_prob = draw(st.floats(0.0, 0.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    src, dst = np.triu_indices(n, 1)
+    keep = rng.random(src.size) < edge_prob
+    isolated = rng.random(n) < draw(st.floats(0.0, 0.3))
+    keep &= ~isolated[src] & ~isolated[dst]
+    z = rng.integers(0, 2, size=(n, draw(st.integers(1, 3))))
+    return Graph(n, src[keep], dst[keep]), z
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), case=sparse_to_dense_graphs(), reseed=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_run_rds_matches_the_list_swapping_loop(data, case, reseed, seed):
+    graph, z = case
+    n = graph.node_count
+    num_seeds = data.draw(st.integers(1, min(n, 5)))
+    selection = data.draw(st.sampled_from(("uniform", "degree", "explicit")))
+    config = SamplerConfig(
+        num_seeds=num_seeds,
+        coupons_per_node=data.draw(st.integers(1, 6)),
+        target_sample_size=data.draw(st.integers(num_seeds, n)),
+        seed_selection="uniform" if selection == "explicit" else selection,
+        reseed_on_death=reseed,
+    )
+    seeds = data.draw(st.permutations(range(n)))[:num_seeds] if selection == "explicit" else None
+    names = tuple(f"z{k}" for k in range(z.shape[1]))
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    forest = run_rds(graph, z, config, rng, names, seeds=seeds)
+    assert_same_forest(forest, run_rds_by_list(graph, z, config, twin, names, seeds=seeds))
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
 def triangles_run(config, seed, seeds=None) -> RecruitmentForest:
     rng = np.random.default_rng(seed)
     return run_rds(TWO_TRIANGLES, np.zeros(6, dtype=np.int8), config, rng, seeds=seeds)

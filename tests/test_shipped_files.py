@@ -3,7 +3,8 @@
 Desk scale is the shipped ``*_desk.cfg`` files, so each must stay its
 full-size config with only the desk keys changed. README's command-line
 section must name only commands and options that the parser accepts, and
-the CI workflow must run ROADMAP's tier-1 command on the golden numpy.
+the CI workflow must run ROADMAP's tier-1 command on the golden numpy,
+then the benchmark self-test.
 """
 
 import json
@@ -98,5 +99,6 @@ def test_ci_runs_the_roadmap_tier1_command_on_the_golden_numpy():
     runs = [step["run"] for step in steps if "run" in step]
     tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text()).group(1)
     golden = json.loads((ROOT / "tests/golden_digests.json").read_text())["numpy"]
-    assert runs[-1] == tier1
     assert f'"numpy=={golden}"' in runs[0].split()
+    # the benchmark self-test follows the tier-1 step and ends the job
+    assert runs[-2:] == [tier1, "python3 perfbench/selftest.py"]
