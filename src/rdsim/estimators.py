@@ -37,6 +37,8 @@ __all__ = [
     "sample_estimates",
 ]
 
+_MARK_COLUMNS = 7  # attribute columns per uint8 node mark, whose bit 0 flags a sampled node
+
 
 def estimate_differential_activity(
     forest: RecruitmentForest, attribute: int | str = 0
@@ -63,7 +65,8 @@ def estimate_homophily(
         cross edges for the ratio).
     """
     z = forest.attribute_column(attribute)
-    counts = _classify(z[forest.recruiter_entries], z[forest.recruiters >= 0])
+    za, zb = z[forest.recruiter_entries], z[forest.recruiters >= 0]
+    counts = _classify(za & zb, za | zb, za.size)
     return or_none(newman_assortativity, counts), or_none(homophily_ratio, counts)
 
 
@@ -81,14 +84,31 @@ def induced_homophily(
 
 
 def _induced_counts(nodes: np.ndarray, attributes: np.ndarray, graph: Graph) -> list[MixingCounts]:
-    """Induced-subgraph mixing counts of each attribute column, sampled ``nodes`` by row."""
-    inside = np.zeros(graph.node_count, dtype=bool)
-    inside[nodes] = True
-    keep = np.flatnonzero(inside[graph.src] & inside[graph.dst])  # gathers beat two mask compressions
-    entry = np.zeros(graph.node_count, dtype=np.int64)
-    entry[nodes] = np.arange(nodes.size)
-    a, b = entry[graph.src[keep]], entry[graph.dst[keep]]
-    return [_classify(column[a], column[b]) for column in attributes.T]
+    """Induced-subgraph mixing counts of each attribute column, sampled ``nodes`` by row.
+
+    Each node gets one ``uint8`` mark per block of up to seven columns: bit
+    0 is set for a sampled node, and bit k + 1 holds its value in the
+    block's column k; an unsampled node's mark is 0. One gather of the
+    marks at each edge end gives two per-edge arrays, whose AND and OR
+    classify every column of the block at once. An edge is induced where
+    the AND has bit 0. The OR is cleared on the other edges, so that an
+    edge with one unsampled end counts in no class; the AND of such an
+    edge holds no column bit, since the unsampled end's mark is 0.
+    """
+    counts = []
+    for start in range(0, attributes.shape[1], _MARK_COLUMNS):
+        block = attributes[:, start : start + _MARK_COLUMNS]
+        mark = np.zeros(graph.node_count, dtype=np.uint8)
+        mark[nodes] = (np.packbits(block, axis=1, bitorder="little")[:, 0] << 1) | 1
+        a, b = mark[graph.src], mark[graph.dst]
+        both = a & b
+        inside = both & 1
+        total = np.count_nonzero(inside)
+        either = (a | b) & (inside * 0xFF)
+        for k in range(block.shape[1]):
+            bit = np.uint8(2 << k)
+            counts.append(_classify(both & bit, either & bit, total))
+    return counts
 
 
 def rds2_prevalence(forest: RecruitmentForest, attribute: int | str = 0) -> float:

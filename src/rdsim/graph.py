@@ -308,14 +308,22 @@ def _activity_ratio(z: np.ndarray, degrees: np.ndarray) -> float:
 def mixing_counts(graph: Graph, values) -> MixingCounts:
     """Exact edge counts by endpoint-attribute class (each edge once)."""
     z = _as_attribute(values, graph.node_count)
-    return _classify(z[graph.src], z[graph.dst])
+    za, zb = z[graph.src], z[graph.dst]
+    return _classify(za & zb, za | zb, za.size)
 
 
-def _classify(za: np.ndarray, zb: np.ndarray) -> MixingCounts:
-    """Mixing counts of the edges whose endpoint attributes are ``za[i]``, ``zb[i]``, each 0 or 1."""
-    within_1 = int(np.count_nonzero(za & zb))
-    within_0 = int(za.size) - int(np.count_nonzero(za | zb))
-    return MixingCounts(within_1=within_1, within_0=within_0, cross=int(za.size) - within_1 - within_0)
+def _classify(both: np.ndarray, either: np.ndarray, total: int) -> MixingCounts:
+    """Mixing counts of ``total`` edges from the AND and OR of their endpoint values.
+
+    An edge is within-1 where ``both`` is nonzero, and within-0 where
+    ``either`` is zero. The arrays may hold more entries than ``total``
+    edges, as long as every extra entry is zero in both of them: the
+    extra entries then count as neither, and the within-0 count is
+    ``total`` minus the nonzero entries of ``either``.
+    """
+    within_1 = int(np.count_nonzero(both))
+    within_0 = int(total) - int(np.count_nonzero(either))
+    return MixingCounts(within_1=within_1, within_0=within_0, cross=int(total) - within_1 - within_0)
 
 
 def newman_assortativity(counts: MixingCounts) -> float:

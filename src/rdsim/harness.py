@@ -287,14 +287,15 @@ def _experiment_task(args: tuple[ExperimentPlan, tuple[Cell, ...], tuple[int, ..
     truth = _realized_truth(graph, z)
     # the config does not sort the sample sizes, so the largest need not be last
     config = plan.sampler_config(max(cells, key=lambda cell: cell.sample_size))
+    keyed = [(cell, _cell_key(cell)) for cell in cells]
     rows = []
     for replicate in replicates:
         rds_rng = np.random.default_rng(plan._entropy(_TAG_RDS, cells[0], replicate))
         run = run_rds(graph, z, config, rds_rng)
-        for cell in cells:
+        for cell, key in keyed:
             forest = run.prefix(cell.sample_size)
             est = sample_estimates(forest, graph)
-            rows.append(_ok_row(_cell_key(cell), replicate, forest, est, [truth], [""]))
+            rows.append(_ok_row(key, replicate, forest, est, [truth], [""]))
     return rows
 
 

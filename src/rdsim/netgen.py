@@ -415,7 +415,10 @@ class _PatternClasses:
         code = z.astype(np.int64) @ (1 << bits)
         codes, sizes = np.unique(code, return_counts=True)
         self.patterns = (codes[:, None] >> bits) & 1
-        self.members = np.split(np.argsort(code, kind="stable"), np.cumsum(sizes)[:-1])
+        # the rank of each row's pattern orders the rows as the code does, and
+        # in a dtype of at most 16 bits numpy's stable sort is a radix sort
+        rank = np.searchsorted(codes, code).astype(np.min_scalar_type(codes.size - 1))
+        self.members = np.split(np.argsort(rank, kind="stable"), np.cumsum(sizes)[:-1])
 
         ai, bi = np.triu_indices(codes.size)
         counts = np.where(

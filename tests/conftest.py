@@ -8,10 +8,12 @@ can vouch for the production implementations.
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from rdsim import Graph
+from rdsim.graph import MixingCounts
 
 
 def pair_iter(n):
@@ -68,6 +70,27 @@ def newman_from_matrix(w1: int, w0: int, cross: int) -> float | None:
     if s == 1.0:
         return None
     return (float(np.trace(e)) - s) / (1.0 - s)
+
+
+def networkx_induced_counts(forest, graph: Graph) -> list[MixingCounts]:
+    """Each attribute column's mixing counts over networkx's subgraph of the sampled nodes, by a pair loop."""
+    population = nx.Graph()
+    population.add_nodes_from(range(graph.node_count))
+    population.add_edges_from(zip(graph.src.tolist(), graph.dst.tolist()))
+    values = dict(zip(forest.nodes.tolist(), forest.attributes.tolist()))
+    edges = list(population.subgraph(forest.nodes.tolist()).edges)
+    counts = []
+    for k in range(forest.attributes.shape[1]):
+        w1 = w0 = cross = 0
+        for u, v in edges:
+            if values[u][k] == 1 and values[v][k] == 1:
+                w1 += 1
+            elif values[u][k] == 0 and values[v][k] == 0:
+                w0 += 1
+            else:
+                cross += 1
+        counts.append(MixingCounts(within_1=w1, within_0=w0, cross=cross))
+    return counts
 
 
 def random_graph(n: int, edge_prob: float, rng: np.random.Generator):

@@ -7,7 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rdsim import ConfigError, Graph, read_edge_list, read_forest
+from rdsim import (
+    ConfigError,
+    Graph,
+    SamplerConfig,
+    newman_assortativity,
+    read_edge_list,
+    read_forest,
+    run_rds,
+    write_edge_list,
+    write_forest,
+)
 from rdsim.cli import _attribute_stats, main
 from rdsim.config import (
     covariate_spec_from_config,
@@ -17,6 +27,8 @@ from rdsim.config import (
     parse_config,
     sampler_config_from_config,
 )
+from rdsim.errors import or_none
+from conftest import networkx_induced_counts, random_graph
 
 EXPERIMENT_CFG = """\
 # sweep definition
@@ -399,6 +411,23 @@ class TestCliPipeline:
         with open(est_out / "estimates.csv", newline="") as fh:
             row = next(csv.DictReader(fh))
         assert row["est_induced_homophily_z"] != ""
+
+    def test_estimate_edges_with_nine_attribute_columns(self, tmp_path):
+        # more columns than one node mark holds, as a cohort file's covariates can be
+        rng = np.random.default_rng(8)
+        graph, _, _ = random_graph(60, 0.15, rng)
+        names = tuple(f"c{k}" for k in range(9))
+        z = (rng.random((60, 9)) < np.linspace(0.1, 0.9, 9)).astype(np.int8)
+        forest = run_rds(graph, z, SamplerConfig(3, 2, 40), rng, names)
+        write_forest(forest, tmp_path / "forest.csv")
+        write_edge_list(graph, tmp_path / "edges.csv")
+        argv = ["estimate", "--forest", str(tmp_path / "forest.csv"), "--edges", str(tmp_path / "edges.csv")]
+        assert main(argv + ["--out", str(tmp_path / "est"), "-q"]) == 0
+        with open(tmp_path / "est" / "estimates.csv", newline="") as fh:
+            row = next(csv.DictReader(fh))
+        for name, counts in zip(names, networkx_induced_counts(forest, graph)):
+            written = row[f"est_induced_homophily_{name}"]
+            assert (float(written) if written else None) == or_none(newman_assortativity, counts)
 
     def test_estimate_equal_degrees_rds2_equals_crude(self, tmp_path):
         # a 6-cycle: every degree is 2, so the weighting cancels

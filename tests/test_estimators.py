@@ -1,4 +1,3 @@
-import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,8 +20,9 @@ from rdsim import (
     sample_estimates,
 )
 from rdsim.errors import or_none
+from rdsim.estimators import _induced_counts
 from rdsim.graph import MixingCounts, _classify
-from conftest import complete_graph, random_graph
+from conftest import complete_graph, networkx_induced_counts, random_graph
 
 
 def make_forest(entries, attribute_names=("z",)):
@@ -158,32 +158,18 @@ class TestInducedHomophily:
         assert r == homophily_ratio(counts)
 
 
-def keep_mask_homophily(forest, graph, k):
-    """Induced homophily by the keep-mask route: mask the induced edges, then classify them."""
+def keep_mask_counts(forest, graph, k) -> MixingCounts:
+    """Induced mixing counts of column k by the keep-mask route: mask the induced edges, then classify them."""
     in_sample = np.zeros(graph.node_count, dtype=bool)
     in_sample[forest.nodes] = True
     keep = in_sample[graph.src] & in_sample[graph.dst]
     z_full = np.zeros(graph.node_count, dtype=np.int64)
     z_full[forest.nodes] = forest.attribute_column(k)
-    counts = _classify(z_full[graph.src[keep]], z_full[graph.dst[keep]])
-    return or_none(newman_assortativity, counts), or_none(homophily_ratio, counts)
+    za, zb = z_full[graph.src[keep]], z_full[graph.dst[keep]]
+    return _classify(za & zb, za | zb, za.size)
 
 
-def networkx_homophily(forest, graph, k):
-    """Induced homophily by networkx's subgraph of the sampled nodes, its edges classified by a pair loop."""
-    population = nx.Graph()
-    population.add_nodes_from(range(graph.node_count))
-    population.add_edges_from(zip(graph.src.tolist(), graph.dst.tolist()))
-    z = dict(zip(forest.nodes.tolist(), forest.attribute_column(k).tolist()))
-    w1 = w0 = cross = 0
-    for u, v in population.subgraph(forest.nodes.tolist()).edges:
-        if z[u] == 1 and z[v] == 1:
-            w1 += 1
-        elif z[u] == 0 and z[v] == 0:
-            w0 += 1
-        else:
-            cross += 1
-    counts = MixingCounts(within_1=w1, within_0=w0, cross=cross)
+def homophily_of(counts):
     return or_none(newman_assortativity, counts), or_none(homophily_ratio, counts)
 
 
@@ -210,7 +196,7 @@ def sampled_graphs(draw):
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     graph = Graph(n, [e[0] for e in edges], [e[1] for e in edges])
     columns = []
-    for _ in range(draw(st.integers(1, 5))):
+    for _ in range(draw(st.integers(1, 16))):  # up to three blocks of marks
         constant = draw(st.sampled_from([None, 0, 1]))
         cells = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
         columns.append(cells if constant is None else [constant] * n)
@@ -228,12 +214,15 @@ def sampled_graphs(draw):
 @given(sampled_graphs())
 def test_induced_homophily_matches_keep_mask_and_networkx_subgraph(case):
     graph, forest = case
+    counts = _induced_counts(forest.nodes, forest.attributes, graph)
+    expected = networkx_induced_counts(forest, graph)
+    assert len(counts) == len(expected) == len(forest.attribute_names)
     together = sample_estimates(forest, graph).induced_homophily
-    for k in range(len(forest.attribute_names)):
-        expected = networkx_homophily(forest, graph, k)
-        assert keep_mask_homophily(forest, graph, k) == expected
-        assert induced_homophily(forest, graph, k) == expected
-        assert together[k] == expected[0]
+    for k, want in enumerate(expected):
+        assert keep_mask_counts(forest, graph, k) == want
+        assert counts[k] == want
+        assert induced_homophily(forest, graph, k) == homophily_of(want)
+        assert together[k] == homophily_of(want)[0]
 
 
 class TestInducedHomophilyCases:
@@ -243,7 +232,7 @@ class TestInducedHomophilyCases:
     def test_census(self):
         forest = seed_forest(self.GRAPH, self.Z, range(6))
         # within-1: 0-1; within-0: none; cross: 0-2, 1-2, 2-3, 3-4, 4-5
-        assert induced_homophily(forest, self.GRAPH, 0) == keep_mask_homophily(forest, self.GRAPH, 0)
+        assert induced_homophily(forest, self.GRAPH, 0) == homophily_of(keep_mask_counts(forest, self.GRAPH, 0))
         assert induced_homophily(forest, self.GRAPH, 0)[1] == 1 / 5
 
     def test_single_class_sample(self):
@@ -255,6 +244,12 @@ class TestInducedHomophilyCases:
     def test_no_induced_edges(self):
         forest = seed_forest(self.GRAPH, self.Z, [0, 3, 5])
         assert induced_homophily(forest, self.GRAPH, 0) == (None, None)
+
+    def test_edgeless_graph_past_one_block(self):
+        graph = Graph(4, [], [])
+        z = np.tile(np.array([[1], [0], [1], [1]], dtype=np.int8), (1, 9))
+        forest = seed_forest(graph, z, [2, 0, 1])
+        assert _induced_counts(forest.nodes, forest.attributes, graph) == [MixingCounts(0, 0, 0)] * 9
 
 
 class TestRds2Prevalence:

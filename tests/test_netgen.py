@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import expit
@@ -281,6 +281,24 @@ class TestPatternClasses:
         ]:
             assert got.dtype == expected.dtype
             assert np.array_equal(got, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 600),
+        m=st.integers(1, 12),
+        density=st.floats(0.0, 1.0),
+    )
+    @example(seed=0, n=600, m=12, density=0.5)  # about 560 patterns: ranks past uint8
+    def test_members_are_stable_argsort_of_code(self, seed, n, m, density):
+        z = (np.random.default_rng(seed).random((n, m)) < density).astype(np.int8)
+        code = z.astype(np.int64) @ (1 << np.arange(m - 1, -1, -1, dtype=np.int64))
+        sizes = np.unique(code, return_counts=True)[1]
+        expected = np.split(np.argsort(code, kind="stable"), np.cumsum(sizes)[:-1])
+        members = _PatternClasses(z).members
+        assert len(members) == len(expected)
+        for got, want in zip(members, expected):
+            assert np.array_equal(got, want)
 
     def test_probabilities_match_expit_bit_for_bit(self):
         # one dyad class, statistics (1, 1, 0): its log-odds is theta[0] + theta[1]
