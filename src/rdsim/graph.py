@@ -47,8 +47,11 @@ __all__ = [
 
 EDGE_COLUMNS = ("src", "dst")
 
-# largest n for which every edge key lo * n + hi (at most n*n - 1) fits in
-# int64; up to MAX_KEY32_NODE_COUNT the keys fit uint32 and sort faster
+# Edge keys pack lo << b | hi with b = max((n - 1).bit_length(), 1), so they
+# fit 2b bits: uint32 up to MAX_KEY32_NODE_COUNT = 2**16 nodes (b <= 16),
+# which sorts faster, and uint64 above it. MAX_NODE_COUNT (b = 32) is the
+# largest n whose product keys lo * n + hi, at most n*n - 1, fit int64:
+# `rdsim estimate` still packs its tie check that way.
 MAX_NODE_COUNT = 3_037_000_499
 MAX_KEY32_NODE_COUNT = 65_536
 
@@ -58,15 +61,18 @@ class Graph:
 
     Edges are stored once in canonical order (``src < dst``, sorted), with a
     CSR-style adjacency (sorted neighbor array per node) built alongside.
-    Both orders come from sorting one integer key per edge end (``lo * n +
-    hi`` for the edge list, ``end * n + other`` for the adjacency). The
-    keys are at most ``n*n - 1``: up to :data:`MAX_KEY32_NODE_COUNT`
-    (65,536) nodes they are ``uint32``, which sorts about twice as fast,
-    and above it ``int64``, so ``node_count`` may not exceed
-    :data:`MAX_NODE_COUNT`, the largest n whose keys fit in int64. The
-    public arrays are int64 at either width. Self-loops and parallel edges
-    are rejected. All arrays are frozen after construction, so instances
-    are safe to share across workers.
+    Both orders come from sorting one shift-packed key per edge end (``lo
+    << b | hi`` for the edge list, ``end << b | other`` for the adjacency,
+    with ``b = max((n - 1).bit_length(), 1)``), unpacked again with ``>>``
+    and ``&``. Up to :data:`MAX_KEY32_NODE_COUNT` (65,536) nodes the keys
+    are ``uint32``, which sorts about twice as fast, and above it
+    ``uint64``; ``node_count`` may not exceed :data:`MAX_NODE_COUNT`.
+
+    ``src`` and ``dst`` may have any integer dtype: they are range-checked
+    in that dtype and then cast straight to the key dtype, so narrow draws
+    stay narrow. The public arrays are int64 at either key width.
+    Self-loops and parallel edges are rejected. All arrays are frozen after
+    construction, so instances are safe to share across workers.
     """
 
     __slots__ = ("_n", "_src", "_dst", "_indptr", "_indices", "_degrees")
@@ -77,39 +83,47 @@ class Graph:
             raise ValueError("node_count must be >= 1")
         if n > MAX_NODE_COUNT:
             raise ValueError(f"node_count must be <= {MAX_NODE_COUNT}, got {n}")
-        src = _as_int64(src, "src")
-        dst = _as_int64(dst, "dst")
+        src = _as_integers(src, "src")
+        dst = _as_integers(dst, "dst")
         if src.shape != dst.shape:
             raise ValueError("src and dst must have equal length")
         if src.size:
             if src.min() < 0 or dst.min() < 0 or src.max() >= n or dst.max() >= n:
                 raise ValueError("edge endpoint out of range")
-        key_type = np.uint32 if n <= MAX_KEY32_NODE_COUNT else np.int64
-        lo = np.minimum(src, dst).astype(key_type, copy=False)
-        hi = np.maximum(src, dst).astype(key_type, copy=False)
+        # exact once the range is checked; casting each end on its own also
+        # keeps mixed int64/uint64 input away from float64 promotion
+        key_type = np.uint32 if n <= MAX_KEY32_NODE_COUNT else np.uint64
+        src = src.astype(key_type, copy=False)
+        dst = dst.astype(key_type, copy=False)
+        lo = np.minimum(src, dst)
+        hi = np.maximum(src, dst)
         if np.any(lo == hi):
             raise ValueError("self-loops are not allowed")
         # keys are unique once parallel edges are ruled out, so a plain
         # (unstable) sort of the key gives the lexicographic (lo, hi) order
-        key = lo * n
-        key += hi
+        shift = max((n - 1).bit_length(), 1)
+        mask = (1 << shift) - 1
+        key = lo
+        key <<= shift
+        key |= hi
         key.sort()
         if np.any(key[1:] == key[:-1]):
             raise ValueError("parallel edges are not allowed")
-        lo, hi = np.divmod(key, n)
+        lo = key >> shift
+        hi = key & mask
 
-        # adjacency keys end * n + other: the lo ends are the sorted edge
-        # keys themselves, the hi ends need hi * n + lo
+        # adjacency keys end << b | other: the lo ends are the sorted edge
+        # keys themselves, the hi ends need hi << b | lo
         e = key.size
         adj = np.empty(2 * e, dtype=key_type)
         adj[:e] = key
-        np.multiply(hi, n, out=adj[e:])
-        adj[e:] += lo
+        np.left_shift(hi, shift, out=adj[e:])
+        adj[e:] |= lo
         adj.sort()
-        adj %= n
-        lo = lo.astype(np.int64, copy=False)
-        hi = hi.astype(np.int64, copy=False)
-        indices = adj.astype(np.int64, copy=False)
+        adj &= mask
+        lo = lo.astype(np.int64)
+        hi = hi.astype(np.int64)
+        indices = adj.astype(np.int64)
         degrees = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
@@ -212,13 +226,18 @@ class MixingCounts:
         return self.within_1 + self.within_0 + self.cross
 
 
-def _as_int64(values, name: str) -> np.ndarray:
-    """``values`` as a flat int64 array; a non-integer dtype is an error, not truncated."""
+def _as_integers(values, name: str) -> np.ndarray:
+    """``values`` as a flat array of its own integer dtype; a non-integer dtype is an error, not truncated."""
     arr = np.asarray(values).ravel()
     # an empty list is float64 to numpy, and holds no value to truncate
     if arr.size and arr.dtype.kind not in "iu":
         raise ValueError(f"{name} must be integers, not {arr.dtype}")
-    return arr.astype(np.int64, copy=False)
+    return arr
+
+
+def _as_int64(values, name: str) -> np.ndarray:
+    """``values`` as a flat int64 array; a non-integer dtype is an error, not truncated."""
+    return _as_integers(values, name).astype(np.int64, copy=False)
 
 
 def _as_attributes(values, rows: int | None = None) -> np.ndarray:

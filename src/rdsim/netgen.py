@@ -14,7 +14,10 @@ Both generators share one draw path. Each class draws its edge count
 (binomial, or apportioned to an exact edge total); given the count, the
 edges are a uniform subset of the class's dyads, which is
 distribution-identical to independent per-dyad Bernoulli draws and scales
-to populations where enumerating all dyads is impractical.
+to populations where enumerating all dyads is impractical. Node indices
+travel as ``uint32`` from the class member lists through the draws to
+:class:`~rdsim.graph.Graph`, which takes them at that width, so the
+per-class gathers and their concatenation move half the bytes of int64.
 """
 
 from __future__ import annotations
@@ -212,6 +215,17 @@ def _decode_triangular(t: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray
     return i, t - start + i + 1
 
 
+def _decode_rectangular(t: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Map linear dyad indices to (i, j) = ``divmod(t, size)`` across two groups.
+
+    Row i holds the ``size`` dyads of node i of the first group. Floor
+    division by a scalar runs through numpy's libdivide path, which
+    ``np.divmod`` does not take, so j comes from one multiply instead.
+    """
+    i = t // size
+    return i, t - i * size
+
+
 def _sample_class_dyads(
     group_a: np.ndarray, group_b: np.ndarray | None, k: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -225,7 +239,8 @@ def _sample_class_dyads(
     else:
         population = group_a.size * group_b.size
     if k == 0:
-        empty = np.empty(0, dtype=np.int64)
+        # the members' dtype, or concatenating the parts would widen them
+        empty = np.empty(0, dtype=group_a.dtype)
         return empty, empty.copy()
     if k > population:
         raise ValueError("cannot draw more dyads than the class contains")
@@ -236,7 +251,7 @@ def _sample_class_dyads(
     if group_b is None:
         i, j = _decode_triangular(chosen, group_a.size)
         return group_a[i], group_a[j]
-    i, j = np.divmod(chosen, group_b.size)
+    i, j = _decode_rectangular(chosen, group_b.size)
     return group_a[i], group_b[j]
 
 
@@ -400,7 +415,12 @@ def _logistic(v: float) -> float:
 
 
 class _PatternClasses:
-    """Dyads grouped by the unordered pair of endpoint attribute patterns."""
+    """Dyads grouped by the unordered pair of endpoint attribute patterns.
+
+    ``members[c]`` holds the ``uint32`` indices of the nodes with pattern
+    ``c``, ascending; ``uint32`` covers every node count up to
+    :data:`~rdsim.graph.MAX_NODE_COUNT`.
+    """
 
     def __init__(self, z: np.ndarray):
         z = _as_attributes(z)
@@ -418,7 +438,8 @@ class _PatternClasses:
         # the rank of each row's pattern orders the rows as the code does, and
         # in a dtype of at most 16 bits numpy's stable sort is a radix sort
         rank = np.searchsorted(codes, code).astype(np.min_scalar_type(codes.size - 1))
-        self.members = np.split(np.argsort(rank, kind="stable"), np.cumsum(sizes)[:-1])
+        order = np.argsort(rank, kind="stable").astype(np.uint32)
+        self.members = np.split(order, np.cumsum(sizes)[:-1])
 
         ai, bi = np.triu_indices(codes.size)
         counts = np.where(

@@ -164,14 +164,23 @@ def sparse_edge_lists(draw):
     return n, draw(st.permutations(edges), label="edges")
 
 
+def largest_shift_key(n):
+    """The adjacency key (n-1) << b | (n-2) of the edge (n-2, n-1), the largest key on n nodes."""
+    shift = max((n - 1).bit_length(), 1)
+    return (n - 1) << shift | (n - 2)
+
+
 class TestGraphKeyWidths:
     """Both key widths, uint32 up to MAX_KEY32_NODE_COUNT nodes and int64 above, give the reference graph."""
 
     @staticmethod
-    def assert_matches_oracles(n, edges):
+    def assert_matches_oracles(n, edges, dtypes=None):
         src = [u for u, _ in edges]
         dst = [v for _, v in edges]
-        graph = Graph(n, src, dst)
+        if dtypes is None:
+            graph = Graph(n, src, dst)
+        else:
+            graph = Graph(n, np.array(src, dtype=dtypes[0]), np.array(dst, dtype=dtypes[1]))
         got = (graph.src, graph.dst, graph.degrees, graph._indptr, graph._indices)
         for actual, expected in zip(got, lexsort_reference(n, src, dst)):
             assert actual.dtype == expected.dtype == np.int64
@@ -186,14 +195,18 @@ class TestGraphKeyWidths:
             assert graph.neighbors(v).tolist() == sorted(oracle.neighbors(v))
 
     def test_switch_point_is_the_largest_uint32_node_count(self):
-        # the largest key of a simple graph is the adjacency key (n-1) * n + (n-2) = n*n - 2
-        assert MAX_KEY32_NODE_COUNT**2 - 2 == np.iinfo(np.uint32).max - 1
-        assert (MAX_KEY32_NODE_COUNT + 1) ** 2 - 2 > np.iinfo(np.uint32).max
+        # the largest key of a simple graph is the adjacency key (n-1) << b | (n-2)
+        assert largest_shift_key(MAX_KEY32_NODE_COUNT) == np.iinfo(np.uint32).max - 1
+        assert largest_shift_key(MAX_KEY32_NODE_COUNT + 1) > np.iinfo(np.uint32).max
+
+    def test_largest_shift_key_at_the_node_cap_fits_uint64(self):
+        assert (MAX_NODE_COUNT - 1).bit_length() == 32
+        assert largest_shift_key(MAX_NODE_COUNT) <= np.iinfo(np.uint64).max
 
     @pytest.mark.parametrize("n", [MAX_KEY32_NODE_COUNT, MAX_KEY32_NODE_COUNT + 1])
     def test_largest_keys_at_the_switch_point(self, n):
-        # (n-2, n-1) has the largest edge key n*n - n - 1 and adjacency key
-        # n*n - 2: 2**32 - 2 at n = 65,536, beyond uint32 at n = 65,537
+        # (n-2, n-1) has the largest edge key and the largest adjacency key
+        # (n-1) << b | (n-2): 2**32 - 2 at n = 65,536, beyond uint32 at n = 65,537
         edges = [(n - 1, n - 2), (0, n - 1), (n - 3, n - 2), (1, 0), (n - 1, n - 3)]
         self.assert_matches_oracles(n, edges)
 
@@ -208,6 +221,76 @@ class TestGraphKeyWidths:
     @given(sparse_edge_lists())
     def test_matches_lexsort_reference_and_networkx(self, case):
         self.assert_matches_oracles(*case)
+
+
+KEY_WIDTH_NODE_COUNTS = (2, MAX_KEY32_NODE_COUNT, MAX_KEY32_NODE_COUNT + 1)
+ENDPOINT_DTYPES = [
+    (np.int64, np.int64),
+    (np.int32, np.int32),
+    (np.uint32, np.uint32),
+    (np.uint16, np.uint16),
+    (np.uint64, np.uint64),
+    (np.int64, np.uint64),
+    (np.uint64, np.int64),
+]
+
+
+class TestGraphEndpointDtypes:
+    """Endpoints of any integer dtype are checked in that dtype and give the reference graph."""
+
+    @pytest.mark.parametrize(
+        "n, dtypes",
+        [
+            (n, dtypes)
+            for n in KEY_WIDTH_NODE_COUNTS
+            for dtypes in ENDPOINT_DTYPES
+            if all(n - 1 <= np.iinfo(t).max for t in dtypes)
+        ],
+    )
+    def test_matches_lexsort_reference_and_networkx(self, n, dtypes):
+        if n == 2:
+            edges = [(1, 0)]
+        else:
+            edges = [(n - 1, n - 2), (0, n - 1), (n - 3, n - 2), (1, 0), (n - 1, n - 3)]
+        TestGraphKeyWidths.assert_matches_oracles(n, edges, dtypes)
+
+    @pytest.mark.parametrize("n", KEY_WIDTH_NODE_COUNTS)
+    def test_narrow_endpoints_range_check_in_their_own_dtype(self, n):
+        # the node count may exceed the dtype's range, and its top value may exceed n - 1
+        narrow = Graph(n, np.array([1], dtype=np.uint8), np.array([0], dtype=np.uint8))
+        assert narrow.src.tolist() == [0] and narrow.dst.tolist() == [1]
+        if n - 1 < np.iinfo(np.uint16).max:
+            with pytest.raises(ValueError, match="edge endpoint out of range"):
+                Graph(n, np.array([0], dtype=np.uint16), np.array([np.iinfo(np.uint16).max], dtype=np.uint16))
+
+    @pytest.mark.parametrize("n", KEY_WIDTH_NODE_COUNTS)
+    @pytest.mark.parametrize("top", [2**63, 2**63 + 1, 2**64 - 1])
+    def test_uint64_endpoints_past_int64_are_out_of_range(self, n, top):
+        ends = np.array([0, top], dtype=np.uint64)
+        with pytest.raises(ValueError, match="edge endpoint out of range"):
+            Graph(n, ends, np.array([1, 1], dtype=np.uint64))
+        with pytest.raises(ValueError, match="edge endpoint out of range"):
+            Graph(n, np.array([1, 1], dtype=np.int64), ends)
+
+    @pytest.mark.parametrize("n", KEY_WIDTH_NODE_COUNTS)
+    def test_negative_int32_endpoints_are_out_of_range(self, n):
+        with pytest.raises(ValueError, match="edge endpoint out of range"):
+            Graph(n, np.array([1, -1], dtype=np.int32), np.array([0, 1], dtype=np.int32))
+        with pytest.raises(ValueError, match="edge endpoint out of range"):
+            Graph(n, np.array([1], dtype=np.int32), np.array([np.iinfo(np.int32).min], dtype=np.int32))
+
+    def test_non_integer_and_empty_inputs(self):
+        with pytest.raises(ValueError, match="src must be integers, not float64"):
+            Graph(3, np.array([0.0, 1.0]), np.array([1, 2]))
+        with pytest.raises(ValueError, match="dst must be integers, not float32"):
+            Graph(3, np.array([0, 1]), np.array([1.0, 2.0], dtype=np.float32))
+        with pytest.raises(ValueError, match="src and dst must have equal length"):
+            Graph(3, np.array([0, 1], dtype=np.uint32), np.array([1], dtype=np.uint32))
+        single = Graph(1, [], [])
+        assert single.edge_count == 0
+        assert single.degrees.tolist() == [0]
+        assert single._indptr.tolist() == [0, 0]
+        assert single.src.dtype == single.dst.dtype == single._indices.dtype == np.int64
 
 
 class TestBasicStatistics:

@@ -11,6 +11,7 @@ from scipy.special import expit
 from rdsim import (
     AttributeTargets,
     FitConvergenceError,
+    Graph,
     InfeasibleTargetsError,
     NetworkTargets,
     differential_activity,
@@ -22,7 +23,17 @@ from rdsim import (
     simulate_from_model,
     solve_dyad_classes,
 )
-from rdsim.netgen import DyadModel, _apportion_counts, _decode_triangular, _PatternClasses
+from rdsim import netgen
+from rdsim.netgen import (
+    DyadModel,
+    _apportion_counts,
+    _binomial_counts,
+    _decode_rectangular,
+    _decode_triangular,
+    _draw_graph,
+    _PatternClasses,
+    _sample_class_dyads,
+)
 
 # Sweep values from the single-attribute study grid.
 GRID_P = (0.1, 0.5, 0.8)
@@ -222,6 +233,123 @@ class TestTriangularDecode:
         t = sorted(x for x in {s + d for s in starts for d in (-1, 0, 1)} if 0 <= x < count)
         i, j = _decode_triangular(np.array(t, dtype=np.int64), size)
         assert list(zip(i.tolist(), j.tolist())) == [exact_dyad(x, size) for x in t]
+
+
+class TestRectangularDecode:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_divmod(self, data):
+        # group sizes up to 2**31 each, so the population reaches 2**62
+        size_a = data.draw(st.integers(1, 2**31) | st.integers(2**31 - 2, 2**31), label="size_a")
+        size_b = data.draw(st.integers(1, 2**31) | st.integers(2**31 - 2, 2**31), label="size_b")
+        population = size_a * size_b
+        index = st.integers(0, population - 1)
+        # row boundaries: both ends of the first row, the start of the second, both ends of the last
+        boundaries = (0, size_b - 1, size_b, population - size_b, population - 1)
+        rows = st.sampled_from([x for x in boundaries if x < population])
+        t = np.array(data.draw(st.lists(index | rows, min_size=1, max_size=50), label="t"), dtype=np.int64)
+        i, j = _decode_rectangular(t, size_b)
+        want_i, want_j = np.divmod(t, size_b)
+        assert i.dtype == j.dtype == np.int64
+        assert np.array_equal(i, want_i)
+        assert np.array_equal(j, want_j)
+
+
+class TestSampleClassDyads:
+    @pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+    @pytest.mark.parametrize("within", [True, False])
+    def test_returns_the_members_dtype_for_every_count(self, dtype, within):
+        group_a = np.array([1, 4, 6, 9], dtype=dtype)
+        group_b = None if within else np.array([0, 2, 3], dtype=dtype)
+        population = 6 if within else 12
+        for k in (0, 1, population - 1, population):
+            src, dst = _sample_class_dyads(group_a, group_b, k, np.random.default_rng(k))
+            assert src.dtype == dst.dtype == dtype
+            assert src.size == dst.size == k
+            pairs = {(int(u), int(v)) for u, v in zip(src, dst)}
+            assert len(pairs) == k
+            assert all(u in group_a and v in (group_a if within else group_b) for u, v in pairs)
+            if within:
+                assert np.all(src < dst)
+
+
+def draw_graph_int64(classes, counts, rng):
+    """The int64 draw path that uint32 members and floor-division decoding replaced."""
+    src_parts = []
+    dst_parts = []
+    for a, b, k in zip(classes.class_a, classes.class_b, counts):
+        group_a = classes.members[a].astype(np.int64)
+        group_b = classes.members[b].astype(np.int64)
+        size = group_a.size
+        population = size * (size - 1) // 2 if a == b else size * group_b.size
+        if k == 0:
+            continue
+        if k == population:
+            chosen = np.arange(population, dtype=np.int64)
+        else:
+            chosen = rng.choice(population, size=k, replace=False).astype(np.int64, copy=False)
+        if a == b:
+            i, j = _decode_triangular(chosen, size)
+            src_parts.append(group_a[i])
+            dst_parts.append(group_a[j])
+        else:
+            i, j = np.divmod(chosen, group_b.size)
+            src_parts.append(group_a[i])
+            dst_parts.append(group_b[j])
+    src = np.concatenate(src_parts, dtype=np.int64) if src_parts else np.empty(0, dtype=np.int64)
+    dst = np.concatenate(dst_parts, dtype=np.int64) if dst_parts else np.empty(0, dtype=np.int64)
+    return Graph(classes.n, src, dst)
+
+
+class TestDrawGraph:
+    @staticmethod
+    def assert_matches_int64_route(classes, counts, seed):
+        rng = np.random.default_rng(seed)
+        twin = np.random.default_rng(seed)
+        graph = _draw_graph(classes, counts, rng)
+        expected = draw_graph_int64(classes, counts, twin)
+        for got, want in [
+            (graph.src, expected.src),
+            (graph.dst, expected.dst),
+            (graph.degrees, expected.degrees),
+            (graph._indptr, expected._indptr),
+            (graph._indices, expected._indices),
+        ]:
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_engage_shaped_draw_matches_int64_route(self):
+        z = draw_cohort_covariates(40_400)
+        model = fit_dyad_model(cohort_attribute_targets(), 16.63, z)
+        classes = _PatternClasses(z)
+        assert all(members.dtype == np.uint32 for members in classes.members)
+        rng = np.random.default_rng(21)
+        counts = list(_binomial_counts(classes, classes.probabilities(model.theta), rng))
+        assert sum(counts) > 300_000
+        self.assert_matches_int64_route(classes, counts, seed=7)
+
+    def test_empty_and_complete_classes_match_int64_route(self):
+        z = draw_cohort_covariates(60, seed=3)
+        classes = _PatternClasses(z)
+        capacities = classes.dyad_counts.astype(np.int64)
+        # empty, complete and partial classes in turn
+        counts = [[0, int(c), int(c) // 2][k % 3] for k, c in enumerate(capacities)]
+        self.assert_matches_int64_route(classes, counts, seed=11)
+        self.assert_matches_int64_route(classes, [0] * len(capacities), seed=11)
+
+    def test_builds_through_the_module_graph_from_uint32_draws(self, monkeypatch):
+        seen = []
+
+        def recording_graph(n, src, dst):
+            seen.append((src.dtype, dst.dtype))
+            return Graph(n, src, dst)
+
+        monkeypatch.setattr(netgen, "Graph", recording_graph)
+        z = draw_cohort_covariates(500, seed=4)
+        model = DyadModel(np.array([-3.0, 0.5, 0.1, -0.2, 0.3, 0.4, 0.2]), ("CAS", "CIR", "HIV+"))
+        simulate_from_model(model, z, np.random.default_rng(5))
+        assert seen == [(np.dtype(np.uint32), np.dtype(np.uint32))]
 
 
 def unique_rows_reference(z):
