@@ -99,6 +99,26 @@ replicates = 3
 seed = 12
 fixed_network = true
 """,
+    # nine sample sizes, unsorted and up to the population, over sparse one-coupon chains that reseed
+    # often and sometimes on an isolated node: more size bits than one byte holds
+    "nested.cfg": """\
+[network]
+n = 150
+p = 0.4
+mean_degree = 4
+diff_activity = 1.5
+homophily_r = 0.8
+mode = bernoulli
+
+[rds]
+seeds = 2
+coupons = 1
+sample_size = 45, 15, 150, 30, 90, 5, 120, 60, 75
+
+[experiment]
+replicates = 3
+seed = 13
+""",
     "engage.cfg": """\
 [engage]
 n = 400
@@ -124,6 +144,7 @@ RUNS = [
     ["estimate", "--forest", "rds/forest.csv", "--edges", "netgen/edges.csv", "--out", "estimate_edges"],
     ["experiment", "--config", "experiment.cfg", "--out", "experiment"],
     ["experiment", "--config", "fixed.cfg", "--out", "experiment_fixed"],
+    ["experiment", "--config", "nested.cfg", "--out", "experiment_nested"],
     ["engage-mimic", "--config", "engage.cfg", "--out", "engage"],
 ]
 
