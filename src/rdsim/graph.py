@@ -314,13 +314,15 @@ def _activity_ratio(z: np.ndarray, degrees: np.ndarray) -> float:
     """Mean of ``degrees`` over the value-1 nodes of ``z`` over that of the value-0 nodes."""
     mask = z == 1
     n1 = int(mask.sum())
-    n0 = z.size - n1
+    return _mean_ratio(n1, int(degrees[mask].sum()), z.size - n1, int(degrees[~mask].sum()))
+
+
+def _mean_ratio(n1: int, total1: int, n0: int, total0: int) -> float:
+    """Differential activity of groups of ``n1`` and ``n0`` nodes with degree sums ``total1`` and ``total0``."""
     if n1 == 0 or n0 == 0:
         raise UndefinedEstimandError("differential activity needs both attribute groups present")
-    total0 = int(degrees[~mask].sum())
     if total0 == 0:
         raise UndefinedEstimandError("differential activity undefined: value-0 group has no edge ends")
-    total1 = int(degrees[mask].sum())
     return (total1 / n1) / (total0 / n0)
 
 
@@ -340,9 +342,13 @@ def _classify(both: np.ndarray, either: np.ndarray, total: int) -> MixingCounts:
     extra entries then count as neither, and the within-0 count is
     ``total`` minus the nonzero entries of ``either``.
     """
-    within_1 = int(np.count_nonzero(both))
-    within_0 = int(total) - int(np.count_nonzero(either))
-    return MixingCounts(within_1=within_1, within_0=within_0, cross=int(total) - within_1 - within_0)
+    return _mixing(int(np.count_nonzero(both)), int(np.count_nonzero(either)), int(total))
+
+
+def _mixing(within_1: int, touching_1: int, total: int) -> MixingCounts:
+    """Mixing counts of ``total`` edges: ``within_1`` have two value-1 ends and ``touching_1`` one or two."""
+    within_0 = total - touching_1
+    return MixingCounts(within_1=within_1, within_0=within_0, cross=total - within_1 - within_0)
 
 
 def newman_assortativity(counts: MixingCounts) -> float:

@@ -250,11 +250,12 @@ def _realized_truth(graph, z) -> dict:
     }
 
 
-def _ok_row(key: dict, replicate: int, forest, est, truths: list[dict], suffixes: list[str]) -> dict:
+def _ok_row(key: dict, replicate: int, est, truths: list[dict], suffixes: list[str]) -> dict:
     """One ``ok`` replicate row.
 
     Attribute k's truth, estimate and relative-bias fields come from
-    ``truths[k]`` and ``est``, named with the suffix ``suffixes[k]``.
+    ``truths[k]`` and ``est``, named with the suffix ``suffixes[k]``; the
+    forest statistics come from ``est`` too.
     """
     row = dict(key, replicate=replicate, status="ok", reason=None)
     row[f"truth_{_GRAPH_TRUTH}"] = truths[0][_GRAPH_TRUTH]
@@ -266,7 +267,7 @@ def _ok_row(key: dict, replicate: int, forest, est, truths: list[dict], suffixes
             (f"rb_{name}{suffix}", relative_bias(estimates[name], truth[of]))
             for name, of in _BIAS_TRUTH.items()
         )
-    row.update(reseed_count=forest.reseed_count, max_wave=forest.max_wave, truncated=forest.truncated)
+    row.update(reseed_count=est.reseed_count, max_wave=est.max_wave, truncated=est.truncated)
     return row
 
 
@@ -277,9 +278,10 @@ def _experiment_task(args: tuple[ExperimentPlan, tuple[Cell, ...], tuple[int, ..
     and differ only in sample size. The network is derived from the first
     replicate's index, which is 0 for every replicate of a fixed-network
     group. Each replicate makes one recruitment run, to the group's
-    largest sample size, and every cell's forest is its prefix of that
-    size. Rows come replicate by replicate, each replicate's cells in
-    group order.
+    largest sample size, and one ``sample_estimates`` call over that run
+    estimates every cell's sample, the run's prefix of the cell's size,
+    without building the prefix. Rows come replicate by replicate, each
+    replicate's cells in group order.
     """
     plan, cells, replicates = args
     network_rng = np.random.default_rng(plan._entropy(_TAG_NETWORK, cells[0], replicates[0]))
@@ -287,15 +289,14 @@ def _experiment_task(args: tuple[ExperimentPlan, tuple[Cell, ...], tuple[int, ..
     truth = _realized_truth(graph, z)
     # the config does not sort the sample sizes, so the largest need not be last
     config = plan.sampler_config(max(cells, key=lambda cell: cell.sample_size))
-    keyed = [(cell, _cell_key(cell)) for cell in cells]
+    keys = [_cell_key(cell) for cell in cells]
+    sizes = [cell.sample_size for cell in cells]
     rows = []
     for replicate in replicates:
         rds_rng = np.random.default_rng(plan._entropy(_TAG_RDS, cells[0], replicate))
         run = run_rds(graph, z, config, rds_rng)
-        for cell, key in keyed:
-            forest = run.prefix(cell.sample_size)
-            est = sample_estimates(forest, graph)
-            rows.append(_ok_row(key, replicate, forest, est, [truth], [""]))
+        estimates = sample_estimates(run, graph, sizes)
+        rows.extend(_ok_row(key, replicate, est, [truth], [""]) for key, est in zip(keys, estimates))
     return rows
 
 
@@ -469,7 +470,7 @@ def _engage_task(args: tuple[EngageScenario, LatentBinaryModel, int]) -> dict:
     forest = run_rds(graph, z, scenario.sampler_config(), rds_rng, names)
     est = sample_estimates(forest, graph)
     truths = [_realized_truth(graph, z[:, k]) for k in range(len(names))]
-    return _ok_row({}, replicate, forest, est, truths, [f"_{name}" for name in names])
+    return _ok_row({}, replicate, est, truths, [f"_{name}" for name in names])
 
 
 def run_engage_mimic(

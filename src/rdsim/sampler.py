@@ -153,35 +153,57 @@ class RecruitmentForest:
     def prefix(self, size: int) -> RecruitmentForest:
         """The first ``size`` entries, as a run that stopped at ``size`` records them.
 
-        From one generator state, a run to target n1 is the first n1
-        entries of a run to any larger target (see :func:`run_rds`), so
-        ``run_rds(..., n2).prefix(n1)`` equals ``run_rds(..., n1)``.
-        ``reseed_count`` counts the prefix's own reseeds, and the prefix is
-        truncated only when the cut reaches past a truncated run's end. A
-        cut at or past the end of a run that reached its target returns
-        the forest itself.
+        This is the public cut of a forest. From one generator state, a run
+        to target n1 is the first n1 entries of a run to any larger target
+        (see :func:`run_rds`), so ``run_rds(..., n2).prefix(n1)`` equals
+        ``run_rds(..., n1)``. ``reseed_count`` counts the prefix's own
+        reseeds, and the prefix is truncated only when the cut reaches past
+        a truncated run's end. A cut at or past the end of a run that
+        reached its target returns the forest itself.
+
+        ``sample_estimates(forest, graph, sizes)`` estimates every cut of
+        ``sizes`` without building one; its results equal those of
+        ``sample_estimates(forest.prefix(size), graph)``, which serves as
+        its oracle.
 
         Raises:
-            ValueError: If ``size < 1``.
+            ValueError: If ``size`` is not an integer or is below 1.
         """
-        if size < 1:
-            raise ValueError(f"a forest prefix needs size >= 1, not {size}")
-        if size > self.size or (size == self.size and not self.truncated):
+        (entries,), (reseed_count,), (truncated,) = self._cuts([size])
+        if (entries, reseed_count, truncated) == (self.size, self.reseed_count, self.truncated):
             return self
-        # the reseeds are the run's last seed entries, so those past the cut are reseeds first
-        reseeds_cut = int(np.count_nonzero(self.recruiters[size:] < 0))
-        # read_forest resets the count to 0 while the file can still hold reseed entries
         return RecruitmentForest(
-            nodes=self.nodes[:size],
-            recruiters=self.recruiters[:size],
-            waves=self.waves[:size],
-            seed_ids=self.seed_ids[:size],
-            coupon_indices=self.coupon_indices[:size],
-            degrees=self.degrees[:size],
-            attributes=self.attributes[:size],
+            nodes=self.nodes[:entries],
+            recruiters=self.recruiters[:entries],
+            waves=self.waves[:entries],
+            seed_ids=self.seed_ids[:entries],
+            coupon_indices=self.coupon_indices[:entries],
+            degrees=self.degrees[:entries],
+            attributes=self.attributes[:entries],
             attribute_names=self.attribute_names,
-            reseed_count=max(self.reseed_count - reseeds_cut, 0),
+            reseed_count=reseed_count,
         )
+
+    def _cuts(self, sizes) -> tuple[list[int], list[int], list[bool]]:
+        """Entry count, ``reseed_count`` and ``truncated`` of ``prefix(size)``, one per size, as lists.
+
+        Raises:
+            ValueError: If a size is not an integer or is below 1.
+        """
+        # a cut past the end stops there, however far past it the size reaches
+        sizes = _as_int64([min(size, self.size + 1) for size in sizes], "prefix sizes")
+        small = sizes[sizes < 1]
+        if small.size:
+            raise ValueError(f"a forest prefix needs size >= 1, not {small[0]}")
+        entries = np.minimum(sizes, self.size)
+        # seed entries among the first e entries, at e - 1; the reseeds are the run's last
+        # seed entries, so those past a cut are reseeds first
+        seeds = np.cumsum(self.recruiters < 0)
+        reseeds_cut = seeds[-1] - seeds[entries - 1]
+        # read_forest resets the count to 0 while the file can still hold reseed entries
+        reseed_count = np.maximum(self.reseed_count - reseeds_cut, 0)
+        truncated = self.truncated & (sizes > self.size)
+        return entries.tolist(), reseed_count.tolist(), truncated.tolist()
 
 
 def select_seeds(graph: Graph, config: SamplerConfig, rng: np.random.Generator) -> np.ndarray:

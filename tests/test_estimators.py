@@ -1,3 +1,6 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,13 +18,16 @@ from rdsim import (
     newman_assortativity,
     homophily_ratio,
     rds2_prevalence,
+    read_forest,
     relative_bias,
     run_rds,
     sample_estimates,
+    write_forest,
 )
 from rdsim.errors import or_none
 from rdsim.estimators import _induced_counts
 from rdsim.graph import MixingCounts, _classify
+from rdsim.sampler import SEED_SELECTION_MODES
 from conftest import complete_graph, networkx_induced_counts, random_graph
 
 
@@ -196,7 +202,7 @@ def sampled_graphs(draw):
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     graph = Graph(n, [e[0] for e in edges], [e[1] for e in edges])
     columns = []
-    for _ in range(draw(st.integers(1, 16))):  # up to three blocks of marks
+    for _ in range(draw(st.integers(1, 16))):  # up to 16 column bits beside the size bit
         constant = draw(st.sampled_from([None, 0, 1]))
         cells = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
         columns.append(cells if constant is None else [constant] * n)
@@ -214,7 +220,7 @@ def sampled_graphs(draw):
 @given(sampled_graphs())
 def test_induced_homophily_matches_keep_mask_and_networkx_subgraph(case):
     graph, forest = case
-    counts = _induced_counts(forest.nodes, forest.attributes, graph)
+    (counts,) = _induced_counts(forest.nodes, forest.attributes, graph, [forest.size])
     expected = networkx_induced_counts(forest, graph)
     assert len(counts) == len(expected) == len(forest.attribute_names)
     together = sample_estimates(forest, graph).induced_homophily
@@ -249,7 +255,7 @@ class TestInducedHomophilyCases:
         graph = Graph(4, [], [])
         z = np.tile(np.array([[1], [0], [1], [1]], dtype=np.int8), (1, 9))
         forest = seed_forest(graph, z, [2, 0, 1])
-        assert _induced_counts(forest.nodes, forest.attributes, graph) == [MixingCounts(0, 0, 0)] * 9
+        assert _induced_counts(forest.nodes, forest.attributes, graph, [3]) == [[MixingCounts(0, 0, 0)] * 9]
 
 
 class TestRds2Prevalence:
@@ -346,3 +352,118 @@ class TestSampleEstimates:
         assert without_graph.induced_homophily is None
         assert est.sample_size == forest.size
         assert est.max_wave == forest.max_wave
+
+
+@st.composite
+def nested_cases(draw):
+    """(graph, forest, sizes): a run over a sparse random graph, perhaps read back from its file, and sizes to cut it at.
+
+    The graphs are sparse enough to hold isolated nodes, so runs reseed,
+    sometimes on an isolated node, or end truncated.
+    """
+    n = draw(st.integers(1, 40))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    graph = Graph(n, [e[0] for e in edges], [e[1] for e in edges])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 16))
+    z = rng.integers(0, 2, size=(n, m))
+    target = draw(st.integers(1, n))
+    config = SamplerConfig(
+        draw(st.integers(1, target)),
+        draw(st.integers(1, 3)),
+        target,
+        draw(st.sampled_from(SEED_SELECTION_MODES)),
+        draw(st.booleans()),
+    )
+    forest = run_rds(graph, z, config, rng, tuple(f"z{j}" for j in range(m)))
+    if draw(st.booleans()):
+        # the file holds the reseeds, but not the reseed count or the truncation flag
+        with tempfile.TemporaryDirectory() as folder:
+            path = os.path.join(folder, "forest.csv")
+            write_forest(forest, path)
+            forest = read_forest(path)
+    sizes = draw(st.lists(st.integers(1, target + 2), min_size=1, max_size=12))
+    if draw(st.booleans()):
+        sizes[draw(st.integers(0, len(sizes) - 1))] = forest.size
+    return graph, forest, sizes
+
+
+def assert_nested_equal_prefixes(forest, graph, sizes):
+    """Estimates of ``forest`` at ``sizes`` equal those of each prefix, and each estimator's own route on it."""
+    nested = sample_estimates(forest, graph, sizes)
+    assert len(nested) == len(sizes)
+    for size, est in zip(sizes, nested):
+        cut = forest.prefix(size)
+        assert est == sample_estimates(cut, graph)
+        assert (est.sample_size, est.reseed_count, est.max_wave, est.truncated) == (
+            cut.size, cut.reseed_count, cut.max_wave, cut.truncated
+        )
+        # sample_estimates shares its code across sizes, so the per-estimator routes vouch for both
+        rds2_ok = bool(np.all(cut.degrees > 0))
+        for k in range(len(cut.attribute_names)):
+            assert est.diff_activity[k] == estimate_differential_activity(cut, k)
+            assert (est.homophily[k], est.homophily_ratio[k]) == estimate_homophily(cut, k)
+            assert est.rds2_prevalence[k] == (rds2_prevalence(cut, k) if rds2_ok else None)
+            assert est.crude_prevalence[k] == crude_prevalence(cut, k)
+            if graph is not None:
+                assert est.induced_homophily[k] == homophily_of(keep_mask_counts(cut, graph, k))[0]
+    return nested
+
+
+@settings(max_examples=300, deadline=None)
+@given(nested_cases())
+def test_nested_estimates_equal_estimates_of_each_prefix(case):
+    graph, forest, sizes = case
+    assert_nested_equal_prefixes(forest, graph, sizes)
+    assert_nested_equal_prefixes(forest, None, sizes)
+    whole = sample_estimates(forest, graph)
+    assert (whole.sample_size, whole.reseed_count, whole.truncated) == (
+        forest.size, forest.reseed_count, forest.truncated
+    )
+
+
+class TestNestedEstimates:
+    # 0-1-2 and 4-5 are edges, node 3 is isolated
+    GRAPH = Graph(6, [0, 1, 4], [1, 2, 5])
+    Z = np.array([[1, 0], [0, 0], [1, 1], [0, 1], [1, 1], [0, 0]], dtype=np.int8)
+
+    def forest(self):
+        """A run that reseeds on the isolated node 3 at entry 3 and on node 4 at entry 4."""
+        return RecruitmentForest(
+            nodes=[0, 1, 2, 3, 4, 5],
+            recruiters=[-1, 0, 1, -1, -1, 4],
+            waves=[0, 1, 2, 0, 0, 1],
+            seed_ids=[0, 0, 0, 1, 2, 2],
+            coupon_indices=[-1, 0, 0, -1, -1, 0],
+            degrees=self.GRAPH.degrees,
+            attributes=self.Z,
+            attribute_names=("a", "b"),
+            reseed_count=2,
+        )
+
+    def test_an_isolated_reseed_past_a_cut_keeps_the_shorter_rds2(self):
+        nested = assert_nested_equal_prefixes(self.forest(), self.GRAPH, [5, 3, 1, 6, 4, 2, 3])
+        assert [est.rds2_prevalence[0] is None for est in nested] == [True, False, False, True, True, False, False]
+        assert [est.reseed_count for est in nested] == [2, 0, 0, 2, 1, 0, 0]
+
+    @pytest.mark.parametrize("sizes", [[0], [3, -1], [2, 0, 5, -4]])
+    def test_a_size_below_one_raises_the_prefix_error(self, sizes):
+        forest = self.forest()
+        with pytest.raises(ValueError, match="size >= 1") as nested:
+            sample_estimates(forest, self.GRAPH, sizes)
+        with pytest.raises(ValueError) as cut:
+            forest.prefix(next(size for size in sizes if size < 1))
+        assert str(nested.value) == str(cut.value)
+
+    def test_no_sizes_give_no_estimates(self):
+        assert sample_estimates(self.forest(), self.GRAPH, []) == []
+
+    def test_sizes_and_columns_past_one_mark(self):
+        # 120 distinct sizes and 40 columns take 4 x 2 blocks of 64-bit marks
+        rng = np.random.default_rng(21)
+        graph, _, _ = random_graph(120, 0.08, rng)
+        z = rng.integers(0, 2, size=(120, 40))
+        forest = run_rds(graph, z, SamplerConfig(3, 3, 120), rng)
+        nested = assert_nested_equal_prefixes(forest, graph, list(range(120, 0, -1)))
+        assert all(est.induced_homophily is not None for est in nested)

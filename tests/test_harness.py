@@ -234,19 +234,19 @@ class TestRunExperiment:
             forest = run_rds(graph, z, plan.sampler_config(cell), rds_rng)
             est = sample_estimates(forest, graph)
             truth = harness._realized_truth(graph, z)
-            assert row == harness._ok_row(harness._cell_key(cell), replicate, forest, est, [truth], [""])
+            assert row == harness._ok_row(harness._cell_key(cell), replicate, est, [truth], [""])
 
     @pytest.mark.parametrize("regenerate_network", [True, False], ids=["fresh", "fixed"])
     def test_smaller_samples_are_prefixes_of_one_run(self, monkeypatch, regenerate_network):
-        runs, forests = [], []
+        runs, calls = [], []
 
         def recording_run(*args):
             runs.append(run_rds(*args))
             return runs[-1]
 
-        def recording_estimates(forest, graph):
-            forests.append((runs[-1], forest))
-            return sample_estimates(forest, graph)
+        def recording_estimates(run, graph, sizes):
+            calls.append((run, sizes, graph, sample_estimates(run, graph, sizes)))
+            return calls[-1][-1]
 
         monkeypatch.setattr(harness, "run_rds", recording_run)
         monkeypatch.setattr(harness, "sample_estimates", recording_estimates)
@@ -260,10 +260,17 @@ class TestRunExperiment:
         assert all(row["status"] == "ok" for row in rows)
         # one run per (p, Da, R) and replicate, to the largest sample size
         assert [run.size for run in runs] == [80] * 2 * 3
-        assert sorted(forest.size for _, forest in forests) == [40] * 6 + [60] * 6 + [80] * 6
-        for run, forest in forests:
-            assert forest.nodes.tolist() == run.nodes[: forest.size].tolist()
-            assert forest.reseed_count <= run.reseed_count
+        # one estimates call per run, over the run itself, with the group's sizes in group order
+        assert len(calls) == len(runs)
+        assert all(call[0] is run for call, run in zip(calls, runs))
+        assert [list(sizes) for _, sizes, _, _ in calls] == [[60, 40, 80]] * 2 * 3
+        estimates = [est for *_, result in calls for est in result]
+        assert sorted(est.sample_size for est in estimates) == [40] * 6 + [60] * 6 + [80] * 6
+        # every cell's sample is its size's prefix of the run
+        for run, sizes, graph, result in calls:
+            for size, est in zip(sizes, result):
+                assert est == sample_estimates(run.prefix(size), graph)
+                assert est.reseed_count <= run.reseed_count
 
     @pytest.mark.parametrize("regenerate_network", [True, False], ids=["fresh", "fixed"])
     def test_sample_size_order_does_not_change_rows(self, regenerate_network):

@@ -550,6 +550,13 @@ def test_prefix_of_a_read_back_forest_with_reseeds(tmp_path):
     assert cut.reseed_count == 0
 
 
+def test_prefix_of_any_size_past_the_end_is_the_run():
+    forest = triangles_run(SamplerConfig(1, 2, 5), 6)
+    assert forest.prefix(2**80) is forest
+    with pytest.raises(ValueError, match="integers"):
+        forest.prefix(2.5)
+
+
 @pytest.mark.parametrize("size", [0, -1])
 def test_prefix_needs_one_entry(size):
     forest = triangles_run(SamplerConfig(1, 2, 4), 6)
