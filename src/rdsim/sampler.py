@@ -20,6 +20,12 @@ other.
 The shuffle's swaps are applied to positions of the open-neighbor array,
 and only the picked positions are read from it. That picks what swapping a
 full list of the open neighbors would, without building the list.
+
+The loop keeps the entries' nodes and one record per recruiter that
+recruits: its entry and its recruit count, whose recruits are the entries
+that follow. A reseed is a one-entry record with no recruiter. Recruiters,
+waves, seed ids and coupon indices are built from those records with numpy
+after the loop; no draw or pick reads them.
 """
 
 from __future__ import annotations
@@ -269,6 +275,13 @@ def run_rds(
     swaps moved, and each pick reads one cell of the array. That equals
     the shuffle of the full list.
 
+    The loop records each recruiter that recruits once, as its entry and
+    its recruit count, and each reseed as a one-entry record with owner
+    -1. After the loop, the recruiter, wave, seed_id and coupon_index
+    columns are built from those records with numpy: a recruit's coupon
+    index is its position within its record, and its wave and seed_id
+    follow the chain of owners back to its seed entry.
+
     Args:
         graph: Population graph (shared read-only).
         attributes: Binary attribute matrix (n,) or (n, m).
@@ -301,11 +314,10 @@ def run_rds(
 
     is_open = np.ones(graph.node_count, dtype=bool)  # not yet sampled
     is_open[seeds] = False
+    # graph.neighbors(r) is this slice of the CSR arrays; slicing them here saves a call per recruiter
+    indptr, indices = graph._indptr, graph._indices
     nodes = seeds.tolist()
-    recruiters = [-1] * len(nodes)
-    waves = [0] * len(nodes)
-    seed_ids = list(range(len(nodes)))
-    coupon_indices = [-1] * len(nodes)
+    owners, counts = [], []  # one record per recruiter that recruits, or per reseed (owner -1)
     count = len(nodes)  # entries so far
     head = 0  # the queue is nodes[head:]
     reseed_count = 0
@@ -323,19 +335,21 @@ def run_rds(
             fresh = int(unsampled[int(uniforms[count - num_seeds] * unsampled.size)])
             is_open[fresh] = False
             nodes.append(fresh)
-            recruiters.append(-1)
-            waves.append(0)
-            seed_ids.append(num_seeds + reseed_count)
-            coupon_indices.append(-1)
+            owners.append(-1)
+            counts.append(1)
             reseed_count += 1
             count += 1
             continue
-        recruiter, wave, seed_id = nodes[head], waves[head] + 1, seed_ids[head]
+        recruiter = nodes[head]
         head += 1
-        neighbors = graph.neighbors(recruiter)
-        open_nbrs = neighbors[is_open.take(neighbors)]
+        neighbors = indices[indptr[recruiter]:indptr[recruiter + 1]]
+        open_nbrs = neighbors[is_open[neighbors]]
         size = open_nbrs.size
-        budget = min(coupons, size, n_target - count)
+        budget = n_target - count
+        if coupons < budget:
+            budget = coupons
+        if size < budget:
+            budget = size
         if budget <= 0:
             continue
         # partial Fisher-Yates on positions of open_nbrs, a uniform ordered draw without replacement;
@@ -348,13 +362,12 @@ def run_rds(
             moved[j] = moved.get(t, t)
             is_open[node] = False
             nodes.append(node)
-        recruiters.extend([recruiter] * budget)
-        waves.extend([wave] * budget)
-        seed_ids.extend([seed_id] * budget)
-        coupon_indices.extend(range(budget))
+        owners.append(head - 1)
+        counts.append(budget)
         count += budget
 
     node_arr = np.asarray(nodes, dtype=np.int64)
+    recruiters, waves, seed_ids, coupon_indices = _recruitment_columns(node_arr, num_seeds, owners, counts)
     return RecruitmentForest(
         nodes=node_arr,
         recruiters=recruiters,
@@ -367,6 +380,37 @@ def run_rds(
         truncated=truncated,
         reseed_count=reseed_count,
     )
+
+
+def _recruitment_columns(nodes: np.ndarray, num_seeds: int, owners: list[int], counts: list[int]):
+    """Recruiters, waves, seed ids and coupon indices of a run's entries, built from its records.
+
+    The first ``num_seeds`` entries are the seeds. Record r then holds the next ``counts[r]``
+    entries, which entry ``owners[r]`` recruited in coupon order; owner -1 marks a reseed,
+    with one entry. Every owner is an earlier entry.
+    """
+    size = nodes.size
+    counts = np.asarray(counts, dtype=np.int64)
+    owner = np.full(size, -1, dtype=np.int64)
+    owner[num_seeds:] = np.repeat(np.asarray(owners, dtype=np.int64), counts)
+    seed = owner < 0
+    recruiters = np.where(seed, -1, nodes[owner])
+    # an entry's coupon index is its offset from the first entry of its record
+    coupon_indices = np.full(size, -1, dtype=np.int64)
+    coupon_indices[num_seeds:] = np.arange(size - num_seeds) - np.repeat(np.cumsum(counts) - counts, counts)
+    coupon_indices[seed] = -1
+    # pointer doubling: waves[e] recruitments lead from up[e] down to e, and a seed entry is its own
+    # up at distance 0; each pass doubles the distances, until every up is a seed entry
+    up = np.where(seed, np.arange(size), owner)
+    waves = (~seed).astype(np.int64)
+    while True:
+        further = up[up]
+        if np.array_equal(further, up):
+            break
+        waves += waves[up]
+        up = further
+    seed_ids = (np.cumsum(seed) - 1)[up]
+    return recruiters, waves, seed_ids, coupon_indices
 
 
 FOREST_COLUMNS = ("node", "recruiter", "wave", "seed_id", "coupon_index", "degree")

@@ -504,6 +504,52 @@ def test_run_rds_matches_the_list_swapping_loop(data, case, reseed, seed):
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
+def iid_graph(n: int, pairs: int, seed: int) -> Graph:
+    """``n`` nodes joined by ``pairs`` uniform node pairs, less self-loops and repeats."""
+    a, b = np.random.default_rng(seed).integers(0, n, size=(2, pairs))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    key = np.unique(lo[lo < hi] * n + hi[lo < hi])
+    return Graph(n, key // n, key % n)
+
+
+def mostly_isolated_graph() -> Graph:
+    """2,000 nodes: about 150 edges among 300 of them, and 1,700 isolated nodes."""
+    small = iid_graph(300, 150, 3)
+    label = np.random.default_rng(3).permutation(2000)[:300]
+    return Graph(2000, label[small.src], label[small.dst])
+
+
+# shapes the hypothesis strategies never reach, as they draw graphs of 1 to 60 nodes:
+# (graph, config, what the run must show to have reached the shape)
+HAND_SHAPES = {
+    "3000-node-path": (lambda: path_graph(3000), SamplerConfig(1, 1, 3000), lambda f: f.max_wave >= 1000),
+    "isolated-reseeding": (mostly_isolated_graph, SamplerConfig(3, 3, 600), lambda f: f.reseed_count >= 100),
+    "isolated-truncated": (
+        mostly_isolated_graph,
+        SamplerConfig(3, 3, 600, reseed_on_death=False),
+        lambda f: f.truncated,
+    ),
+    "seeds-only": (lambda: iid_graph(200, 2000, 4), SamplerConfig(5, 2, 5), lambda f: f.size == 5),
+    "engage": (
+        lambda: iid_graph(40_400, 336_000, 5),
+        SamplerConfig(27, 6, 1179),
+        lambda f: f.size == 1179 and f.max_wave >= 3,
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", HAND_SHAPES)
+def test_run_rds_matches_the_list_swapping_loop_at_hand_shapes(shape):
+    build, config, reached = HAND_SHAPES[shape]
+    graph = build()
+    z = np.random.default_rng(6).integers(0, 2, size=(graph.node_count, 2))
+    rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+    forest = run_rds(graph, z, config, rng, ("z0", "z1"))
+    assert reached(forest)
+    assert_same_forest(forest, run_rds_by_list(graph, z, config, twin, ("z0", "z1")))
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
 def triangles_run(config, seed, seeds=None) -> RecruitmentForest:
     rng = np.random.default_rng(seed)
     return run_rds(TWO_TRIANGLES, np.zeros(6, dtype=np.int8), config, rng, seeds=seeds)
