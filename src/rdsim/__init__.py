@@ -4,152 +4,29 @@ The package generates population networks with prescribed prevalence,
 mean degree, differential activity, and homophily; simulates
 respondent-driven (coupon-based peer recruitment) samples over them; and
 measures how well the network estimands are recovered from those samples.
+
+Each module's ``__all__`` is its public surface; the package re-exports
+exactly those names, plus ``__version__``.
 """
 
-from .covariates import (
-    CovariateSpec,
-    LatentBinaryModel,
-    binary_correlation,
-    binary_correlation_bounds,
-    binary_sampler,
-    bivariate_normal_cdf,
-    generate_binary_covariates,
-    latent_correlation_matrix,
-    latent_normal_correlation,
-)
-from .errors import (
-    ConfigError,
-    FitConvergenceError,
-    InfeasibleTargetsError,
-    RdsimError,
-    UndefinedEstimandError,
-)
-from .estimators import (
-    SampleEstimates,
-    crude_prevalence,
-    estimate_differential_activity,
-    estimate_homophily,
-    induced_homophily,
-    rds2_prevalence,
-    relative_bias,
-    sample_estimates,
-)
-from .graph import (
-    AttributeVector,
-    DegreeDistribution,
-    Graph,
-    MixingCounts,
-    assortativity_from_ratio,
-    degree_distribution,
-    differential_activity,
-    homophily_ratio,
-    mean_degree,
-    mixing_counts,
-    newman_assortativity,
-    prevalence,
-    ratio_from_assortativity,
-    read_attributes,
-    read_edge_list,
-    write_attributes,
-    write_edge_list,
-)
-from .harness import (
-    Cell,
-    EngageScenario,
-    ExperimentPlan,
-    run_engage_mimic,
-    run_experiment,
-    summarize_replicates,
-)
-from .netgen import (
-    AttributeTargets,
-    DyadClassSolution,
-    DyadModel,
-    NetworkTargets,
-    expected_statistics,
-    fit_dyad_model,
-    generate_network,
-    simulate_from_model,
-    solve_dyad_classes,
-)
-from .sampler import (
-    RecruitmentForest,
-    SamplerConfig,
-    read_forest,
-    run_rds,
-    select_seeds,
-    write_forest,
-)
+from . import covariates, errors, estimators, graph, harness, netgen, sampler
+from .errors import *  # noqa: F401,F403
+from .graph import *  # noqa: F401,F403
+from .covariates import *  # noqa: F401,F403
+from .netgen import *  # noqa: F401,F403
+from .sampler import *  # noqa: F401,F403
+from .estimators import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "RdsimError",
-    "UndefinedEstimandError",
-    "InfeasibleTargetsError",
-    "FitConvergenceError",
-    "ConfigError",
-    # graph
-    "Graph",
-    "AttributeVector",
-    "DegreeDistribution",
-    "MixingCounts",
-    "mean_degree",
-    "prevalence",
-    "degree_distribution",
-    "differential_activity",
-    "mixing_counts",
-    "newman_assortativity",
-    "homophily_ratio",
-    "assortativity_from_ratio",
-    "ratio_from_assortativity",
-    "read_edge_list",
-    "write_edge_list",
-    "read_attributes",
-    "write_attributes",
-    # covariates
-    "CovariateSpec",
-    "LatentBinaryModel",
-    "binary_correlation_bounds",
-    "binary_correlation",
-    "bivariate_normal_cdf",
-    "latent_normal_correlation",
-    "latent_correlation_matrix",
-    "binary_sampler",
-    "generate_binary_covariates",
-    # netgen
-    "NetworkTargets",
-    "DyadClassSolution",
-    "AttributeTargets",
-    "DyadModel",
-    "solve_dyad_classes",
-    "generate_network",
-    "expected_statistics",
-    "fit_dyad_model",
-    "simulate_from_model",
-    # sampler
-    "SamplerConfig",
-    "RecruitmentForest",
-    "select_seeds",
-    "run_rds",
-    "read_forest",
-    "write_forest",
-    # estimators
-    "SampleEstimates",
-    "estimate_differential_activity",
-    "estimate_homophily",
-    "induced_homophily",
-    "rds2_prevalence",
-    "crude_prevalence",
-    "relative_bias",
-    "sample_estimates",
-    # harness
-    "ExperimentPlan",
-    "EngageScenario",
-    "Cell",
-    "run_experiment",
-    "run_engage_mimic",
-    "summarize_replicates",
+    *errors.__all__,
+    *graph.__all__,
+    *covariates.__all__,
+    *netgen.__all__,
+    *sampler.__all__,
+    *estimators.__all__,
+    *harness.__all__,
 ]

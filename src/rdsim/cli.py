@@ -254,9 +254,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(parser, config=True, seed_default=0, threads=False):
-    if config:
-        parser.add_argument("--config", required=True, help="config file path")
+def _add_common(parser, seed_default=0, threads=False):
+    parser.add_argument("--config", required=True, help="config file path")
     parser.add_argument("--out", default=".", help="output directory (default: current)")
     parser.add_argument("-q", "--quiet", action="store_true", help="suppress informational output")
     parser.add_argument(

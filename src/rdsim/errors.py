@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "RdsimError",
+    "UndefinedEstimandError",
+    "InfeasibleTargetsError",
+    "FitConvergenceError",
+    "ConfigError",
+]
+
 
 class RdsimError(Exception):
     """Base class for all package-specific errors."""

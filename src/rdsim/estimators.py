@@ -42,9 +42,7 @@ __all__ = [
 _MARK_BITS = 64  # bits of the widest node mark, sample-size bits and attribute-column bits together
 
 
-def estimate_differential_activity(
-    forest: RecruitmentForest, attribute: int | str = 0
-) -> float | None:
+def estimate_differential_activity(forest: RecruitmentForest, attribute: int = 0) -> float | None:
     """Ratio of mean reported degrees, attribute-present over absent.
 
     Returns None when either group is absent from the sample or the
@@ -54,7 +52,7 @@ def estimate_differential_activity(
 
 
 def estimate_homophily(
-    forest: RecruitmentForest, attribute: int | str = 0
+    forest: RecruitmentForest, attribute: int = 0
 ) -> tuple[float | None, float | None]:
     """Sample homophily from the recruitment edges only.
 
@@ -73,7 +71,7 @@ def estimate_homophily(
 
 
 def induced_homophily(
-    forest: RecruitmentForest, graph: Graph, attribute: int | str = 0
+    forest: RecruitmentForest, graph: Graph, attribute: int = 0
 ) -> tuple[float | None, float | None]:
     """Oracle-only homophily over the induced subgraph of the sampled nodes.
 
@@ -146,7 +144,7 @@ def _block_counts(nodes: np.ndarray, columns: np.ndarray, graph: Graph, levels: 
     return counts
 
 
-def rds2_prevalence(forest: RecruitmentForest, attribute: int | str = 0) -> float:
+def rds2_prevalence(forest: RecruitmentForest, attribute: int = 0) -> float:
     """Inverse-degree-weighted prevalence of the attribute.
 
     ``sum(1/d_i over attribute carriers) / sum(1/d_i over the sample)``,
@@ -165,7 +163,7 @@ def rds2_prevalence(forest: RecruitmentForest, attribute: int | str = 0) -> floa
     return float(weights[z == 1].sum() / weights.sum())
 
 
-def crude_prevalence(forest: RecruitmentForest, attribute: int | str = 0) -> float:
+def crude_prevalence(forest: RecruitmentForest, attribute: int = 0) -> float:
     """Unweighted sample proportion carrying the attribute."""
     z = forest.attribute_column(attribute)
     return float(z.sum() / z.size)

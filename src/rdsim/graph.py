@@ -196,10 +196,6 @@ class DegreeDistribution:
         object.__setattr__(self, "counts", counts)
 
     @property
-    def max_degree(self) -> int:
-        return int(self.counts.size - 1)
-
-    @property
     def node_count(self) -> int:
         return int(self.counts.sum())
 

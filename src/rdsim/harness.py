@@ -58,10 +58,6 @@ __all__ = [
     "run_experiment",
     "run_engage_mimic",
     "summarize_replicates",
-    "write_rows",
-    "EXPERIMENT_COLUMNS",
-    "EXPERIMENT_GROUP_COLUMNS",
-    "RB_COLUMNS",
 ]
 
 # Stream tags keep network generation, recruitment, and covariate draws on

@@ -47,6 +47,11 @@ GENERATION_MODES = ("bernoulli", "exact-count")
 # attribute patterns are packed into int64 codes, one bit per attribute
 MAX_PATTERN_ATTRIBUTES = 62
 
+# fit_dyad_model accepts a fit once every moment residual, relative to its
+# target, is at most _FIT_TOL, and gives up after _FIT_MAX_ITER Newton steps.
+_FIT_TOL = 1e-6
+_FIT_MAX_ITER = 100
+
 
 @dataclass(frozen=True)
 class NetworkTargets:
@@ -368,17 +373,16 @@ class AttributeTargets:
         if self.homophily_ratio is not None and self.homophily_ratio < 0.0:
             raise ValueError(f"attribute {self.name!r}: homophily_ratio must be nonnegative")
 
-    def resolve_ratio(self, prevalence: float | None = None) -> float:
+    def resolve_ratio(self, prevalence: float) -> float:
         """Homophily on the ratio scale, converting from assortativity if needed.
 
         Args:
             prevalence: Prevalence to use for the conversion (e.g. the
-                realized one); defaults to the declared target.
+                realized one).
         """
         if self.homophily_ratio is not None:
             return self.homophily_ratio
-        p = self.prevalence if prevalence is None else prevalence
-        return ratio_from_assortativity(self.assortativity, p, self.diff_activity)
+        return ratio_from_assortativity(self.assortativity, prevalence, self.diff_activity)
 
 
 @dataclass(frozen=True)
@@ -513,13 +517,7 @@ def _target_statistics(
     return goal
 
 
-def fit_dyad_model(
-    attribute_targets,
-    mean_degree: float,
-    z: np.ndarray,
-    tol: float = 1e-6,
-    max_iter: int = 100,
-) -> DyadModel:
+def fit_dyad_model(attribute_targets, mean_degree: float, z: np.ndarray) -> DyadModel:
     """Fit dyad-model coefficients so expected statistics hit their targets.
 
     Per-attribute moment targets (matched edges, group-1 edge ends) are
@@ -533,16 +531,15 @@ def fit_dyad_model(
         attribute_targets: One :class:`AttributeTargets` per column of ``z``.
         mean_degree: Target average degree.
         z: Binary attribute matrix, shape (n, m).
-        tol: Maximum relative moment residual accepted.
-        max_iter: Newton iteration cap.
 
     Returns:
         Fitted :class:`DyadModel`.
 
     Raises:
         InfeasibleTargetsError: If any per-attribute moment solve fails.
-        FitConvergenceError: If the residual tolerance is not met; carries
-            the final residual vector.
+        FitConvergenceError: If some relative moment residual is above
+            ``_FIT_TOL`` after ``_FIT_MAX_ITER`` Newton steps; carries the
+            final residual vector.
     """
     attribute_targets = list(attribute_targets)
     classes = _PatternClasses(z)
@@ -561,8 +558,8 @@ def fit_dyad_model(
 
     res = residual(theta)
     best = np.max(np.abs(res) / scale)
-    for _ in range(max_iter):
-        if best <= tol:
+    for _ in range(_FIT_MAX_ITER):
+        if best <= _FIT_TOL:
             break
         pi = classes.probabilities(theta)
         weights = classes.dyad_counts * pi * (1.0 - pi)
@@ -586,9 +583,9 @@ def fit_dyad_model(
             raise FitConvergenceError(
                 f"no descent found at residual {best:.3g}", residuals=res
             )
-    if best > tol:
+    if best > _FIT_TOL:
         raise FitConvergenceError(
-            f"residual {best:.3g} above tolerance {tol} after {max_iter} iterations",
+            f"residual {best:.3g} above tolerance {_FIT_TOL} after {_FIT_MAX_ITER} iterations",
             residuals=res,
         )
     return DyadModel(theta=theta, covariate_names=tuple(t.name for t in attribute_targets))

@@ -151,9 +151,7 @@ class RecruitmentForest:
         mask = self.recruiters >= 0
         return self.recruiters[mask], self.nodes[mask]
 
-    def attribute_column(self, attribute: int | str = 0) -> np.ndarray:
-        if isinstance(attribute, str):
-            attribute = self.attribute_names.index(attribute)
+    def attribute_column(self, attribute: int = 0) -> np.ndarray:
         return self.attributes[:, attribute]
 
     def prefix(self, size: int) -> RecruitmentForest:

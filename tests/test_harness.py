@@ -13,7 +13,7 @@ from rdsim import (
     sample_estimates,
     summarize_replicates,
 )
-from rdsim import harness
+from rdsim import harness, netgen
 from rdsim.harness import EXPERIMENT_COLUMNS, write_rows
 
 
@@ -388,6 +388,16 @@ class TestEngageMimic:
         rows, summary = run_engage_mimic(scenario)
         assert all(r["status"] == "skipped" for r in rows)
         assert all("fit failed" in r["reason"] for r in rows)
+        assert all(e["count"] == 0 and e["undefined"] == 2 for e in summary)
+
+    def test_iteration_cap_recorded_as_skips(self, monkeypatch):
+        monkeypatch.setattr(netgen, "_FIT_MAX_ITER", 1)
+        rows, summary = run_engage_mimic(tiny_scenario(replicates=2), threads=1)
+        assert all(r["status"] == "skipped" for r in rows)
+        assert all(
+            r["reason"].startswith("fit failed: residual") and r["reason"].endswith("after 1 iterations")
+            for r in rows
+        )
         assert all(e["count"] == 0 and e["undefined"] == 2 for e in summary)
 
     def test_row_keys_are_the_header(self):

@@ -717,9 +717,10 @@ class TestFitDyadModel:
         model = fit_dyad_model(cohort_attribute_targets(), 16.63, z)
         assert model.theta.size == 7
 
-    def test_fixed_point_on_refit(self):
+    def test_fixed_point_on_refit(self, monkeypatch):
+        monkeypatch.setattr(netgen, "_FIT_TOL", 1e-12)
         z = draw_cohort_covariates(2020)
-        first = fit_dyad_model(cohort_attribute_targets(), 16.63, z, tol=1e-12)
+        first = fit_dyad_model(cohort_attribute_targets(), 16.63, z)
         achieved = expected_statistics(first, z)
         # translate the achieved statistics back into per-attribute targets
         n = z.shape[0]
@@ -740,16 +741,26 @@ class TestFitDyadModel:
                     homophily_ratio=e11 / e10,
                 )
             )
-        second = fit_dyad_model(refit_targets, 2.0 * total / n, z, tol=1e-12)
+        second = fit_dyad_model(refit_targets, 2.0 * total / n, z)
         assert np.max(np.abs(first.theta - second.theta)) <= 1e-8
 
-    def test_nonconvergence_raises_with_residuals(self):
+    def test_nonconvergence_raises_with_residuals(self, monkeypatch):
+        # Da = 50 fails in the moment solve (negative e00), before any Newton step
+        monkeypatch.setattr(netgen, "_FIT_MAX_ITER", 5)
         z = np.zeros((40, 1), dtype=np.int8)
         z[:20, 0] = 1
-        with pytest.raises((FitConvergenceError, InfeasibleTargetsError)):
-            fit_dyad_model(
-                [AttributeTargets("z", 0.5, 50.0, homophily_ratio=1.0)], 30.0, z, max_iter=5
-            )
+        with pytest.raises(InfeasibleTargetsError):
+            fit_dyad_model([AttributeTargets("z", 0.5, 50.0, homophily_ratio=1.0)], 30.0, z)
+
+    def test_iteration_cap_raises_with_residuals(self, monkeypatch):
+        monkeypatch.setattr(netgen, "_FIT_MAX_ITER", 1)
+        z = np.zeros((40, 1), dtype=np.int8)
+        z[:20, 0] = 1
+        with pytest.raises(FitConvergenceError, match="after 1 iterations") as caught:
+            fit_dyad_model([AttributeTargets("z", 0.5, 1.5, homophily_ratio=0.8)], 6.0, z)
+        residuals = caught.value.residuals
+        assert residuals.shape == (3,)
+        assert np.all(np.isfinite(residuals))
 
 
 class TestSimulateFromModel:
@@ -793,7 +804,7 @@ class TestAttributeTargets:
 
     def test_resolve_ratio_uses_override_prevalence(self):
         spec = AttributeTargets("x", 0.5, 1.0, assortativity=0.2)
-        default = spec.resolve_ratio()
+        default = spec.resolve_ratio(spec.prevalence)
         shifted = spec.resolve_ratio(prevalence=0.4)
         assert default == pytest.approx(ratio_from_assortativity(0.2, 0.5, 1.0))
         assert shifted == pytest.approx(ratio_from_assortativity(0.2, 0.4, 1.0))

@@ -2,8 +2,8 @@
 
 Desk scale is the shipped ``*_desk.cfg`` files, so each must stay its
 full-size config with only the desk keys changed. README's command-line
-section must name only commands and options that the parser accepts, and
-the CI workflow must run ROADMAP's tier-1 command on the golden numpy,
+section must name only commands and options that the parser accepts, its
+example config must build a plan, and the CI workflow must run ROADMAP's tier-1 command on the golden numpy,
 then the benchmark self-test.
 """
 
@@ -16,7 +16,12 @@ from pathlib import Path
 import pytest
 
 from rdsim.cli import build_parser
-from rdsim.config import engage_scenario_from_config, experiment_plan_from_config, load_config
+from rdsim.config import (
+    engage_scenario_from_config,
+    experiment_plan_from_config,
+    load_config,
+    parse_config,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -91,6 +96,15 @@ def test_readme_command_line_names_only_parser_options():
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", command_line_section()))
     assert named
     assert named - parser_options(build_parser()) == set()
+
+
+def test_readme_example_config_builds_a_plan():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"^## Config format\n(.*?)^## ", text, re.M | re.S).group(1)
+    block = re.search(r"^```ini\n(.*?)^```", section, re.M | re.S).group(1)
+    plan = experiment_plan_from_config(parse_config(block, "README.md"), source="README.md")
+    assert plan.homophily_ratios == (1.0, 5.0)
+    assert (plan.mode, plan.seed_selection, plan.regenerate_network) == ("bernoulli", "uniform", True)
 
 
 def test_ci_runs_the_roadmap_tier1_command_on_the_golden_numpy():
