@@ -16,7 +16,7 @@ import numpy as np
 from .covariates import CovariateSpec
 from .errors import ConfigError
 from .harness import EngageScenario, ExperimentPlan
-from .netgen import AttributeTargets, GENERATION_MODES, NetworkTargets
+from .netgen import MAX_PATTERN_ATTRIBUTES, AttributeTargets, GENERATION_MODES, NetworkTargets
 from .sampler import SEED_SELECTION_MODES, SamplerConfig
 
 __all__ = [
@@ -308,7 +308,8 @@ def _covariate_targets(cfg, source: str, network: bool = True) -> tuple[Attribut
 
     With ``network=False`` a section needs only ``prevalence``: the network
     targets it gives are checked as usual, and neutral ones (diff_activity
-    and homophily_r of 1) stand in for those it leaves out.
+    and homophily_r of 1) stand in for those it leaves out. With a network,
+    the sections may number at most ``netgen.MAX_PATTERN_ATTRIBUTES``.
     """
     targets = []
     for section in cfg:
@@ -334,6 +335,11 @@ def _covariate_targets(cfg, source: str, network: bool = True) -> tuple[Attribut
             raise ConfigError(f"{source}: [{section}] {exc}")
     if not targets:
         raise ConfigError(f"{source}: need at least one [covariate NAME] section")
+    if network and len(targets) > MAX_PATTERN_ATTRIBUTES:
+        raise ConfigError(
+            f"{source}: a network takes at most {MAX_PATTERN_ATTRIBUTES} covariates "
+            f"(netgen.MAX_PATTERN_ATTRIBUTES), got {len(targets)} [covariate NAME] sections"
+        )
     names = [t.name for t in targets]
     if len(set(names)) != len(names):
         raise ConfigError(f"{source}: duplicate covariate names")

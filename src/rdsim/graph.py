@@ -88,8 +88,10 @@ class Graph:
         if src.shape != dst.shape:
             raise ValueError("src and dst must have equal length")
         if src.size:
-            if src.min() < 0 or dst.min() < 0 or src.max() >= n or dst.max() >= n:
-                raise ValueError("edge endpoint out of range")
+            low = min(int(src.min()), int(dst.min()))
+            high = max(int(src.max()), int(dst.max()))
+            if low < 0 or high >= n:
+                raise ValueError(f"edge endpoint out of range: {low if low < 0 else high} is not in 0..{n - 1}")
         # exact once the range is checked; casting each end on its own also
         # keeps mixed int64/uint64 input away from float64 promotion
         key_type = np.uint32 if n <= MAX_KEY32_NODE_COUNT else np.uint64
@@ -453,20 +455,15 @@ def write_edge_list(graph: Graph, path) -> None:
     write_table(path, EDGE_COLUMNS, zip(graph.src.tolist(), graph.dst.tolist()))
 
 
-def read_edge_list(path, node_count: int | None = None) -> Graph:
-    """Read an edge-list CSV written by :func:`write_edge_list`.
+def read_edge_list(path, node_count: int) -> Graph:
+    """Read an edge-list CSV written by :func:`write_edge_list` into a graph on ``node_count`` nodes.
 
-    Args:
-        path: CSV file with header ``src,dst``.
-        node_count: Total number of nodes. When omitted, inferred as
-            ``max index + 1``, which silently drops trailing isolated nodes;
-            pass it explicitly whenever those matter.
+    The file does not hold the node count, since isolated nodes have no
+    line; every endpoint must lie in ``0 .. node_count-1``.
     """
     _, pairs = read_table(path, EDGE_COLUMNS, named=False)
     with in_file(path):
-        if node_count is None and not pairs.size:
-            raise ValueError("empty edge list; node_count is required")
-        return Graph(pairs.max() + 1 if node_count is None else node_count, pairs[:, 0], pairs[:, 1])
+        return Graph(node_count, pairs[:, 0], pairs[:, 1])
 
 
 def write_attributes(path, attributes: Sequence[AttributeVector]) -> None:

@@ -1,10 +1,11 @@
 """Respondent-driven sampling over a population graph.
 
-Recruitment walks the graph edges: a fixed number of seeds is drawn, each
-sampled node may recruit up to a coupon-limited number of its not-yet-
-sampled neighbors (chosen uniformly, attribute-blind), and recruitment
-proceeds first-in-first-out by coupon issuance until the target sample
-size is reached. Nobody is sampled twice. If every chain dies out early,
+Recruitment walks the graph edges: a fixed number of seeds is drawn by the
+configured seed selection (uniform or degree-weighted), each sampled node
+may recruit up to a coupon-limited number of its not-yet-sampled neighbors
+(chosen uniformly, attribute-blind), and recruitment proceeds
+first-in-first-out by coupon issuance until the target sample size is
+reached. Nobody is sampled twice. If every chain dies out early,
 the run either reseeds uniformly among the unsampled (default) or returns
 a truncated sample flagged as such.
 
@@ -246,9 +247,8 @@ def run_rds(
     config: SamplerConfig,
     rng: np.random.Generator,
     attribute_names: tuple[str, ...] | None = None,
-    seeds=None,
 ) -> RecruitmentForest:
-    """Simulate one recruitment run over ``graph``.
+    """Simulate one recruitment run over ``graph``, from seeds that :func:`select_seeds` draws.
 
     Breadth-first by coupon issuance: every entry recruits once, in
     admission order, so the FIFO queue is the entries not yet served.
@@ -288,8 +288,6 @@ def run_rds(
         rng: Random stream for this run.
         attribute_names: Labels for the attribute columns; defaults to
             "z" or "z0", "z1", ...
-        seeds: Optional explicit seed nodes (distinct, in ``0 .. node_count-1``,
-            length ``config.num_seeds``), overriding seed selection.
 
     Returns:
         The recruitment forest, with all invariants holding.
@@ -301,15 +299,7 @@ def run_rds(
     if n_target > graph.node_count:
         raise ValueError(f"target_sample_size {n_target} exceeds the population size {graph.node_count}")
 
-    if seeds is None:
-        seeds = select_seeds(graph, config, rng)
-    else:
-        seeds = _as_int64(seeds, "seeds")
-        if seeds.size != config.num_seeds or np.unique(seeds).size != seeds.size:
-            raise ValueError("explicit seeds must be num_seeds distinct nodes")
-        if seeds.min() < 0 or seeds.max() >= graph.node_count:
-            raise ValueError(f"explicit seeds must be nodes in 0..{graph.node_count - 1}")
-
+    seeds = select_seeds(graph, config, rng)
     is_open = np.ones(graph.node_count, dtype=bool)  # not yet sampled
     is_open[seeds] = False
     # graph.neighbors(r) is this slice of the CSR arrays; slicing them here saves a call per recruiter

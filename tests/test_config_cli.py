@@ -23,11 +23,13 @@ from rdsim.config import (
     covariate_spec_from_config,
     engage_scenario_from_config,
     experiment_plan_from_config,
+    multi_network_run_from_config,
     network_run_from_config,
     parse_config,
     sampler_config_from_config,
 )
 from rdsim.errors import or_none
+from rdsim.netgen import MAX_PATTERN_ATTRIBUTES
 from conftest import networkx_induced_counts, random_graph
 
 EXPERIMENT_CFG = """\
@@ -403,7 +405,7 @@ class TestCliPipeline:
         rds_args = ["rds", "--config", str(rds_cfg), "--edges", edges, "--attributes", attributes]
         assert main(rds_args + ["--out", str(rds_out), "--seed", "1", "-q"]) == 0
         forest = read_forest(rds_out / "forest.csv")
-        assert forest.nodes.max() < read_edge_list(edges).dst.max()
+        assert forest.nodes.max() < read_edge_list(edges, 1000).dst.max()
 
         forest_path = str(rds_out / "forest.csv")
         est_out = tmp_path / "est"
@@ -514,6 +516,14 @@ class TestCliMalformedFiles:
     def test_rds_empty_endpoint(self, tmp_path, capsys):
         argv = self._rds_argv(tmp_path, "src,dst\n0,1\n1,\n", "node,z\n0,1\n1,1\n2,0\n")
         self._fails_naming(capsys, argv, tmp_path / "edges.csv")
+
+    def test_rds_attribute_file_shorter_than_the_edges_reach(self, tmp_path, capsys):
+        # rds takes the population size from the attribute rows, 3 here
+        argv = self._rds_argv(tmp_path, "src,dst\n0,1\n2,5\n", "node,z\n0,1\n1,1\n2,0\n")
+        assert main(argv) == 1
+        edges = tmp_path / "edges.csv"
+        assert capsys.readouterr().err == f"error: {edges}: edge endpoint out of range: 5 is not in 0..2\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("recruiter", ["9", "3", "2", ""])
     def test_estimate_inconsistent_recruiter(self, tmp_path, capsys, recruiter):
@@ -761,3 +771,41 @@ def test_out_of_range_size_fails_before_the_run(tmp_path, capsys, command, sizes
     assert capsys.readouterr().err == f"config error: {cfg}: {message}\n"
     assert not out.exists()
 
+
+def covariate_sections(count: int) -> str:
+    section = "[covariate c{}]\nprevalence = 0.5\ndiff_activity = 1\nhomophily_r = 1\n\n"
+    return "".join(section.format(k) for k in range(count))
+
+
+@pytest.mark.parametrize(
+    "command, head",
+    [
+        ("engage-mimic", ENGAGE_CFG[:ENGAGE_CFG.index("[covariate A]")]),
+        ("netgen", "[network]\nn = 50\nmean_degree = 4\n\n"),
+    ],
+    ids=["engage-mimic", "netgen"],
+)
+def test_too_many_covariates_for_a_network_fail_before_the_run(tmp_path, capsys, command, head):
+    cfg = tmp_path / "many.cfg"
+    cfg.write_text(head + covariate_sections(MAX_PATTERN_ATTRIBUTES + 1))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    message = (
+        f"config error: {cfg}: a network takes at most 62 covariates (netgen.MAX_PATTERN_ATTRIBUTES), "
+        "got 63 [covariate NAME] sections\n"
+    )
+    assert capsys.readouterr() == ("", message)
+    assert not out.exists()
+    # the most a network takes is a valid config
+    cfg.write_text(head + covariate_sections(MAX_PATTERN_ATTRIBUTES))
+    build = engage_scenario_from_config if command == "engage-mimic" else multi_network_run_from_config
+    build(parse_config(cfg.read_text()))
+
+
+def test_covgen_takes_more_covariates_than_a_network(tmp_path):
+    cfg = tmp_path / "many.cfg"
+    cfg.write_text("[covgen]\nn = 20\n\n" + covariate_sections(MAX_PATTERN_ATTRIBUTES + 1))
+    out = tmp_path / "out"
+    assert main(["covgen", "--config", str(cfg), "--out", str(out), "-q"]) == 0
+    header = (out / "attributes.csv").read_text().splitlines()[0]
+    assert header == "node," + ",".join(f"c{k}" for k in range(MAX_PATTERN_ATTRIBUTES + 1))

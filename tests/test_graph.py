@@ -37,8 +37,12 @@ class TestGraph:
             Graph(3, [0, 1], [1, 0])
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            Graph(3, [0], [3])
+        # the error names the lowest endpoint when it is negative, else the highest
+        cases = [([0], [3], 3), ([0, 7], [1, 1], 7), ([0, -4], [2, 1], -4), ([-1, 0], [9, 1], -1)]
+        for src, dst, endpoint in cases:
+            message = rf"^edge endpoint out of range: {endpoint} is not in 0\.\.2$"
+            with pytest.raises(ValueError, match=message):
+                Graph(3, src, dst)
 
     def test_rejects_non_integer_endpoints(self):
         # int64 casting used to truncate these to src=[0, 1]
@@ -535,7 +539,7 @@ class TestFileFormats:
         path = tmp_path / "edges.csv"
         path.write_text("a,b\n0,1\n")
         with pytest.raises(ValueError, match="header"):
-            read_edge_list(path)
+            read_edge_list(path, node_count=2)
 
     def test_attributes_round_trip(self, tmp_path):
         path = tmp_path / "attributes.csv"

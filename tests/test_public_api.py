@@ -2,8 +2,12 @@
 
 ``rdsim.__all__`` is ``__version__`` plus the ``__all__`` of each public
 module, so a name is listed in exactly one place. These checks pin the
-names, and that each one is the object its module defines.
+names, that each one is the object its module defines, and the parameter
+names and defaults of each callable, so that an option added or retired
+shows up here.
 """
+
+import inspect
 
 import pytest
 
@@ -112,3 +116,97 @@ def test_harness_keeps_its_unexported_module_attributes():
     for name in ("write_rows", "EXPERIMENT_COLUMNS", "EXPERIMENT_GROUP_COLUMNS", "RB_COLUMNS"):
         assert hasattr(harness, name)
         assert name not in rdsim.__all__
+
+
+# parameter names and defaults, annotations left out; "(*args)" is an exception's own message arguments
+SIGNATURES = {
+    "AttributeTargets": "(name, prevalence, diff_activity, homophily_ratio=None, assortativity=None)",
+    "AttributeVector": "(name, values)",
+    "Cell": "(index, prevalence, diff_activity, homophily_ratio, sample_size)",
+    "ConfigError": "(*args)",
+    "CovariateSpec": "(names, marginals, correlations)",
+    "DegreeDistribution": "(counts)",
+    "DyadClassSolution": "(n1, n0, e11, e10, e00, q11, q10, q00)",
+    "DyadModel": "(theta, covariate_names)",
+    "EngageScenario": (
+        "(node_count, mean_degree, covariates, correlations, num_seeds, coupons_per_node, sample_size, "
+        "replicates, master_seed)"
+    ),
+    "ExperimentPlan": (
+        "(node_count, mean_degree, prevalences, diff_activities, homophily_ratios, sample_sizes, num_seeds, "
+        "coupons_per_node, replicates, master_seed, mode='bernoulli', seed_selection='uniform', "
+        "regenerate_network=True)"
+    ),
+    "FitConvergenceError": "(message, residuals=None)",
+    "Graph": "(node_count, src, dst)",
+    "InfeasibleTargetsError": "(*args)",
+    "LatentBinaryModel": "(names, thresholds, cholesky)",
+    "MixingCounts": "(within_1, within_0, cross)",
+    "NetworkTargets": "(node_count, prevalence, mean_degree, diff_activity, homophily_ratio)",
+    "RdsimError": "(*args)",
+    "RecruitmentForest": (
+        "(nodes, recruiters, waves, seed_ids, coupon_indices, degrees, attributes, attribute_names, "
+        "truncated=False, reseed_count=0)"
+    ),
+    "SampleEstimates": (
+        "(attribute_names, sample_size, max_wave, reseed_count, truncated, diff_activity, homophily, "
+        "homophily_ratio, rds2_prevalence, crude_prevalence, induced_homophily=None)"
+    ),
+    "SamplerConfig": (
+        "(num_seeds, coupons_per_node, target_sample_size, seed_selection='uniform', reseed_on_death=True)"
+    ),
+    "UndefinedEstimandError": "(*args)",
+    "assortativity_from_ratio": "(ratio, prevalence, diff_activity)",
+    "binary_correlation": "(p1, p2, rho)",
+    "binary_correlation_bounds": "(p1, p2)",
+    "binary_sampler": "(spec)",
+    "bivariate_normal_cdf": "(h, k, rho)",
+    "crude_prevalence": "(forest, attribute=0)",
+    "degree_distribution": "(graph)",
+    "differential_activity": "(graph, values)",
+    "estimate_differential_activity": "(forest, attribute=0)",
+    "estimate_homophily": "(forest, attribute=0)",
+    "expected_statistics": "(model, z)",
+    "fit_dyad_model": "(attribute_targets, mean_degree, z)",
+    "generate_binary_covariates": "(spec, n, rng)",
+    "generate_network": "(targets, rng, mode='bernoulli')",
+    "homophily_ratio": "(counts)",
+    "induced_homophily": "(forest, graph, attribute=0)",
+    "latent_correlation_matrix": "(spec)",
+    "latent_normal_correlation": "(p1, p2, target)",
+    "mean_degree": "(graph)",
+    "mixing_counts": "(graph, values)",
+    "newman_assortativity": "(counts)",
+    "prevalence": "(values)",
+    "ratio_from_assortativity": "(assortativity, prevalence, diff_activity)",
+    "rds2_prevalence": "(forest, attribute=0)",
+    "read_attributes": "(path)",
+    "read_edge_list": "(path, node_count)",
+    "read_forest": "(path)",
+    "relative_bias": "(estimate, truth)",
+    "run_engage_mimic": "(scenario, threads=1, out_dir=None)",
+    "run_experiment": "(plan, threads=1, out_dir=None)",
+    "run_rds": "(graph, attributes, config, rng, attribute_names=None)",
+    "sample_estimates": "(forest, graph=None, sizes=None)",
+    "select_seeds": "(graph, config, rng)",
+    "simulate_from_model": "(model, z, rng)",
+    "solve_dyad_classes": "(targets)",
+    "summarize_replicates": "(rows, group_columns, value_columns, replicates)",
+    "write_attributes": "(path, attributes)",
+    "write_edge_list": "(graph, path)",
+    "write_forest": "(forest, path)",
+}
+
+
+def parameters(obj) -> str:
+    """The parameter list of ``obj`` with names and defaults, as ``(a, b=1)``."""
+    if isinstance(obj, type) and issubclass(obj, Exception) and obj.__init__ is Exception.__init__:
+        return "(*args)"
+    signature = inspect.signature(obj)
+    bare = [parameter.replace(annotation=inspect.Parameter.empty) for parameter in signature.parameters.values()]
+    return str(signature.replace(parameters=bare, return_annotation=inspect.Signature.empty))
+
+
+def test_public_signatures_are_pinned():
+    callables = [name for name in rdsim.__all__ if name != "__version__"]
+    assert {name: parameters(getattr(rdsim, name)) for name in callables} == SIGNATURES

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
@@ -13,8 +13,24 @@ from rdsim import (
     select_seeds,
     write_forest,
 )
+from rdsim import sampler
 from rdsim.graph import MAX_NODE_COUNT
 from conftest import complete_graph, path_graph, random_graph, star_graph
+
+
+@pytest.fixture
+def fix_seeds(monkeypatch):
+    """``fix_seeds(nodes)`` makes ``run_rds`` start from ``nodes`` and draw nothing for them;
+    ``fix_seeds(None)`` gives it back :func:`select_seeds`."""
+
+    def fix(nodes):
+        def fixed(graph, config, rng):
+            assert len(nodes) == config.num_seeds
+            return np.asarray(nodes, dtype=np.int64)
+
+        monkeypatch.setattr(sampler, "select_seeds", select_seeds if nodes is None else fixed)
+
+    return fix
 
 
 def forest_invariants(forest: RecruitmentForest, graph: Graph, config: SamplerConfig):
@@ -79,32 +95,35 @@ class TestSelectSeeds:
 
 
 class TestRunRds:
-    def test_star_center_seed(self):
+    def test_star_center_seed(self, fix_seeds):
         graph = star_graph(4)
         z = np.zeros(5, dtype=np.int8)
         config = SamplerConfig(1, 2, 3)
-        forest = run_rds(graph, z, config, np.random.default_rng(1), seeds=[0])
+        fix_seeds([0])
+        forest = run_rds(graph, z, config, np.random.default_rng(1))
         assert forest.size == 3
         assert forest.max_wave == 1
         recruiters, recruits = forest.recruitment_edges()
         assert recruiters.tolist() == [0, 0]
         assert set(recruits.tolist()) <= {1, 2, 3, 4}
 
-    def test_forced_chain_on_path(self):
+    def test_forced_chain_on_path(self, fix_seeds):
         graph = path_graph(8)
         z = np.zeros(8, dtype=np.int8)
         config = SamplerConfig(1, 2, 8)
-        forest = run_rds(graph, z, config, np.random.default_rng(2), seeds=[0])
+        fix_seeds([0])
+        forest = run_rds(graph, z, config, np.random.default_rng(2))
         assert forest.nodes.tolist() == list(range(8))
         assert forest.waves.tolist() == list(range(8))
         assert forest.max_wave == 7
 
-    def test_capacity_bound_on_waves(self):
+    def test_capacity_bound_on_waves(self, fix_seeds):
         # one seed and two coupons cannot reach 8 nodes in fewer than 3 waves
         graph = complete_graph(8)
         z = np.zeros(8, dtype=np.int8)
         config = SamplerConfig(1, 2, 8)
-        forest = run_rds(graph, z, config, np.random.default_rng(3), seeds=[0])
+        fix_seeds([0])
+        forest = run_rds(graph, z, config, np.random.default_rng(3))
         assert forest.size == 8
         assert forest.max_wave >= 3
 
@@ -129,7 +148,7 @@ class TestRunRds:
             else:
                 assert forest.truncated == (forest.size < config.target_sample_size)
 
-    def test_unbounded_coupons_is_breadth_first(self):
+    def test_unbounded_coupons_is_breadth_first(self, fix_seeds):
         rng = np.random.default_rng(11)
         graph = complete_graph(3)  # placeholder replaced below
         # build a connected random graph
@@ -150,7 +169,8 @@ class TestRunRds:
                 break
         z = np.zeros(14, dtype=np.int8)
         config = SamplerConfig(1, 14, 10)
-        forest = run_rds(graph, z, config, np.random.default_rng(5), seeds=[0])
+        fix_seeds([0])
+        forest = run_rds(graph, z, config, np.random.default_rng(5))
         # independent BFS distances from node 0
         dist = {0: 0}
         frontier = [0]
@@ -182,25 +202,27 @@ class TestRunRds:
         assert a.waves.tolist() == b.waves.tolist()
         assert a.coupon_indices.tolist() == b.coupon_indices.tolist()
 
-    def test_reseeding_crosses_components(self):
+    def test_reseeding_crosses_components(self, fix_seeds):
         # two disjoint triangles: a single seed can reach at most 3 nodes
         edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
         graph = Graph(6, [e[0] for e in edges], [e[1] for e in edges])
         z = np.zeros(6, dtype=np.int8)
         config = SamplerConfig(1, 2, 6, reseed_on_death=True)
-        forest = run_rds(graph, z, config, np.random.default_rng(21), seeds=[0])
+        fix_seeds([0])
+        forest = run_rds(graph, z, config, np.random.default_rng(21))
         assert forest.size == 6
         assert forest.reseed_count >= 1
         reseed_rows = np.flatnonzero(forest.recruiters < 0)
         assert np.all(forest.waves[reseed_rows] == 0)
         assert np.unique(forest.seed_ids[reseed_rows]).size == reseed_rows.size
 
-    def test_truncation_without_reseeding(self):
+    def test_truncation_without_reseeding(self, fix_seeds):
         edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
         graph = Graph(6, [e[0] for e in edges], [e[1] for e in edges])
         z = np.zeros(6, dtype=np.int8)
         config = SamplerConfig(1, 2, 6, reseed_on_death=False)
-        forest = run_rds(graph, z, config, np.random.default_rng(22), seeds=[0])
+        fix_seeds([0])
+        forest = run_rds(graph, z, config, np.random.default_rng(22))
         assert forest.truncated
         assert forest.size == 3
 
@@ -272,25 +294,13 @@ def test_run_rds_forests_hold_their_invariants(data, case, reseed, seed):
     assert not (forest.truncated and reseed)
 
 
-def test_explicit_seeds_must_be_nodes():
-    graph = path_graph(50)
-    z = np.zeros(50, dtype=np.int8)
-    config = SamplerConfig(2, 2, 10)
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    for seeds in ([-1, 3], [0, 50], [0.5, 3], [4, 4], [1]):
-        with pytest.raises(ValueError, match="seeds"):
-            run_rds(graph, z, config, rng, seeds=seeds)
-    assert rng.bit_generator.state == state
-
-
-def recruitment_frequencies(graph, config, seeds, outcome, runs, seed):
+def recruitment_frequencies(graph, config, outcome, runs, seed):
     """Counts of ``outcome(forest)`` over ``runs`` recruitment runs from one stream."""
     z = np.zeros(graph.node_count, dtype=np.int8)
     rng = np.random.default_rng(seed)
     counts = {}
     for _ in range(runs):
-        key = outcome(run_rds(graph, z, config, rng, seeds=seeds))
+        key = outcome(run_rds(graph, z, config, rng))
         counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -306,25 +316,27 @@ def picks_in_coupon_order(forest):
     return tuple(forest.nodes[recruits].tolist())
 
 
-def test_picks_are_uniform_ordered_draws_without_replacement():
+def test_picks_are_uniform_ordered_draws_without_replacement(fix_seeds):
     # the centre of a 5-leaf star recruits 3: 5 * 4 * 3 = 60 equally likely ordered picks
     leaves = range(1, 6)
     outcomes = [(a, b, c) for a in leaves for b in leaves for c in leaves if len({a, b, c}) == 3]
     config = SamplerConfig(1, 3, 4)
-    counts = recruitment_frequencies(star_graph(5), config, [0], picks_in_coupon_order, 24_000, 5)
+    fix_seeds([0])
+    counts = recruitment_frequencies(star_graph(5), config, picks_in_coupon_order, 24_000, 5)
     assert_uniform(counts, outcomes)
 
 
-def test_all_open_neighbours_come_in_uniform_order():
+def test_all_open_neighbours_come_in_uniform_order(fix_seeds):
     # the centre has 4 neighbours and 4 coupons, but seed 1 is sampled: all 3! orders of 2, 3, 4
     graph = Graph(5, [0, 0, 0, 0], [1, 2, 3, 4])
     outcomes = [(2, 3, 4), (2, 4, 3), (3, 2, 4), (3, 4, 2), (4, 2, 3), (4, 3, 2)]
     config = SamplerConfig(2, 4, 5)
-    counts = recruitment_frequencies(graph, config, [0, 1], picks_in_coupon_order, 6_000, 7)
+    fix_seeds([0, 1])
+    counts = recruitment_frequencies(graph, config, picks_in_coupon_order, 6_000, 7)
     assert_uniform(counts, outcomes)
 
 
-def test_reseeds_are_uniform_over_the_unsampled():
+def test_reseeds_are_uniform_over_the_unsampled(fix_seeds):
     # the chain 0 -> 1 dies, so the third entry is a reseed among nodes 2..7
     graph = Graph(8, [0, 2, 4], [1, 3, 5])
 
@@ -332,7 +344,8 @@ def test_reseeds_are_uniform_over_the_unsampled():
         assert forest.reseed_count == 1 and forest.recruiters[2] == -1
         return int(forest.nodes[2])
 
-    counts = recruitment_frequencies(graph, SamplerConfig(1, 2, 3), [0], reseed, 6_000, 9)
+    fix_seeds([0])
+    counts = recruitment_frequencies(graph, SamplerConfig(1, 2, 3), reseed, 6_000, 9)
     assert_uniform(counts, list(range(2, 8)))
 
 
@@ -340,21 +353,19 @@ TWO_TRIANGLES = Graph(6, [0, 0, 1, 3, 3, 4], [1, 2, 2, 4, 5, 5])
 
 
 @pytest.mark.parametrize(
-    "config, seeds",
+    "config",
     [
-        (SamplerConfig(1, 2, 6), None),  # reseeds once the first triangle is spent
-        (SamplerConfig(1, 2, 6, seed_selection="degree"), None),
-        (SamplerConfig(1, 2, 6, reseed_on_death=False), None),  # truncated at 3
-        (SamplerConfig(2, 1, 5), [4, 0]),
+        SamplerConfig(1, 2, 6),  # reseeds once the first triangle is spent
+        SamplerConfig(1, 2, 6, seed_selection="degree"),
+        SamplerConfig(1, 2, 6, reseed_on_death=False),  # truncated at 3
     ],
-    ids=["reseeding", "degree-seeds", "truncated", "explicit-seeds"],
+    ids=["reseeding", "degree-seeds", "truncated"],
 )
-def test_run_draws_one_block_after_seed_selection(config, seeds):
+def test_run_draws_one_block_after_seed_selection(config):
     rng, twin = np.random.default_rng(123), np.random.default_rng(123)
-    forest = run_rds(TWO_TRIANGLES, np.zeros(6, dtype=np.int8), config, rng, seeds=seeds)
+    forest = run_rds(TWO_TRIANGLES, np.zeros(6, dtype=np.int8), config, rng)
     assert forest.truncated == (not config.reseed_on_death)
-    if seeds is None:
-        select_seeds(TWO_TRIANGLES, config, twin)
+    select_seeds(TWO_TRIANGLES, config, twin)
     twin.random(config.target_sample_size - config.num_seeds)
     assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -482,9 +493,10 @@ def sparse_to_dense_graphs(draw):
     return Graph(n, src[keep], dst[keep]), z
 
 
-@settings(max_examples=300, deadline=None)
+# fix_seeds sets or undoes its patch in every example, so no state crosses from one to the next
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), case=sparse_to_dense_graphs(), reseed=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_run_rds_matches_the_list_swapping_loop(data, case, reseed, seed):
+def test_run_rds_matches_the_list_swapping_loop(fix_seeds, data, case, reseed, seed):
     graph, z = case
     n = graph.node_count
     num_seeds = data.draw(st.integers(1, min(n, 5)))
@@ -497,9 +509,10 @@ def test_run_rds_matches_the_list_swapping_loop(data, case, reseed, seed):
         reseed_on_death=reseed,
     )
     seeds = data.draw(st.permutations(range(n)))[:num_seeds] if selection == "explicit" else None
+    fix_seeds(seeds)
     names = tuple(f"z{k}" for k in range(z.shape[1]))
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-    forest = run_rds(graph, z, config, rng, names, seeds=seeds)
+    forest = run_rds(graph, z, config, rng, names)
     assert_same_forest(forest, run_rds_by_list(graph, z, config, twin, names, seeds=seeds))
     assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -550,9 +563,9 @@ def test_run_rds_matches_the_list_swapping_loop_at_hand_shapes(shape):
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
-def triangles_run(config, seed, seeds=None) -> RecruitmentForest:
+def triangles_run(config, seed) -> RecruitmentForest:
     rng = np.random.default_rng(seed)
-    return run_rds(TWO_TRIANGLES, np.zeros(6, dtype=np.int8), config, rng, seeds=seeds)
+    return run_rds(TWO_TRIANGLES, np.zeros(6, dtype=np.int8), config, rng)
 
 
 def test_prefix_at_or_past_the_end_is_the_run():
@@ -562,8 +575,9 @@ def test_prefix_at_or_past_the_end_is_the_run():
     assert forest.prefix(6) is forest
 
 
-def test_prefix_of_a_truncated_run():
-    forest = triangles_run(SamplerConfig(1, 2, 6, reseed_on_death=False), 4, seeds=[0])
+def test_prefix_of_a_truncated_run(fix_seeds):
+    fix_seeds([0])
+    forest = triangles_run(SamplerConfig(1, 2, 6, reseed_on_death=False), 4)
     assert forest.truncated and forest.size == 3
     # only a cut past the end of a truncated run stops short of its target
     assert forest.prefix(4) is forest
@@ -572,8 +586,9 @@ def test_prefix_of_a_truncated_run():
     assert cut.nodes.tolist() == forest.nodes.tolist()
 
 
-def test_prefix_of_the_seeds_alone():
-    forest = triangles_run(SamplerConfig(2, 2, 6), 5, seeds=[0, 1])
+def test_prefix_of_the_seeds_alone(fix_seeds):
+    fix_seeds([0, 1])
+    forest = triangles_run(SamplerConfig(2, 2, 6), 5)
     assert forest.reseed_count == 1
     seeds = forest.prefix(2)
     assert seeds.nodes.tolist() == [0, 1]
@@ -582,8 +597,9 @@ def test_prefix_of_the_seeds_alone():
     assert (seeds.reseed_count, seeds.truncated) == (0, False)
 
 
-def test_prefix_of_a_read_back_forest_with_reseeds(tmp_path):
-    forest = triangles_run(SamplerConfig(2, 2, 6), 5, seeds=[0, 1])
+def test_prefix_of_a_read_back_forest_with_reseeds(tmp_path, fix_seeds):
+    fix_seeds([0, 1])
+    forest = triangles_run(SamplerConfig(2, 2, 6), 5)
     assert forest.reseed_count == 1
     path = tmp_path / "forest.csv"
     write_forest(forest, path)
@@ -704,10 +720,11 @@ class TestForestFile:
             assert getattr(back, field).tolist() == getattr(forest, field).tolist()
         assert np.array_equal(back.attributes, forest.attributes)
 
-    def test_seed_cells_empty(self, tmp_path):
+    def test_seed_cells_empty(self, tmp_path, fix_seeds):
         graph = star_graph(3)
         config = SamplerConfig(1, 2, 3)
-        forest = run_rds(graph, np.zeros(4, dtype=np.int8), config, np.random.default_rng(3), seeds=[0])
+        fix_seeds([0])
+        forest = run_rds(graph, np.zeros(4, dtype=np.int8), config, np.random.default_rng(3))
         path = tmp_path / "forest.csv"
         write_forest(forest, path)
         seed_line = path.read_text().splitlines()[1]
