@@ -54,13 +54,26 @@ def _say(args, message: str) -> None:
         print(message)
 
 
+def _blas_build() -> dict[str, str]:
+    """Name, version and build configuration of numpy's BLAS, where ``np.show_config`` takes ``mode=``."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26, or a build that does not report it
+        return {}
+    keys = {"name": "name", "version": "version", "configuration": "openblas configuration"}
+    return {label: blas[key] for label, key in keys.items() if key in blas}
+
+
 def _write_manifest(out_dir: str, command: str, seed: int | None, cfg) -> None:
     path = os.path.join(out_dir, "manifest.txt")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"rdsim-version = {__version__}\n")
-        # Byte reproducibility also rests on numpy's Generator streams.
+        # Byte reproducibility also rests on numpy's Generator streams, and on
+        # its BLAS, which the covariate draw and the dyad-model fit pass through.
         fh.write(f"python-version = {platform.python_version()}\n")
         fh.write(f"numpy-version = {np.__version__}\n")
+        for label, value in _blas_build().items():
+            fh.write(f"blas-{label} = {value}\n")
         fh.write(f"command = {command}\n")
         if seed is not None:
             fh.write(f"master-seed = {seed}\n")

@@ -1,12 +1,17 @@
 """Estimators of network quantities from an observed recruitment forest.
 
-The forest is all the network data a recruitment survey reveals: reported
-degrees, attributes of the sampled, and the recruiter-recruit ties. Sample
-homophily is therefore computed on the recruitment edges (the default
-here); the induced-subgraph variant, which additionally needs the
-unobserved population graph, is provided for oracle comparisons only.
-Estimates that are undefined on a given sample (missing group, no cross
-edges, zero truth) are returned as ``None`` rather than sentinel numbers.
+:func:`sample_estimates` is the one route into every estimator: it
+returns a :class:`SampleEstimates` of a forest, or one per nested sample
+size, with differential activity, homophily (assortativity and the
+within/cross ratio), RDS-II and crude prevalence for each attribute
+column. The forest is all the network data a recruitment survey reveals:
+reported degrees, attributes of the sampled, and the recruiter-recruit
+ties. Sample homophily is therefore computed on the recruitment edges;
+the induced-subgraph variant, which additionally needs the unobserved
+population graph, is filled in only when that graph is given, for oracle
+comparisons. Estimates that are undefined on a given sample (missing
+group, no cross edges, zero truth, a sampled degree of 0 or less for
+RDS-II) are ``None`` rather than sentinel numbers.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from .errors import or_none
 from .graph import (
     Graph,
     MixingCounts,
-    _activity_ratio,
     _classify,
     _mean_ratio,
     _mixing,
@@ -30,58 +34,11 @@ from .sampler import RecruitmentForest
 
 __all__ = [
     "SampleEstimates",
-    "estimate_differential_activity",
-    "estimate_homophily",
-    "induced_homophily",
-    "rds2_prevalence",
-    "crude_prevalence",
     "relative_bias",
     "sample_estimates",
 ]
 
 _MARK_BITS = 64  # bits of the widest node mark, sample-size bits and attribute-column bits together
-
-
-def estimate_differential_activity(forest: RecruitmentForest, attribute: int = 0) -> float | None:
-    """Ratio of mean reported degrees, attribute-present over absent.
-
-    Returns None when either group is absent from the sample or the
-    value-0 group reports zero total degree.
-    """
-    return or_none(_activity_ratio, forest.attribute_column(attribute), forest.degrees)
-
-
-def estimate_homophily(
-    forest: RecruitmentForest, attribute: int = 0
-) -> tuple[float | None, float | None]:
-    """Sample homophily from the recruitment edges only.
-
-    Classifies each recruiter-recruit tie by endpoint attributes and
-    applies the population homophily metrics to those counts.
-
-    Returns:
-        (assortativity, within/cross ratio); either entry is None when
-        undefined (no recruitment edges, single-class edge ends, or no
-        cross edges for the ratio).
-    """
-    z = forest.attribute_column(attribute)
-    za, zb = z[forest.recruiter_entries], z[forest.recruiters >= 0]
-    counts = _classify(za & zb, za | zb, za.size)
-    return or_none(newman_assortativity, counts), or_none(homophily_ratio, counts)
-
-
-def induced_homophily(
-    forest: RecruitmentForest, graph: Graph, attribute: int = 0
-) -> tuple[float | None, float | None]:
-    """Oracle-only homophily over the induced subgraph of the sampled nodes.
-
-    Uses every population edge whose two endpoints were both sampled;
-    such edges are unobservable in a real recruitment survey, so this is
-    for bias diagnostics, not estimation.
-    """
-    column = forest.attribute_column(attribute)[:, None]
-    ((counts,),) = _induced_counts(forest.nodes, column, graph, [forest.size])
-    return or_none(newman_assortativity, counts), or_none(homophily_ratio, counts)
 
 
 def _induced_counts(nodes: np.ndarray, attributes: np.ndarray, graph: Graph, entries) -> list[list[MixingCounts]]:
@@ -142,31 +99,6 @@ def _block_counts(nodes: np.ndarray, columns: np.ndarray, graph: Graph, levels: 
         either_i = either & keep
         counts.append([_classify(both_i & bit, either_i & bit, total) for bit in bits])
     return counts
-
-
-def rds2_prevalence(forest: RecruitmentForest, attribute: int = 0) -> float:
-    """Inverse-degree-weighted prevalence of the attribute.
-
-    ``sum(1/d_i over attribute carriers) / sum(1/d_i over the sample)``,
-    which corrects for the degree-proportional inclusion tendency of
-    recruitment sampling.
-
-    Raises:
-        ValueError: If any reported degree is nonpositive; an isolated
-            node cannot be recruited, so this flags corrupt input.
-    """
-    z = forest.attribute_column(attribute)
-    degrees = forest.degrees
-    if np.any(degrees <= 0):
-        raise ValueError("reported degrees must be positive; degree-0 entries signal corrupt input")
-    weights = 1.0 / degrees
-    return float(weights[z == 1].sum() / weights.sum())
-
-
-def crude_prevalence(forest: RecruitmentForest, attribute: int = 0) -> float:
-    """Unweighted sample proportion carrying the attribute."""
-    z = forest.attribute_column(attribute)
-    return float(z.sum() / z.size)
 
 
 def relative_bias(estimate: float | None, truth: float | None) -> float | None:
@@ -295,7 +227,7 @@ def _nested_estimates(forest: RecruitmentForest, graph: Graph | None, cuts) -> l
             counts = _mixing(within_1[i][k], touching_1[i][k], ties[i])
             hom.append(or_none(newman_assortativity, counts))
             ratio.append(or_none(homophily_ratio, counts))
-            # a sum over the size's own weights, as in rds2_prevalence; a running sum would round differently
+            # RDS-II (Salganik & Heckathorn 2004): a sum over the size's own inverse degrees; a running sum would round differently
             rds2.append(None if weights is None else float(weights[z[:size, k] == 1].sum() / weights.sum()))
             crude.append(n1 / size)
         estimates.append(

@@ -37,7 +37,6 @@ __all__ = [
     "DyadModel",
     "solve_dyad_classes",
     "generate_network",
-    "expected_statistics",
     "fit_dyad_model",
     "simulate_from_model",
 ]
@@ -473,17 +472,6 @@ class _PatternClasses:
 
     def expected(self, theta: np.ndarray) -> np.ndarray:
         return self.statistics.T @ (self.dyad_counts * self.probabilities(theta))
-
-
-def expected_statistics(model: DyadModel, z: np.ndarray) -> np.ndarray:
-    """Exact expected statistic vector of ``model`` on attribute matrix ``z``.
-
-    Sums class probability times class count over joint-pattern dyad
-    classes, so cost grows with the number of distinct attribute patterns,
-    not with the number of node pairs. Layout: total edges, then per
-    attribute the matched-edge count and the group-1 edge-end count.
-    """
-    return _PatternClasses(z).expected(model.theta)
 
 
 def _target_statistics(

@@ -152,9 +152,6 @@ class RecruitmentForest:
         mask = self.recruiters >= 0
         return self.recruiters[mask], self.nodes[mask]
 
-    def attribute_column(self, attribute: int = 0) -> np.ndarray:
-        return self.attributes[:, attribute]
-
     def prefix(self, size: int) -> RecruitmentForest:
         """The first ``size`` entries, as a run that stopped at ``size`` records them.
 

@@ -17,10 +17,7 @@ from rdsim import (
     InfeasibleTargetsError,
     NetworkTargets,
     assortativity_from_ratio,
-    crude_prevalence,
     differential_activity,
-    estimate_homophily,
-    expected_statistics,
     fit_dyad_model,
     generate_binary_covariates,
     generate_network,
@@ -29,9 +26,9 @@ from rdsim import (
     newman_assortativity,
     prevalence,
     ratio_from_assortativity,
-    rds2_prevalence,
     run_engage_mimic,
     run_experiment,
+    sample_estimates,
     solve_dyad_classes,
 )
 from rdsim.cli import main
@@ -204,7 +201,8 @@ def test_criterion_07_exact_estimator_properties():
             (3, 1, 2, 0, 0, 4, 1),
         ]
     )
-    assert rds2_prevalence(equal_deg) == pytest.approx(crude_prevalence(equal_deg), rel=1e-15)
+    est = sample_estimates(equal_deg)
+    assert est.rds2_prevalence[0] == pytest.approx(est.crude_prevalence[0], rel=1e-15)
 
     # pure-within and pure-cross recruitment forests hit the homophily extremes
     pure_within = make_forest(
@@ -215,7 +213,7 @@ def test_criterion_07_exact_estimator_properties():
             (3, 2, 1, 1, 0, 3, 0),
         ]
     )
-    assert estimate_homophily(pure_within)[0] == 1.0
+    assert sample_estimates(pure_within).homophily[0] == 1.0
     pure_cross = make_forest(
         [
             (0, -1, 0, 0, -1, 3, 1),
@@ -223,7 +221,7 @@ def test_criterion_07_exact_estimator_properties():
             (2, 1, 2, 0, 0, 3, 1),
         ]
     )
-    assert estimate_homophily(pure_cross)[0] == -1.0
+    assert sample_estimates(pure_cross).homophily[0] == -1.0
 
     # graph statistics against the exhaustive O(N^2) oracle
     rng = np.random.default_rng(MASTER_SEED)
@@ -282,10 +280,10 @@ def test_criterion_08_multi_attribute_fit():
         sol = solve_dyad_classes(NetworkTargets(n, n1 / n, 16.63, spec_k.diff_activity, ratio))
         goal.extend([sol.e11 + sol.e00, 2 * sol.e11 + sol.e10])
     goal = np.asarray(goal)
-    achieved = expected_statistics(model, z)
+    classes = _PatternClasses(z)
+    achieved = classes.expected(model.theta)
     residual = np.max(np.abs(achieved - goal) / np.maximum(np.abs(goal), 1.0))
     assert residual <= 1e-6
-    classes = _PatternClasses(z)
     report(
         8,
         f"three-attribute fit at N=4040 converged; max relative moment residual {residual:.2e} "

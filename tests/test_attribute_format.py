@@ -18,17 +18,18 @@ from rdsim import (
     RecruitmentForest,
     SamplerConfig,
     differential_activity,
-    expected_statistics,
     mixing_counts,
     prevalence,
     read_attributes,
     read_forest,
     run_rds,
+    simulate_from_model,
     write_attributes,
     write_forest,
 )
 from rdsim.cli import main
 from rdsim.graph import _as_attributes
+from rdsim.netgen import _PatternClasses
 from rdsim.tables import read_table
 from conftest import path_graph
 
@@ -51,7 +52,9 @@ ENTRY_POINTS = {
     "prevalence": prevalence,
     "differential_activity": lambda z: differential_activity(GRAPH, z),
     "mixing_counts": lambda z: mixing_counts(GRAPH, z),
-    "expected_statistics": lambda z: expected_statistics(DyadModel(np.zeros(3), ("z",)), z),
+    # the expected statistic vector of the dyad classes that fit_dyad_model and simulate_from_model share
+    "expected_statistics": lambda z: _PatternClasses(z).expected(np.zeros(3)),
+    "simulate_from_model": lambda z: simulate_from_model(DyadModel(np.zeros(3), ("z",)), z, np.random.default_rng(0)),
     "run_rds": lambda z: run_rds(GRAPH, z, SamplerConfig(1, 2, N), np.random.default_rng(0), ("z",)),
     "RecruitmentForest": lambda z: RecruitmentForest(**CHAIN, attributes=z, attribute_names=("z",)),
 }

@@ -226,6 +226,9 @@ class TestCliNetgen:
         assert f"numpy-version = {np.__version__}" in manifest
         assert "python-version = " in manifest and "numpy-version = " in manifest
         assert "scipy-version" not in manifest
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert f"blas-name = {blas['name']}\nblas-version = {blas['version']}\n" in manifest
+        assert f"blas-configuration = {blas['openblas configuration']}\n" in manifest
         printed = capsys.readouterr().out
         assert "mean_degree=" in printed and "prevalence=" in printed
 

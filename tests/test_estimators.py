@@ -10,14 +10,9 @@ from rdsim import (
     Graph,
     RecruitmentForest,
     SamplerConfig,
-    crude_prevalence,
-    estimate_differential_activity,
-    estimate_homophily,
-    induced_homophily,
     mixing_counts,
     newman_assortativity,
     homophily_ratio,
-    rds2_prevalence,
     read_forest,
     relative_bias,
     run_rds,
@@ -26,7 +21,7 @@ from rdsim import (
 )
 from rdsim.errors import or_none
 from rdsim.estimators import _induced_counts
-from rdsim.graph import MixingCounts, _classify
+from rdsim.graph import MixingCounts, _activity_ratio, _classify
 from rdsim.sampler import SEED_SELECTION_MODES
 from conftest import complete_graph, networkx_induced_counts, random_graph
 
@@ -47,6 +42,12 @@ def make_forest(entries, attribute_names=("z",)):
     )
 
 
+def tree_homophily(forest, k=0):
+    """Recruitment-tie (assortativity, ratio) of column k, as ``sample_estimates`` reports them."""
+    est = sample_estimates(forest)
+    return est.homophily[k], est.homophily_ratio[k]
+
+
 class TestDifferentialActivityEstimate:
     def test_hand_example(self):
         forest = make_forest(
@@ -57,7 +58,7 @@ class TestDifferentialActivityEstimate:
             ]
         )
         # group-1 degrees (4, 2) mean 3; group-0 degree (3,) mean 3
-        assert estimate_differential_activity(forest) == pytest.approx(1.0)
+        assert sample_estimates(forest).diff_activity[0] == pytest.approx(1.0)
 
     def test_equal_degrees(self):
         forest = make_forest(
@@ -67,11 +68,11 @@ class TestDifferentialActivityEstimate:
                 (2, 0, 1, 0, 1, 5, 1),
             ]
         )
-        assert estimate_differential_activity(forest) == 1.0
+        assert sample_estimates(forest).diff_activity[0] == 1.0
 
     def test_missing_group_is_undefined(self):
         forest = make_forest([(0, -1, 0, 0, -1, 3, 1), (1, 0, 1, 0, 0, 2, 1)])
-        assert estimate_differential_activity(forest) is None
+        assert sample_estimates(forest).diff_activity[0] is None
 
 
 class TestHomophilyEstimate:
@@ -84,7 +85,7 @@ class TestHomophilyEstimate:
                 (3, 2, 1, 1, 0, 3, 0),
             ]
         )
-        h, r = estimate_homophily(forest)
+        h, r = tree_homophily(forest)
         assert h == 1.0
         assert r is None  # no cross edges
 
@@ -96,7 +97,7 @@ class TestHomophilyEstimate:
                 (2, 1, 2, 0, 0, 3, 1),
             ]
         )
-        h, r = estimate_homophily(forest)
+        h, r = tree_homophily(forest)
         assert h == -1.0
         assert r == 0.0
 
@@ -109,13 +110,13 @@ class TestHomophilyEstimate:
                 (2, 0, 1, 0, 1, 1, 0),
             ]
         )
-        h, r = estimate_homophily(forest)
+        h, r = tree_homophily(forest)
         assert h == pytest.approx(-1 / 3)
         assert r == 1.0
 
     def test_no_recruitment_edges(self):
         forest = make_forest([(0, -1, 0, 0, -1, 2, 1)])
-        assert estimate_homophily(forest) == (None, None)
+        assert tree_homophily(forest) == (None, None)
 
     def test_huge_node_indices(self):
         # the estimate reads entries, so it needs no array sized by node index
@@ -123,7 +124,7 @@ class TestHomophilyEstimate:
         small = make_forest(entries)
         relabel = {0: 10**12, 1: 5, 2: 10**12 - 1, -1: -1}
         huge = make_forest([(relabel[a], relabel[b], *rest) for a, b, *rest in entries])
-        assert estimate_homophily(huge) == estimate_homophily(small) == (pytest.approx(-1 / 3), 1.0)
+        assert tree_homophily(huge) == tree_homophily(small) == (pytest.approx(-1 / 3), 1.0)
 
     def test_tree_fed_back_as_graph_matches_graph_statistics(self):
         rng = np.random.default_rng(3)
@@ -135,20 +136,7 @@ class TestHomophilyEstimate:
             if recruiters.size == 0:
                 continue
             tree = Graph(graph.node_count, recruiters, recruits)
-            counts = mixing_counts(tree, z)
-            expected_h = None
-            expected_r = None
-            try:
-                expected_h = newman_assortativity(counts)
-            except Exception:
-                pass
-            try:
-                expected_r = homophily_ratio(counts)
-            except Exception:
-                pass
-            h, r = estimate_homophily(forest)
-            assert h == expected_h
-            assert r == expected_r
+            assert tree_homophily(forest) == homophily_of(mixing_counts(tree, z))
 
 
 class TestInducedHomophily:
@@ -158,7 +146,7 @@ class TestInducedHomophily:
         config = SamplerConfig(2, 3, 20)
         forest = run_rds(graph, z, config, rng)
         assert forest.size == 20
-        h, r = induced_homophily(forest, graph)
+        h, r = induced_homophily_of(forest, graph)
         counts = mixing_counts(graph, z)
         assert h == newman_assortativity(counts)
         assert r == homophily_ratio(counts)
@@ -170,13 +158,25 @@ def keep_mask_counts(forest, graph, k) -> MixingCounts:
     in_sample[forest.nodes] = True
     keep = in_sample[graph.src] & in_sample[graph.dst]
     z_full = np.zeros(graph.node_count, dtype=np.int64)
-    z_full[forest.nodes] = forest.attribute_column(k)
+    z_full[forest.nodes] = forest.attributes[:, k]
     za, zb = z_full[graph.src[keep]], z_full[graph.dst[keep]]
     return _classify(za & zb, za | zb, za.size)
 
 
 def homophily_of(counts):
     return or_none(newman_assortativity, counts), or_none(homophily_ratio, counts)
+
+
+def induced_homophily_of(forest, graph, k=0):
+    """Induced (assortativity, ratio) of column k, from the counts behind ``sample_estimates``' oracle field.
+
+    ``SampleEstimates`` holds the assortativity only; the ratio is that of
+    the same counts.
+    """
+    (row,) = _induced_counts(forest.nodes, forest.attributes, graph, [forest.size])
+    h, r = homophily_of(row[k])
+    assert sample_estimates(forest, graph).induced_homophily[k] == h
+    return h, r
 
 
 def seed_forest(graph, z, nodes) -> RecruitmentForest:
@@ -227,7 +227,6 @@ def test_induced_homophily_matches_keep_mask_and_networkx_subgraph(case):
     for k, want in enumerate(expected):
         assert keep_mask_counts(forest, graph, k) == want
         assert counts[k] == want
-        assert induced_homophily(forest, graph, k) == homophily_of(want)
         assert together[k] == homophily_of(want)[0]
 
 
@@ -238,18 +237,18 @@ class TestInducedHomophilyCases:
     def test_census(self):
         forest = seed_forest(self.GRAPH, self.Z, range(6))
         # within-1: 0-1; within-0: none; cross: 0-2, 1-2, 2-3, 3-4, 4-5
-        assert induced_homophily(forest, self.GRAPH, 0) == homophily_of(keep_mask_counts(forest, self.GRAPH, 0))
-        assert induced_homophily(forest, self.GRAPH, 0)[1] == 1 / 5
+        assert induced_homophily_of(forest, self.GRAPH, 0) == homophily_of(keep_mask_counts(forest, self.GRAPH, 0))
+        assert induced_homophily_of(forest, self.GRAPH, 0)[1] == 1 / 5
 
     def test_single_class_sample(self):
         forest = seed_forest(self.GRAPH, self.Z, [0, 1, 3])
         # one within-1 edge and nothing else: every edge end in one class
-        assert induced_homophily(forest, self.GRAPH, 0) == (None, None)
-        assert induced_homophily(forest, self.GRAPH, 1) == (None, None)
+        assert induced_homophily_of(forest, self.GRAPH, 0) == (None, None)
+        assert induced_homophily_of(forest, self.GRAPH, 1) == (None, None)
 
     def test_no_induced_edges(self):
         forest = seed_forest(self.GRAPH, self.Z, [0, 3, 5])
-        assert induced_homophily(forest, self.GRAPH, 0) == (None, None)
+        assert induced_homophily_of(forest, self.GRAPH, 0) == (None, None)
 
     def test_edgeless_graph_past_one_block(self):
         graph = Graph(4, [], [])
@@ -267,21 +266,20 @@ class TestRds2Prevalence:
                 (2, 0, 1, 0, 1, 4, 0),
             ]
         )
-        assert rds2_prevalence(forest) == pytest.approx(crude_prevalence(forest))
+        est = sample_estimates(forest)
+        assert est.rds2_prevalence[0] == pytest.approx(est.crude_prevalence[0])
 
     def test_hand_example(self):
         forest = make_forest([(0, -1, 0, 0, -1, 2, 1), (1, 0, 1, 0, 0, 1, 0)])
-        assert rds2_prevalence(forest) == pytest.approx(1 / 3)
+        assert sample_estimates(forest).rds2_prevalence[0] == pytest.approx(1 / 3)
 
     def test_single_member(self):
         forest = make_forest([(0, -1, 0, 0, -1, 7, 1)])
-        assert rds2_prevalence(forest) == 1.0
+        assert sample_estimates(forest).rds2_prevalence[0] == 1.0
 
     def test_zero_degree_rejected(self):
         forest = make_forest([(0, -1, 0, 0, -1, 0, 1)])
-        with pytest.raises(ValueError, match="degree"):
-            rds2_prevalence(forest)
-        # the aggregate path records a marker instead
+        # an isolated seed gives a row with no RDS-II estimate, not a crash
         assert sample_estimates(forest).rds2_prevalence == (None,)
 
     def test_degree_scaling_invariance(self):
@@ -289,7 +287,9 @@ class TestRds2Prevalence:
                 for i, (d, v) in enumerate([(2, 1), (5, 0), (3, 1), (7, 0)])]
         forest = make_forest(base)
         scaled = make_forest([(n, r, w, s, c, 3 * d, v) for n, r, w, s, c, d, v in base])
-        assert rds2_prevalence(scaled) == pytest.approx(rds2_prevalence(forest), rel=1e-12)
+        assert sample_estimates(scaled).rds2_prevalence[0] == pytest.approx(
+            sample_estimates(forest).rds2_prevalence[0], rel=1e-12
+        )
 
     def test_bounds(self):
         rng = np.random.default_rng(9)
@@ -298,7 +298,7 @@ class TestRds2Prevalence:
             if graph.degrees.min() == 0:
                 continue
             forest = run_rds(graph, z, SamplerConfig(2, 2, 15), rng)
-            value = rds2_prevalence(forest)
+            value = sample_estimates(forest).rds2_prevalence[0]
             assert 0.0 <= value <= 1.0
 
 
@@ -319,10 +319,9 @@ class TestLabelSwap:
             attributes=1 - forest.attributes,
             attribute_names=forest.attribute_names,
         )
-        assert rds2_prevalence(swapped) == pytest.approx(1.0 - rds2_prevalence(forest), rel=1e-12)
-        h_orig, _ = estimate_homophily(forest)
-        h_swap, _ = estimate_homophily(swapped)
-        assert h_orig == h_swap
+        est, est_swap = sample_estimates(forest), sample_estimates(swapped)
+        assert est_swap.rds2_prevalence[0] == pytest.approx(1.0 - est.rds2_prevalence[0], rel=1e-12)
+        assert est.homophily[0] == est_swap.homophily[0]
 
 
 class TestRelativeBias:
@@ -390,7 +389,7 @@ def nested_cases(draw):
 
 
 def assert_nested_equal_prefixes(forest, graph, sizes):
-    """Estimates of ``forest`` at ``sizes`` equal those of each prefix, and each estimator's own route on it."""
+    """Estimates of ``forest`` at ``sizes`` equal those of each prefix, and independent oracles on it."""
     nested = sample_estimates(forest, graph, sizes)
     assert len(nested) == len(sizes)
     for size, est in zip(sizes, nested):
@@ -399,13 +398,16 @@ def assert_nested_equal_prefixes(forest, graph, sizes):
         assert (est.sample_size, est.reseed_count, est.max_wave, est.truncated) == (
             cut.size, cut.reseed_count, cut.max_wave, cut.truncated
         )
-        # sample_estimates shares its code across sizes, so the per-estimator routes vouch for both
-        rds2_ok = bool(np.all(cut.degrees > 0))
+        # sample_estimates shares its code across sizes, so oracles built from other code vouch for both
+        tree = Graph(cut.size, cut.recruiter_entries, np.flatnonzero(cut.recruiters >= 0))
+        weights = 1.0 / cut.degrees if np.all(cut.degrees > 0) else None
         for k in range(len(cut.attribute_names)):
-            assert est.diff_activity[k] == estimate_differential_activity(cut, k)
-            assert (est.homophily[k], est.homophily_ratio[k]) == estimate_homophily(cut, k)
-            assert est.rds2_prevalence[k] == (rds2_prevalence(cut, k) if rds2_ok else None)
-            assert est.crude_prevalence[k] == crude_prevalence(cut, k)
+            z = cut.attributes[:, k]
+            assert (est.homophily[k], est.homophily_ratio[k]) == homophily_of(mixing_counts(tree, z))
+            assert est.diff_activity[k] == or_none(_activity_ratio, z, cut.degrees)
+            rds2 = None if weights is None else float(weights[z == 1].sum() / weights.sum())
+            assert est.rds2_prevalence[k] == rds2
+            assert est.crude_prevalence[k] == int(z.sum()) / cut.size
             if graph is not None:
                 assert est.induced_homophily[k] == homophily_of(keep_mask_counts(cut, graph, k))[0]
     return nested

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import expit
+from scipy.stats import binom, chi2, chisquare
 
 from rdsim import (
     AttributeTargets,
@@ -15,7 +16,6 @@ from rdsim import (
     InfeasibleTargetsError,
     NetworkTargets,
     differential_activity,
-    expected_statistics,
     fit_dyad_model,
     generate_network,
     mixing_counts,
@@ -630,14 +630,14 @@ class TestExpectedStatistics:
         z = np.zeros((n, 1), dtype=np.int8)
         z[:10, 0] = 1
         model = DyadModel(theta=np.array([-1.3, 0.0, 0.0]), covariate_names=("z",))
-        stats = expected_statistics(model, z)
+        stats = _PatternClasses(z).expected(model.theta)
         assert stats[0] == pytest.approx(math.comb(n, 2) * expit(-1.3), rel=1e-12)
 
     def test_vanishing_intercept_limit(self):
         z = np.zeros((20, 1), dtype=np.int8)
         z[:5, 0] = 1
         model = DyadModel(theta=np.array([-40.0, 0.0, 0.0]), covariate_names=("z",))
-        assert np.all(expected_statistics(model, z) < 1e-12)
+        assert np.all(_PatternClasses(z).expected(model.theta) < 1e-12)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(31)
@@ -647,7 +647,7 @@ class TestExpectedStatistics:
                 z = rng.integers(0, 2, size=(n, m)).astype(np.int8)
                 theta = rng.normal(scale=0.8, size=1 + 2 * m)
                 model = DyadModel(theta=theta, covariate_names=tuple(f"c{k}" for k in range(m)))
-                fast = expected_statistics(model, z)
+                fast = _PatternClasses(z).expected(model.theta)
                 slow = brute_force_expected(theta, z)
                 assert np.allclose(fast, slow, rtol=1e-12, atol=1e-9)
 
@@ -657,7 +657,7 @@ class TestExpectedStatistics:
         solution = solve_dyad_classes(targets)
         z = np.zeros((200, 1), dtype=np.int8)
         z[: solution.n1, 0] = 1
-        stats = expected_statistics(saturated_model(solution), z)
+        stats = _PatternClasses(z).expected(saturated_model(solution).theta)
         assert stats[0] == pytest.approx(solution.total_edges, abs=1e-9)
         assert stats[1] == pytest.approx(solution.e11 + solution.e00, abs=1e-9)
         assert stats[2] == pytest.approx(2 * solution.e11 + solution.e10, abs=1e-9)
@@ -691,7 +691,7 @@ class TestFitDyadModel:
         model = fit_dyad_model(
             [AttributeTargets("z", 0.5, 1.0, homophily_ratio=1.0)], 10.0, z
         )
-        stats = expected_statistics(model, z)
+        stats = _PatternClasses(z).expected(model.theta)
         goal = np.array(
             [solution.total_edges, solution.e11 + solution.e00, 2 * solution.e11 + solution.e10]
         )
@@ -721,7 +721,7 @@ class TestFitDyadModel:
         monkeypatch.setattr(netgen, "_FIT_TOL", 1e-12)
         z = draw_cohort_covariates(2020)
         first = fit_dyad_model(cohort_attribute_targets(), 16.63, z)
-        achieved = expected_statistics(first, z)
+        achieved = _PatternClasses(z).expected(first.theta)
         # translate the achieved statistics back into per-attribute targets
         n = z.shape[0]
         total = achieved[0]
@@ -809,3 +809,151 @@ class TestAttributeTargets:
         assert default == pytest.approx(ratio_from_assortativity(0.2, 0.5, 1.0))
         assert shifted == pytest.approx(ratio_from_assortativity(0.2, 0.4, 1.0))
         assert default != shifted
+
+
+# ---------------------------------------------------------------------------
+# The law of one draw
+# ---------------------------------------------------------------------------
+
+# A correct generator fails each law test with probability at most LAW_ALPHA:
+# a test that takes several p-values asserts each above LAW_ALPHA over their
+# number (Bonferroni). The seeds are fixed, so a run passes or fails every time.
+LAW_ALPHA = 1e-3
+LAW_DRAWS = 2000
+
+# 12 nodes, 3 of each pattern of two attributes, shuffled: 10 dyad classes of 66 dyads
+LAW_Z = np.array([[a, b] for a in (0, 1) for b in (0, 1) for _ in range(3)], dtype=np.int8)[
+    np.random.default_rng(1).permutation(12)
+]
+# class tie probabilities from 0.35 to 0.77
+LAW_MODEL = DyadModel(np.array([-0.4, 0.6, 0.3, -0.5, 0.4]), ("a", "b"))
+# 12 nodes, 6 carrying the attribute: exact counts 6, 7 and 11 in classes of 15, 36 and 15 dyads
+LAW_TARGETS = NetworkTargets(12, 0.5, 4.0, 1.5, 1.5)
+
+
+def inclusion_rows(graphs) -> np.ndarray:
+    """Row r is True at the dyads of ``graphs[r]``, dyads numbered row-major over i < j."""
+    n = graphs[0].node_count
+    rows = np.zeros((len(graphs), n * (n - 1) // 2), dtype=bool)
+    for r, graph in enumerate(graphs):
+        i, j = graph.src, graph.dst
+        rows[r, i * (2 * n - i - 1) // 2 + j - i - 1] = True
+    return rows
+
+
+def dyad_classes(classes: _PatternClasses) -> np.ndarray:
+    """The class of each dyad, numbered as in ``inclusion_rows``, as a position in ``classes``' class arrays."""
+    pattern = np.empty(classes.n, dtype=np.int64)
+    for c, members in enumerate(classes.members):
+        pattern[members] = c
+    position = {pair: c for c, pair in enumerate(zip(classes.class_a.tolist(), classes.class_b.tolist()))}
+    i, j = np.triu_indices(classes.n, k=1)
+    a, b = np.minimum(pattern[i], pattern[j]), np.maximum(pattern[i], pattern[j])
+    return np.array([position[pair] for pair in zip(a.tolist(), b.tolist())])
+
+
+def binomial_terms(hits, trials: int, p) -> np.ndarray:
+    """Pearson term of each count in ``hits`` against Binomial(trials, p): a one-degree chi-square."""
+    return (hits - trials * p) ** 2 / (trials * p * (1 - p))
+
+
+def pooled(observed, expected, least: float = 5.0):
+    """Adjacent bins merged until each expects at least ``least``; a short last bin joins the one before."""
+    obs, exp = [0], [0.0]
+    for o, e in zip(observed, expected):
+        if exp[-1] >= least:
+            obs.append(0)
+            exp.append(0.0)
+        obs[-1] += o
+        exp[-1] += e
+    if exp[-1] < least and len(exp) > 1:
+        o, e = obs.pop(), exp.pop()
+        obs[-1] += o
+        exp[-1] += e
+    return obs, exp
+
+
+@pytest.fixture(scope="module")
+def bernoulli_draws():
+    """(rows, class of each dyad, class tie probabilities) of LAW_MODEL's draws on LAW_Z."""
+    rng = np.random.default_rng(2026)
+    rows = inclusion_rows([simulate_from_model(LAW_MODEL, LAW_Z, rng) for _ in range(LAW_DRAWS)])
+    classes = _PatternClasses(LAW_Z)
+    return rows, dyad_classes(classes), classes.probabilities(LAW_MODEL.theta)
+
+
+@pytest.fixture(scope="module")
+def exact_count_draws():
+    """(rows, class of each dyad, class edge counts) of LAW_TARGETS' draws in exact-count mode."""
+    rng = np.random.default_rng(2027)
+    graphs, zs = zip(*(generate_network(LAW_TARGETS, rng, mode="exact-count") for _ in range(LAW_DRAWS)))
+    rows = inclusion_rows(graphs)
+    cls = dyad_classes(_PatternClasses(zs[0]))
+    counts = np.stack([np.bincount(cls, weights=row) for row in rows])
+    # exact-count mode fixes every class's count, so each draw has the first draw's counts
+    assert np.all(counts == counts[0])
+    return rows, cls, counts[0]
+
+
+class TestGeneratorLaw:
+    """The law of a draw: in ``bernoulli`` mode each dyad is an independent
+    Bernoulli(q_c) of its class c; in ``exact-count`` mode each class's edge
+    set is a uniform subset of its fixed size.
+    """
+
+    def test_each_dyad_is_included_at_its_class_probability(self, bernoulli_draws):
+        rows, cls, q = bernoulli_draws
+        # the dyads are independent, so the terms sum to a chi-square with one degree per dyad
+        terms = binomial_terms(rows.sum(axis=0), LAW_DRAWS, q[cls])
+        assert rows.shape[1] == 66 and q.size == 10
+        assert chi2.sf(terms.sum(), terms.size) > LAW_ALPHA
+
+    def test_each_class_count_is_binomial(self, bernoulli_draws):
+        rows, cls, q = bernoulli_draws
+        for c, (dyads, p) in enumerate(zip(np.bincount(cls), q)):
+            counts = rows[:, cls == c].sum(axis=1)
+            observed = np.bincount(counts, minlength=dyads + 1)
+            obs, exp = pooled(observed, LAW_DRAWS * binom.pmf(np.arange(dyads + 1), dyads, p))
+            assert chisquare(obs, exp).pvalue > LAW_ALPHA / q.size
+
+    @pytest.mark.parametrize("mode", ["bernoulli", "exact-count"])
+    def test_pair_inclusion_within_a_class_follows_its_law(self, mode, request):
+        rows, cls, law = request.getfixturevalue(f"{mode.replace('-', '_')}_draws")
+        dyads = np.bincount(cls)
+        if mode == "bernoulli":
+            both = law**2  # independent dyads
+        else:
+            both = law * (law - 1) / (dyads * (dyads - 1))  # two dyads of a uniform k-subset
+        pvalues = []
+        for c in range(dyads.size):
+            members = np.flatnonzero(cls == c)
+            a, b = np.triu_indices(members.size, k=1)
+            hits = (rows[:, members[a]] & rows[:, members[b]]).sum(axis=0)
+            pvalues.extend(chi2.sf(binomial_terms(hits, LAW_DRAWS, both[c]), 1))
+        assert min(pvalues) > LAW_ALPHA / len(pvalues)
+
+    def test_exact_count_classes_are_uniform_subsets(self, exact_count_draws):
+        rows, cls, counts = exact_count_draws
+        # a uniform k-subset of D dyads puts each dyad in with chance k/D; over
+        # the draws the D counts sum to a constant, and (D - 1)/D times their
+        # terms is a chi-square with D - 1 degrees
+        statistic, degrees = 0.0, 0
+        for c, k in enumerate(counts):
+            members = cls == c
+            dyads = int(members.sum())
+            statistic += (dyads - 1) / dyads * binomial_terms(rows[:, members].sum(axis=0), LAW_DRAWS, k / dyads).sum()
+            degrees += dyads - 1
+        assert chi2.sf(statistic, degrees) > LAW_ALPHA
+
+    def test_one_large_class_is_uniform_where_choice_switches_algorithm(self):
+        # 150 nodes of one pattern: one class of 11,175 dyads. numpy's choice
+        # without replacement takes other routes with and without its shuffle
+        # for populations above 10,000 when population // 50 < k <= population // 20.
+        z = np.zeros((150, 1), dtype=np.int8)
+        q = 400 / 11175
+        model = DyadModel(np.array([math.log(q / (1 - q)), 0.0, 0.0]), ("z",))
+        rng = np.random.default_rng(2028)
+        graphs = [simulate_from_model(model, z, rng) for _ in range(300)]
+        assert all(11175 // 50 < graph.edge_count <= 11175 // 20 for graph in graphs)
+        terms = binomial_terms(inclusion_rows(graphs).sum(axis=0), len(graphs), q)
+        assert chi2.sf(terms.sum(), terms.size) > LAW_ALPHA

@@ -44,17 +44,12 @@ PUBLIC_NAMES = [
     "binary_correlation_bounds",
     "binary_sampler",
     "bivariate_normal_cdf",
-    "crude_prevalence",
     "degree_distribution",
     "differential_activity",
-    "estimate_differential_activity",
-    "estimate_homophily",
-    "expected_statistics",
     "fit_dyad_model",
     "generate_binary_covariates",
     "generate_network",
     "homophily_ratio",
-    "induced_homophily",
     "latent_correlation_matrix",
     "latent_normal_correlation",
     "mean_degree",
@@ -62,7 +57,6 @@ PUBLIC_NAMES = [
     "newman_assortativity",
     "prevalence",
     "ratio_from_assortativity",
-    "rds2_prevalence",
     "read_attributes",
     "read_edge_list",
     "read_forest",
@@ -161,17 +155,12 @@ SIGNATURES = {
     "binary_correlation_bounds": "(p1, p2)",
     "binary_sampler": "(spec)",
     "bivariate_normal_cdf": "(h, k, rho)",
-    "crude_prevalence": "(forest, attribute=0)",
     "degree_distribution": "(graph)",
     "differential_activity": "(graph, values)",
-    "estimate_differential_activity": "(forest, attribute=0)",
-    "estimate_homophily": "(forest, attribute=0)",
-    "expected_statistics": "(model, z)",
     "fit_dyad_model": "(attribute_targets, mean_degree, z)",
     "generate_binary_covariates": "(spec, n, rng)",
     "generate_network": "(targets, rng, mode='bernoulli')",
     "homophily_ratio": "(counts)",
-    "induced_homophily": "(forest, graph, attribute=0)",
     "latent_correlation_matrix": "(spec)",
     "latent_normal_correlation": "(p1, p2, target)",
     "mean_degree": "(graph)",
@@ -179,7 +168,6 @@ SIGNATURES = {
     "newman_assortativity": "(counts)",
     "prevalence": "(values)",
     "ratio_from_assortativity": "(assortativity, prevalence, diff_activity)",
-    "rds2_prevalence": "(forest, attribute=0)",
     "read_attributes": "(path)",
     "read_edge_list": "(path, node_count)",
     "read_forest": "(path)",
