@@ -309,10 +309,14 @@ def differential_activity(graph: Graph, values) -> float:
 
 
 def _activity_ratio(z: np.ndarray, degrees: np.ndarray) -> float:
-    """Mean of ``degrees`` over the value-1 nodes of ``z`` over that of the value-0 nodes."""
-    mask = z == 1
-    n1 = int(mask.sum())
-    return _mean_ratio(n1, int(degrees[mask].sum()), z.size - n1, int(degrees[~mask].sum()))
+    """Mean of ``degrees`` over the value-1 nodes of ``z`` over that of the value-0 nodes.
+
+    ``z`` is 0/1, so the value-1 degree sum is the integer dot product
+    ``degrees @ z``; two integer reductions replace two boolean gathers.
+    """
+    n1 = int(np.count_nonzero(z))
+    total1 = int(degrees @ z)
+    return _mean_ratio(n1, total1, z.size - n1, int(degrees.sum()) - total1)
 
 
 def _mean_ratio(n1: int, total1: int, n0: int, total0: int) -> float:
