@@ -18,6 +18,14 @@ to populations where enumerating all dyads is impractical. Node indices
 travel as ``uint32`` from the class member lists through the draws to
 :class:`~rdsim.graph.Graph`, which takes them at that width, so the
 per-class gathers and their concatenation move half the bytes of int64.
+
+A class's subset is drawn with ``rng.choice(..., replace=False,
+shuffle=False)``: ``Graph`` sorts the edges into canonical order, so the
+random order that the shuffle would add is thrown away, and skipping it
+leaves each class a uniform subset. This changed the streams once (every
+output derived from a generated network moved); see
+:func:`_sample_class_dyads` for where the set differs from the shuffled
+call's.
 """
 
 from __future__ import annotations
@@ -236,6 +244,19 @@ def _sample_class_dyads(
     """Draw ``k`` distinct dyads uniformly from one dyad class.
 
     ``group_b is None`` means the within-group class of ``group_a``.
+
+    The dyad indices come unshuffled, since ``Graph`` sorts the edges
+    anyway and a uniform ``k``-subset is uniform in any order. numpy draws
+    by Floyd's algorithm up to a population of 10,000 and, above it, for
+    ``k`` up to ``population // 50`` with the shuffle but up to
+    ``population // 20`` without; otherwise it shuffles the tail of the
+    whole range, the same with or without ``shuffle``. From one state,
+    this call draws the same set as ``choice(population, k,
+    replace=False)`` wherever both take the same path. On Floyd's path it
+    skips the shuffle of the ``k`` draws, so the state after it, and every
+    later draw, differs. A ``k`` between the two cut-offs above 10,000
+    picks a different set (``default_rng(1).choice(10**6, 50000,
+    replace=False)`` does).
     """
     if group_b is None:
         size = group_a.size
@@ -251,7 +272,7 @@ def _sample_class_dyads(
     if k == population:
         chosen = np.arange(population, dtype=np.int64)
     else:
-        chosen = rng.choice(population, size=k, replace=False).astype(np.int64, copy=False)
+        chosen = rng.choice(population, size=k, replace=False, shuffle=False).astype(np.int64, copy=False)
     if group_b is None:
         i, j = _decode_triangular(chosen, group_a.size)
         return group_a[i], group_a[j]

@@ -287,7 +287,7 @@ def draw_graph_int64(classes, counts, rng):
         if k == population:
             chosen = np.arange(population, dtype=np.int64)
         else:
-            chosen = rng.choice(population, size=k, replace=False).astype(np.int64, copy=False)
+            chosen = rng.choice(population, size=k, replace=False, shuffle=False).astype(np.int64, copy=False)
         if a == b:
             i, j = _decode_triangular(chosen, size)
             src_parts.append(group_a[i])
