@@ -312,7 +312,7 @@ def _activity_ratio(z: np.ndarray, degrees: np.ndarray) -> float:
     """Mean of ``degrees`` over the value-1 nodes of ``z`` over that of the value-0 nodes.
 
     ``z`` is 0/1, so the value-1 degree sum is the integer dot product
-    ``degrees @ z``; two integer reductions replace two boolean gathers.
+    ``degrees @ z`` and the value-0 sum is the rest of the total.
     """
     n1 = int(np.count_nonzero(z))
     total1 = int(degrees @ z)

@@ -22,10 +22,8 @@ per-class gathers and their concatenation move half the bytes of int64.
 A class's subset is drawn with ``rng.choice(..., replace=False,
 shuffle=False)``: ``Graph`` sorts the edges into canonical order, so the
 random order that the shuffle would add is thrown away, and skipping it
-leaves each class a uniform subset. This changed the streams once (every
-output derived from a generated network moved); see
-:func:`_sample_class_dyads` for where the set differs from the shuffled
-call's.
+leaves each class a uniform subset. :func:`_sample_class_dyads` says
+where the set and the stream differ from the shuffled call's.
 """
 
 from __future__ import annotations
