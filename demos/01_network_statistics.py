@@ -12,7 +12,6 @@ from rdsim import (
     Graph,
     assortativity_from_ratio,
     differential_activity,
-    degree_distribution,
     homophily_ratio,
     mean_degree,
     mixing_counts,
@@ -37,9 +36,10 @@ print(f"mean degree        : {mean_degree(graph):.3f}")
 print(f"prevalence         : {prevalence(z):.3f}")
 print(f"differential act.  : {differential_activity(graph, z):.3f}")
 
-dist = degree_distribution(graph)
-print(f"degree table       : {dict(enumerate(dist.counts.tolist()))}")
-print(f"consistency        : sum k*D_k = {dist.total_degree} = 2*|E| = {2 * graph.edge_count}")
+degree_counts = np.bincount(graph.degrees)
+print(f"degree table       : {dict(enumerate(degree_counts.tolist()))}")
+total_degree = int(np.arange(degree_counts.size) @ degree_counts)
+print(f"consistency        : sum k*D_k = {total_degree} = 2*|E| = {2 * graph.edge_count}")
 
 counts = mixing_counts(graph, z)
 print(f"mixing counts      : within-1 {counts.within_1}, cross {counts.cross}, within-0 {counts.within_0}")

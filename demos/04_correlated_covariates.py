@@ -7,7 +7,7 @@ marginals and pairwise correlations against the targets.
 
 import numpy as np
 
-from rdsim import CovariateSpec, binary_correlation_bounds, generate_binary_covariates
+from rdsim import CovariateSpec, binary_correlation_bounds, binary_sampler
 from rdsim.covariates import latent_correlation_matrix
 
 spec = CovariateSpec(
@@ -30,7 +30,7 @@ for i in range(3):
             f"(feasible {lo:+.3f}..{hi:+.3f}) -> latent {latent[i, j]:+.4f}"
         )
 
-values = generate_binary_covariates(spec, 100_000, np.random.default_rng(3))
+values = binary_sampler(spec).sample(100_000, np.random.default_rng(3))
 empirical = np.corrcoef(values.T)
 print("\nempirical check at n = 100000:")
 for k, name in enumerate(spec.names):

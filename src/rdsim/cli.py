@@ -29,7 +29,7 @@ from .config import (
     sampler_config_from_config,
     serialize_config,
 )
-from .covariates import generate_binary_covariates
+from .covariates import binary_sampler
 from .errors import ConfigError, RdsimError
 from .estimators import sample_estimates
 from .graph import (
@@ -97,7 +97,7 @@ def cmd_netgen(args) -> int:
     cfg = load_config(args.config)
     if has_covariate_sections(cfg):
         n, mean_deg, targets, spec = multi_network_run_from_config(cfg, source=args.config)
-        z = generate_binary_covariates(spec, n, np.random.default_rng((args.seed, 0)))
+        z = binary_sampler(spec).sample(n, np.random.default_rng((args.seed, 0)))
         model = fit_dyad_model(targets, mean_deg, z)
         graph = simulate_from_model(model, z, np.random.default_rng((args.seed, 1)))
         attributes = [AttributeVector(name, z[:, k]) for k, name in enumerate(spec.names)]
@@ -125,11 +125,10 @@ def cmd_netgen(args) -> int:
 
 def cmd_covgen(args) -> int:
     cfg = load_config(args.config)
+    _apply_seed_override(cfg, "covgen", args.seed)
     spec, n, seed = covariate_spec_from_config(cfg, source=args.config)
-    if args.seed is not None:
-        seed = args.seed
     out = _ensure_out(args)
-    values = generate_binary_covariates(spec, n, np.random.default_rng((seed, 0)))
+    values = binary_sampler(spec).sample(n, np.random.default_rng((seed, 0)))
     write_attributes(
         os.path.join(out, "attributes.csv"),
         [AttributeVector(name, values[:, k]) for k, name in enumerate(spec.names)],
@@ -204,8 +203,9 @@ def cmd_estimate(args) -> int:
 
 
 def _apply_seed_override(cfg, section: str, seed: int | None) -> None:
-    if seed is not None:
-        cfg.setdefault(section, {})["seed"] = str(seed)
+    # the manifest echoes cfg, so the seed goes in; a missing section stays for the config check to name
+    if seed is not None and section in cfg:
+        cfg[section]["seed"] = str(seed)
 
 
 def cmd_experiment(args) -> int:

@@ -28,7 +28,6 @@ __all__ = [
     "latent_normal_correlation",
     "latent_correlation_matrix",
     "binary_sampler",
-    "generate_binary_covariates",
 ]
 
 # Latent correlations are solved strictly inside (-1, 1); the open slack
@@ -220,11 +219,6 @@ class CovariateSpec:
         object.__setattr__(self, "marginals", marginals)
         object.__setattr__(self, "correlations", corr)
 
-    @classmethod
-    def independent(cls, names, marginals) -> "CovariateSpec":
-        m = len(names)
-        return cls(tuple(names), np.asarray(marginals, dtype=float), np.eye(m))
-
 
 def _nearest_correlation(matrix: np.ndarray) -> np.ndarray:
     """Project to the nearest correlation matrix by eigenvalue clipping."""
@@ -266,12 +260,11 @@ class LatentBinaryModel:
     callers drawing many replicates compile once and sample repeatedly.
     """
 
-    names: tuple[str, ...]
     thresholds: np.ndarray
     cholesky: np.ndarray
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw an ``(n, m)`` matrix of 0/1 values."""
+        """Draw an ``(n, m)`` matrix of 0/1 values, one column per covariate in the compiled spec's order."""
         if n < 1:
             raise ValueError("n must be >= 1")
         latent = rng.standard_normal((n, self.thresholds.size)) @ self.cholesky.T
@@ -286,16 +279,6 @@ def binary_sampler(spec: CovariateSpec) -> LatentBinaryModel:
     except np.linalg.LinAlgError as exc:
         raise RdsimError("latent correlation matrix is not repairable") from exc
     return LatentBinaryModel(
-        names=spec.names,
         thresholds=np.array([_inv_normal_cdf(p) for p in spec.marginals]),
         cholesky=chol,
     )
-
-
-def generate_binary_covariates(spec: CovariateSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``n`` rows of correlated binaries matching ``spec``.
-
-    Columns follow ``spec.names`` order; empirical marginals and pairwise
-    correlations converge to the targets as ``n`` grows.
-    """
-    return binary_sampler(spec).sample(n, rng)

@@ -28,11 +28,9 @@ from .tables import check_names, in_file, read_table, write_table
 __all__ = [
     "Graph",
     "AttributeVector",
-    "DegreeDistribution",
     "MixingCounts",
     "mean_degree",
     "prevalence",
-    "degree_distribution",
     "differential_activity",
     "mixing_counts",
     "newman_assortativity",
@@ -185,29 +183,6 @@ class AttributeVector:
 
 
 @dataclass(frozen=True)
-class DegreeDistribution:
-    """Frequency table of node degrees: ``counts[k]`` nodes have degree k."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64).ravel()
-        if counts.size < 1 or counts.min() < 0:
-            raise ValueError("degree counts must be a non-empty nonnegative table")
-        counts.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def node_count(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def total_degree(self) -> int:
-        """Sum of k * counts[k]; equals twice the edge count."""
-        return int(np.arange(self.counts.size) @ self.counts)
-
-
-@dataclass(frozen=True)
 class MixingCounts:
     """Edge counts classified by endpoint attributes (each edge once)."""
 
@@ -281,12 +256,6 @@ def prevalence(values) -> float:
     """Proportion of nodes carrying the attribute (value 1)."""
     z = _as_attribute(values)
     return float(z.sum() / z.size)
-
-
-def degree_distribution(graph: Graph) -> DegreeDistribution:
-    """Degree frequency table of ``graph``."""
-    counts = np.bincount(graph.degrees, minlength=1)
-    return DegreeDistribution(counts)
 
 
 def differential_activity(graph: Graph, values) -> float:

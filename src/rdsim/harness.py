@@ -487,7 +487,7 @@ def run_engage_mimic(
     for name in names:
         per_cov = []
         for row in rows:
-            flat = {"covariate": name, "status": row["status"]}
+            flat = {"covariate": name}
             for column in RB_COLUMNS:
                 flat[column] = row.get(f"{column}_{name}")
             per_cov.append(flat)

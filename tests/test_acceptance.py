@@ -17,9 +17,9 @@ from rdsim import (
     InfeasibleTargetsError,
     NetworkTargets,
     assortativity_from_ratio,
+    binary_sampler,
     differential_activity,
     fit_dyad_model,
-    generate_binary_covariates,
     generate_network,
     mean_degree,
     mixing_counts,
@@ -266,7 +266,7 @@ def test_criterion_08_multi_attribute_fit():
         marginals=[0.579, 0.439, 0.127],
         correlations=np.array(cohort_correlations()),
     )
-    z = generate_binary_covariates(spec, 4040, np.random.default_rng(MASTER_SEED))
+    z = binary_sampler(spec).sample(4040, np.random.default_rng(MASTER_SEED))
     targets = cohort_targets()
     model = fit_dyad_model(targets, 16.63, z)
 

@@ -744,6 +744,39 @@ class TestCliCovgen:
         assert abs(values[:, 0].mean() - 0.3) < 0.05
         assert abs(values[:, 1].mean() - 0.7) < 0.05
 
+    def test_seed_override_is_echoed_in_the_manifest(self, tmp_path):
+        covariates = ENGAGE_CFG[ENGAGE_CFG.index("[covariate A]"):]
+        flagged = tmp_path / "flagged.cfg"
+        flagged.write_text(f"[covgen]\nn = 200\nseed = 4\n\n{covariates}")
+        written = tmp_path / "written.cfg"
+        written.write_text(f"[covgen]\nn = 200\nseed = 9\n\n{covariates}")
+        assert main(["covgen", "--config", str(flagged), "--out", str(tmp_path / "a"), "--seed", "9", "-q"]) == 0
+        assert main(["covgen", "--config", str(written), "--out", str(tmp_path / "b"), "-q"]) == 0
+        manifest = (tmp_path / "a" / "manifest.txt").read_text()
+        assert "master-seed = 9\n" in manifest
+        assert "[covgen]\nn = 200\nseed = 9\n" in manifest
+        # the echoed config reproduces the run: same manifest, same bytes
+        assert manifest == (tmp_path / "b" / "manifest.txt").read_text()
+        assert (tmp_path / "a" / "attributes.csv").read_bytes() == (tmp_path / "b" / "attributes.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, section, text",
+    [
+        ("experiment", "experiment", EXPERIMENT_CFG[:EXPERIMENT_CFG.index("[experiment]")]),
+        ("engage-mimic", "engage", ENGAGE_CFG[ENGAGE_CFG.index("[covariate A]"):]),
+        ("covgen", "covgen", ENGAGE_CFG[ENGAGE_CFG.index("[covariate A]"):]),
+    ],
+    ids=["experiment", "engage-mimic", "covgen"],
+)
+def test_seed_override_adds_no_missing_section(tmp_path, capsys, command, section, text):
+    cfg = tmp_path / "no-section.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--seed", "3"]) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}: missing required section(s): {section}\n"
+    assert not out.exists()
+
 
 @pytest.mark.parametrize("command", ["experiment", "engage-mimic"])
 def test_desk_scale_is_an_unrecognized_argument(tmp_path, capsys, command):

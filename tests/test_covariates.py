@@ -17,7 +17,6 @@ from rdsim import (
     binary_correlation_bounds,
     binary_sampler,
     bivariate_normal_cdf,
-    generate_binary_covariates,
     latent_correlation_matrix,
     latent_normal_correlation,
 )
@@ -134,21 +133,17 @@ class TestCovariateSpec:
         with pytest.raises(ValueError, match="feasible"):
             CovariateSpec(("a", "b"), [0.9, 0.1], [[1.0, 0.9], [0.9, 1.0]])
 
-    def test_independent_constructor(self):
-        spec = CovariateSpec.independent(("x", "y"), [0.3, 0.7])
-        assert np.array_equal(spec.correlations, np.eye(2))
-
 
 class TestGeneration:
     def test_single_covariate_marginal(self):
-        spec = CovariateSpec.independent(("z",), [0.5])
-        values = generate_binary_covariates(spec, 100_000, np.random.default_rng(1))
+        spec = CovariateSpec(("z",), [0.5], np.eye(1))
+        values = binary_sampler(spec).sample(100_000, np.random.default_rng(1))
         assert values.shape == (100_000, 1)
         assert values.mean() == pytest.approx(0.5, abs=0.01)
 
     def test_independent_pair_uncorrelated(self):
-        spec = CovariateSpec.independent(("x", "y"), [0.4, 0.6])
-        values = generate_binary_covariates(spec, 100_000, np.random.default_rng(2))
+        spec = CovariateSpec(("x", "y"), [0.4, 0.6], np.eye(2))
+        values = binary_sampler(spec).sample(100_000, np.random.default_rng(2))
         assert abs(np.corrcoef(values.T)[0, 1]) < 0.02
 
     def test_cohort_three_covariate_spec(self):
@@ -162,7 +157,7 @@ class TestGeneration:
                 [0.023, 0.046, 1.0],
             ],
         )
-        values = generate_binary_covariates(spec, 100_000, np.random.default_rng(3))
+        values = binary_sampler(spec).sample(100_000, np.random.default_rng(3))
         empirical = np.corrcoef(values.T)
         for i in range(3):
             assert values[:, i].mean() == pytest.approx(spec.marginals[i], abs=0.01)
@@ -170,8 +165,8 @@ class TestGeneration:
                 assert empirical[i, j] == pytest.approx(spec.correlations[i, j], abs=0.02)
 
     def test_values_are_binary_and_ordered(self):
-        spec = CovariateSpec.independent(("a", "b"), [0.2, 0.8])
-        values = generate_binary_covariates(spec, 5000, np.random.default_rng(4))
+        spec = CovariateSpec(("a", "b"), [0.2, 0.8], np.eye(2))
+        values = binary_sampler(spec).sample(5000, np.random.default_rng(4))
         assert values.dtype == np.int8
         assert set(np.unique(values)) <= {0, 1}
         # column order follows spec.names: low-prevalence column first
@@ -191,13 +186,13 @@ class TestGeneration:
                         ("u", "v"), [p1, p2],
                         [[1.0, target], [target, 1.0]],
                     )
-                    values = generate_binary_covariates(spec, n, rng)
+                    values = binary_sampler(spec).sample(n, rng)
                     assert values[:, 0].mean() == pytest.approx(p1, abs=0.01)
                     assert values[:, 1].mean() == pytest.approx(p2, abs=0.01)
                     assert np.corrcoef(values.T)[0, 1] == pytest.approx(target, abs=0.02)
 
     def test_compiled_sampler_reuse_is_deterministic(self):
-        spec = CovariateSpec.independent(("x", "y"), [0.3, 0.7])
+        spec = CovariateSpec(("x", "y"), [0.3, 0.7], np.eye(2))
         model = binary_sampler(spec)
         a = model.sample(1000, np.random.default_rng(7))
         b = model.sample(1000, np.random.default_rng(7))
@@ -235,13 +230,13 @@ class TestLatentMatrixRepair:
         assert latent[0, 1] > 0.104
 
     def test_thresholds_match_marginal_quantiles(self):
-        spec = CovariateSpec.independent(("a",), [0.25])
+        spec = CovariateSpec(("a",), [0.25], np.eye(1))
         model = binary_sampler(spec)
         assert model.thresholds[0] == pytest.approx(float(ndtri(0.25)))
 
     def test_thresholds_match_ndtri(self):
         marginals = [1e-6, 0.01, 0.127, 0.169, 0.25, 0.431, 0.5, 0.579, 0.645, 0.9, 1 - 1e-6]
-        model = binary_sampler(CovariateSpec.independent(tuple("abcdefghijk"), marginals))
+        model = binary_sampler(CovariateSpec(tuple("abcdefghijk"), marginals, np.eye(11)))
         assert np.max(np.abs(model.thresholds - ndtri(marginals))) <= 1e-14
 
 

@@ -10,7 +10,6 @@ from rdsim import (
     MixingCounts,
     UndefinedEstimandError,
     assortativity_from_ratio,
-    degree_distribution,
     differential_activity,
     homophily_ratio,
     mean_degree,
@@ -311,14 +310,6 @@ class TestBasicStatistics:
         assert prevalence([0, 0, 0, 0]) == 0.0
         assert prevalence([1, 1, 0, 0]) == 0.5
         assert prevalence([1, 1, 0]) == pytest.approx(2 / 3)
-
-    def test_degree_distribution_consistency(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            graph, _, _ = random_graph(8, 0.5, rng)
-            dist = degree_distribution(graph)
-            assert dist.node_count == graph.node_count
-            assert dist.total_degree == 2 * graph.edge_count
 
 
 class TestDifferentialActivity:

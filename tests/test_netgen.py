@@ -672,14 +672,14 @@ def cohort_attribute_targets():
 
 
 def draw_cohort_covariates(n, seed=2025):
-    from rdsim import CovariateSpec, generate_binary_covariates
+    from rdsim import CovariateSpec, binary_sampler
 
     spec = CovariateSpec(
         names=("CAS", "CIR", "HIV+"),
         marginals=[0.579, 0.439, 0.127],
         correlations=[[1.0, 0.104, 0.023], [0.104, 1.0, 0.046], [0.023, 0.046, 1.0]],
     )
-    return generate_binary_covariates(spec, n, np.random.default_rng(seed))
+    return binary_sampler(spec).sample(n, np.random.default_rng(seed))
 
 
 class TestFitDyadModel:
