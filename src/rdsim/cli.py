@@ -93,8 +93,15 @@ def _attribute_stats(graph, values) -> list[str]:
     ]
 
 
+def _check_seed(seed: int, source: str) -> None:
+    # default_rng takes no negative entropy; fail as the sweeps do, before any output
+    if seed < 0:
+        raise ConfigError(f"{source}: seed must be nonnegative, got {seed}")
+
+
 def cmd_netgen(args) -> int:
     cfg = load_config(args.config)
+    _check_seed(args.seed, args.config)
     if has_covariate_sections(cfg):
         n, mean_deg, targets, spec = multi_network_run_from_config(cfg, source=args.config)
         z = binary_sampler(spec).sample(n, np.random.default_rng((args.seed, 0)))
@@ -141,6 +148,7 @@ def cmd_covgen(args) -> int:
 
 def cmd_rds(args) -> int:
     cfg = load_config(args.config)
+    _check_seed(args.seed, args.config)
     sampler_config = sampler_config_from_config(cfg, source=args.config)
     attributes = read_attributes(args.attributes)
     graph = read_edge_list(args.edges, node_count=attributes[0].values.size)

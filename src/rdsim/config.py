@@ -382,6 +382,8 @@ def covariate_spec_from_config(cfg, source: str = "<config>") -> tuple[Covariate
     covgen = _read(cfg, "covgen", source)
     if covgen["n"] < 1:
         raise ConfigError(f"{source}: [covgen] n must be >= 1")
+    if covgen["seed"] < 0:
+        raise ConfigError(f"{source}: [covgen] seed must be nonnegative, got {covgen['seed']}")
     spec = _covariate_spec(cfg, _covariate_targets(cfg, source, network=False), source)
     return spec, covgen["n"], covgen["seed"]
 

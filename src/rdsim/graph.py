@@ -68,7 +68,16 @@ class Graph:
 
     ``src`` and ``dst`` may have any integer dtype: they are range-checked
     in that dtype and then cast straight to the key dtype, so narrow draws
-    stay narrow. The public arrays are int64 at either key width.
+    stay narrow. The public arrays are int64 at either key width, slices
+    of one block allocated once per graph, and each is written once, in
+    that dtype: ``src`` and ``dst`` by ``>>`` and ``&`` of the sorted edge
+    keys, the neighbor array by ``&`` of the sorted adjacency keys, which
+    are built and sorted inside the neighbor slice itself, and the degrees
+    and ``indptr`` from the endpoint counts. Beside the block, the only
+    arrays of the edge count's length are key-width temporaries, each
+    freed once it has been read: the input casts (where the inputs are of
+    another dtype), the lo and hi ends, and numpy's copy of the adjacency
+    keys as it unpacks them.
     Self-loops and parallel edges are rejected. All arrays are frozen after
     construction, so instances are safe to share across workers.
     """
@@ -95,44 +104,57 @@ class Graph:
         key_type = np.uint32 if n <= MAX_KEY32_NODE_COUNT else np.uint64
         src = src.astype(key_type, copy=False)
         dst = dst.astype(key_type, copy=False)
-        lo = np.minimum(src, dst)
-        hi = np.maximum(src, dst)
-        if np.any(lo == hi):
+        if np.any(src == dst):
             raise ValueError("self-loops are not allowed")
+        # every int64 array is a slice of one block: one allocation per graph
+        e = src.size
+        block = np.empty(4 * e + 2 * n + 1, dtype=np.int64)
+        key = np.minimum(src, dst)  # the lo ends, shifted in place below
+        hi = np.maximum(src, dst)
+        del src, dst
         # keys are unique once parallel edges are ruled out, so a plain
         # (unstable) sort of the key gives the lexicographic (lo, hi) order
         shift = max((n - 1).bit_length(), 1)
         mask = (1 << shift) - 1
-        key = lo
         key <<= shift
         key |= hi
+        del hi
         key.sort()
         if np.any(key[1:] == key[:-1]):
             raise ValueError("parallel edges are not allowed")
-        lo = key >> shift
-        hi = key & mask
+        src = np.right_shift(key, shift, out=block[:e])
+        dst = np.bitwise_and(key, mask, out=block[e:2 * e])
 
         # adjacency keys end << b | other: the lo ends are the sorted edge
-        # keys themselves, the hi ends need hi << b | lo
-        e = key.size
-        adj = np.empty(2 * e, dtype=key_type)
+        # keys themselves, the hi ends (hi << b | lo) come from them too.
+        # They are built and sorted in the neighbor slice, whose last 2e
+        # key-width words they fill at either key width, so no array of
+        # them is held beside the edge keys; numpy unpacks them into the
+        # slice from a copy, as the two overlap.
+        indices = block[2 * e:4 * e]
+        words = indices.view(key_type)
+        adj = words[words.size - 2 * e:]
         adj[:e] = key
-        np.left_shift(hi, shift, out=adj[e:])
-        adj[e:] |= lo
+        high_ends = adj[e:]
+        np.bitwise_and(key, mask, out=high_ends)
+        high_ends <<= shift
+        key >>= shift
+        high_ends |= key
+        del key
         adj.sort()
-        adj &= mask
-        lo = lo.astype(np.int64)
-        hi = hi.astype(np.int64)
-        indices = adj.astype(np.int64)
-        degrees = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.bitwise_and(adj, mask, out=indices)
+        degrees = block[4 * e:4 * e + n]
+        np.add(np.bincount(src, minlength=n), np.bincount(dst, minlength=n), out=degrees)
+        indptr = block[4 * e + n:]
+        indptr[0] = 0
         np.cumsum(degrees, out=indptr[1:])
 
-        for arr in (lo, hi, indptr, indices, degrees):
+        block.flags.writeable = False
+        for arr in (src, dst, indptr, indices, degrees):
             arr.flags.writeable = False
         self._n = n
-        self._src = lo
-        self._dst = hi
+        self._src = src
+        self._dst = dst
         self._indptr = indptr
         self._indices = indices
         self._degrees = degrees

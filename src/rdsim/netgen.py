@@ -24,6 +24,12 @@ shuffle=False)``: ``Graph`` sorts the edges into canonical order, so the
 random order that the shuffle would add is thrown away, and skipping it
 leaves each class a uniform subset. :func:`_sample_class_dyads` says
 where the set and the stream differ from the shuffled call's.
+
+A fit and the network drawn from it share one set of dyad classes:
+:func:`fit_dyad_model` leaves the ``_PatternClasses`` it fitted on the
+returned model, and :func:`simulate_from_model` draws from them when its
+checked attribute matrix equals the fitted one, so the classes are built
+once per fitted network.
 """
 
 from __future__ import annotations
@@ -49,7 +55,8 @@ __all__ = [
 
 GENERATION_MODES = ("bernoulli", "exact-count")
 
-# attribute patterns are packed into int64 codes, one bit per attribute
+# attribute patterns are packed into unsigned codes, one bit per attribute,
+# and unpacked from their int64 values
 MAX_PATTERN_ATTRIBUTES = 62
 
 # fit_dyad_model accepts a fit once every moment residual, relative to its
@@ -283,7 +290,8 @@ def _draw_graph(classes: _PatternClasses, counts, rng: np.random.Generator) -> G
 
     ``counts`` gives one ``k`` per class, in class order. It is consumed
     one class at a time, so a lazy iterable can draw each class's count
-    from ``rng`` just before that class's dyads.
+    from ``rng`` just before that class's dyads. The per-class parts are
+    released once concatenated, before ``Graph`` allocates its arrays.
     """
     src_parts = []
     dst_parts = []
@@ -292,7 +300,11 @@ def _draw_graph(classes: _PatternClasses, counts, rng: np.random.Generator) -> G
         src, dst = _sample_class_dyads(classes.members[a], group_b, k, rng)
         src_parts.append(src)
         dst_parts.append(dst)
-    return Graph(classes.n, np.concatenate(src_parts), np.concatenate(dst_parts))
+    src = np.concatenate(src_parts)
+    del src_parts
+    dst = np.concatenate(dst_parts)
+    del dst_parts
+    return Graph(classes.n, src, dst)
 
 
 def _binomial_counts(classes: _PatternClasses, probabilities: np.ndarray, rng: np.random.Generator):
@@ -441,27 +453,34 @@ class _PatternClasses:
 
     ``members[c]`` holds the ``uint32`` indices of the nodes with pattern
     ``c``, ascending; ``uint32`` covers every node count up to
-    :data:`~rdsim.graph.MAX_NODE_COUNT`.
+    :data:`~rdsim.graph.MAX_NODE_COUNT`. ``z`` keeps the checked (read-only
+    int8) attribute matrix the classes were built from.
     """
 
     def __init__(self, z: np.ndarray):
-        z = _as_attributes(z)
+        self.z = z = _as_attributes(z)
         self.n, self.m = z.shape
         if self.n < 2:
             raise ValueError(f"attribute matrix must have n >= 2 rows, got shape {z.shape}")
         if self.m > MAX_PATTERN_ATTRIBUTES:
             raise ValueError(f"at most {MAX_PATTERN_ATTRIBUTES} attributes, got {self.m}")
-        # each row packed into one integer, first column most significant, so
-        # sorted codes follow the lexicographic order of the rows
+        # each row packed into the narrowest unsigned integer that holds m
+        # bits, first column most significant, so sorted codes follow the
+        # lexicographic order of the rows; up to 16 bits numpy's stable sort
+        # is a radix sort
+        code = np.zeros(self.n, dtype=np.min_scalar_type((1 << self.m) - 1))
+        # the 0/1 columns as uint8, so that |= keeps the code's dtype
+        for column in z.T.view(np.uint8):
+            code <<= 1
+            code |= column
+        order = np.argsort(code, kind="stable")
+        code = code[order]
+        starts = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
+        codes = code[starts].astype(np.int64)
+        sizes = np.diff(starts, append=self.n)
         bits = np.arange(self.m - 1, -1, -1, dtype=np.int64)
-        code = z.astype(np.int64) @ (1 << bits)
-        codes, sizes = np.unique(code, return_counts=True)
         self.patterns = (codes[:, None] >> bits) & 1
-        # the rank of each row's pattern orders the rows as the code does, and
-        # in a dtype of at most 16 bits numpy's stable sort is a radix sort
-        rank = np.searchsorted(codes, code).astype(np.min_scalar_type(codes.size - 1))
-        order = np.argsort(rank, kind="stable").astype(np.uint32)
-        self.members = np.split(order, np.cumsum(sizes)[:-1])
+        self.members = np.split(order.astype(np.uint32), starts[1:])
 
         ai, bi = np.triu_indices(codes.size)
         counts = np.where(
@@ -595,7 +614,10 @@ def fit_dyad_model(attribute_targets, mean_degree: float, z: np.ndarray) -> Dyad
             f"residual {best:.3g} above tolerance {_FIT_TOL} after {_FIT_MAX_ITER} iterations",
             residuals=res,
         )
-    return DyadModel(theta=theta, covariate_names=tuple(t.name for t in attribute_targets))
+    model = DyadModel(theta=theta, covariate_names=tuple(t.name for t in attribute_targets))
+    # simulate_from_model reuses these classes when it is given the same z
+    object.__setattr__(model, "_classes", classes)
+    return model
 
 
 def simulate_from_model(model: DyadModel, z: np.ndarray, rng: np.random.Generator) -> Graph:
@@ -603,8 +625,13 @@ def simulate_from_model(model: DyadModel, z: np.ndarray, rng: np.random.Generato
 
     Each joint-pattern dyad class draws a binomial edge count at its tie
     probability, then places the edges on a uniform subset of the class
-    dyads (exactly the independent-Bernoulli law).
+    dyads (exactly the independent-Bernoulli law). A model returned by
+    :func:`fit_dyad_model` carries the dyad classes of the ``z`` it was fitted
+    on; they are reused when the checked ``z`` here is equal to that one, and
+    built afresh otherwise.
     """
-    classes = _PatternClasses(z)
+    classes = getattr(model, "_classes", None)
+    if classes is None or not np.array_equal(_as_attributes(z), classes.z):
+        classes = _PatternClasses(z)
     counts = _binomial_counts(classes, classes.probabilities(model.theta), rng)
     return _draw_graph(classes, counts, rng)

@@ -778,6 +778,32 @@ def test_seed_override_adds_no_missing_section(tmp_path, capsys, command, sectio
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["netgen", "--seed", "-2"], FIG_NETWORK_CFG, "seed must be nonnegative, got -2"),
+        (["rds", "--seed", "-1"], "[rds]\nseeds = 1\ncoupons = 2\nsample_size = 3\n", "seed must be nonnegative, got -1"),
+        (["covgen", "--seed", "-1"], "[covgen]\nn = 10\n\n[covariate A]\nprevalence = 0.5\n",
+         "[covgen] seed must be nonnegative, got -1"),
+        (["covgen"], "[covgen]\nn = 10\nseed = -1\n\n[covariate A]\nprevalence = 0.5\n",
+         "[covgen] seed must be nonnegative, got -1"),
+        (["experiment", "--seed", "-1"], EXPERIMENT_CFG, "master_seed must be nonnegative"),
+    ],
+    ids=["netgen", "rds", "covgen-flag", "covgen-config", "experiment"],
+)
+def test_negative_seed_fails_before_any_output(tmp_path, capsys, argv, text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    (tmp_path / "edges.csv").write_text("src,dst\n0,1\n1,2\n")
+    (tmp_path / "attributes.csv").write_text("node,z\n0,1\n1,0\n2,1\n")
+    files = ["--edges", str(tmp_path / "edges.csv"), "--attributes", str(tmp_path / "attributes.csv")]
+    out = tmp_path / "out"
+    argv = argv + ["--config", str(cfg), "--out", str(out)] + (files if argv[0] == "rds" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"config error: {cfg}: {message}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["experiment", "engage-mimic"])
 def test_desk_scale_is_an_unrecognized_argument(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as exc:

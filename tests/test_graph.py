@@ -1,3 +1,5 @@
+import tracemalloc
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -294,6 +296,44 @@ class TestGraphEndpointDtypes:
         assert single.degrees.tolist() == [0]
         assert single._indptr.tolist() == [0, 0]
         assert single.src.dtype == single.dst.dtype == single._indices.dtype == np.int64
+
+
+def cohort_scale_draw(n, e=336_000):
+    """``e`` distinct uint32 edges on ``n`` nodes (e / n below n / 2), shuffled: a cohort-scale draw."""
+    lo = np.arange(e) % n
+    hi = (lo + 1 + np.arange(e) // n) % n
+    order = np.random.default_rng(0).permutation(e)
+    return lo[order].astype(np.uint32), hi[order].astype(np.uint32)
+
+
+class TestGraphMemory:
+    def test_cohort_scale_peak_is_two_key_arrays_beside_the_block(self):
+        n = 40_400
+        src, dst = cohort_scale_draw(n)
+        tracemalloc.start()
+        try:
+            graph = Graph(n, src, dst)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert graph.edge_count == src.size
+        # beside the int64 arrays it keeps (11.40 MB), Graph holds at most
+        # 2 * e uint32 words at a time (2.69 MB), the lo and hi ends or
+        # numpy's copy of the adjacency keys, plus numpy's small buffers; a
+        # build that casts key-width arrays to int64 beside them (4.03 MB)
+        # fails this
+        assert peak - retained < 2 * src.size * 4 + 250_000
+
+    @pytest.mark.parametrize("n", [40_400, MAX_KEY32_NODE_COUNT + 1])
+    def test_adjacency_unpacked_in_place_at_both_key_widths(self, n):
+        # uint32 adjacency keys fill the last half of the neighbor slice's
+        # bytes, uint64 keys all of it; either way they are unpacked over
+        # their own memory
+        src, dst = cohort_scale_draw(n)
+        graph = Graph(n, src, dst)
+        got = (graph.src, graph.dst, graph.degrees, graph._indptr, graph._indices)
+        for actual, expected in zip(got, lexsort_reference(n, src, dst)):
+            assert np.array_equal(actual, expected)
 
 
 class TestBasicStatistics:

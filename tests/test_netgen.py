@@ -371,6 +371,28 @@ def unique_rows_reference(z):
     return patterns.astype(np.int64), members, ai[keep], bi[keep], counts[keep], stats
 
 
+def rank_based_reference(z):
+    """The earlier ``_PatternClasses`` build, from int64 codes and their ranks: the same six results."""
+    m = z.shape[1]
+    bits = np.arange(m - 1, -1, -1, dtype=np.int64)
+    code = z.astype(np.int64) @ (1 << bits)
+    codes, sizes = np.unique(code, return_counts=True)
+    patterns = (codes[:, None] >> bits) & 1
+    rank = np.searchsorted(codes, code).astype(np.min_scalar_type(codes.size - 1))
+    order = np.argsort(rank, kind="stable").astype(np.uint32)
+    members = np.split(order, np.cumsum(sizes)[:-1])
+    ai, bi = np.triu_indices(codes.size)
+    counts = np.where(ai == bi, sizes[ai] * (sizes[ai] - 1) // 2, sizes[ai] * sizes[bi]).astype(np.float64)
+    keep = counts > 0
+    pa = patterns[ai[keep]]
+    pb = patterns[bi[keep]]
+    stats = np.empty((pa.shape[0], 1 + 2 * m), dtype=np.float64)
+    stats[:, 0] = 1.0
+    stats[:, 1::2] = (pa == pb).astype(np.float64)
+    stats[:, 2::2] = (pa + pb).astype(np.float64)
+    return patterns, members, ai[keep], bi[keep], counts[keep], stats
+
+
 @st.composite
 def attribute_matrices(draw):
     """0/1 int8 matrices: random, one repeated row, or every pattern present."""
@@ -427,6 +449,31 @@ class TestPatternClasses:
         assert len(members) == len(expected)
         for got, want in zip(members, expected):
             assert np.array_equal(got, want)
+
+    # code widths: uint8 up to 8 columns, uint16 up to 16, uint32 up to 32, uint64 above
+    @pytest.mark.parametrize("m", [1, 3, 8, 9, 16, 17, 62])
+    @pytest.mark.parametrize("density", [0.02, 0.5])
+    def test_matches_rank_based_build(self, m, density):
+        # rows drawn from at most 60 patterns, so the classes (and their
+        # statistics, one row of 1 + 2m per class) stay few
+        rng = np.random.default_rng((m, int(density * 100)))
+        pool = (rng.random((60, m)) < density).astype(np.int8)
+        z = pool[rng.integers(0, 60, size=3000)]
+        classes = _PatternClasses(z)
+        patterns, members, class_a, class_b, dyad_counts, stats = rank_based_reference(z)
+        assert len(classes.members) == len(members)
+        for got, expected in zip(classes.members, members):
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+        for got, expected in [
+            (classes.patterns, patterns),
+            (classes.class_a, class_a),
+            (classes.class_b, class_b),
+            (classes.dyad_counts, dyad_counts),
+            (classes.statistics, stats),
+        ]:
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
 
     def test_probabilities_match_expit_bit_for_bit(self):
         # one dyad class, statistics (1, 1, 0): its log-odds is theta[0] + theta[1]
@@ -793,6 +840,30 @@ class TestSimulateFromModel:
         z = np.zeros((10, 2), dtype=np.int8)
         with pytest.raises(ValueError):
             simulate_from_model(DyadModel(np.array([0.0, 0.0, 0.0]), ("z",)), z, np.random.default_rng(0))
+
+    def test_fitted_classes_are_reused_only_for_an_equal_z(self, monkeypatch):
+        z1 = draw_cohort_covariates(600)
+        z2 = draw_cohort_covariates(600, seed=7)
+        assert z2.shape == z1.shape and not np.array_equal(z1, z2)
+        fitted_on = z1.copy()
+        model = fit_dyad_model(cohort_attribute_targets(), 8.0, fitted_on)
+        changed = fitted_on  # the caller's array, changed after the fit
+        changed[:5] = 1 - changed[:5]
+        bare = DyadModel(model.theta, model.covariate_names)
+        builds = []
+
+        def counted(z):
+            builds.append(z)
+            return _PatternClasses(z)
+
+        monkeypatch.setattr(netgen, "_PatternClasses", counted)
+        for z, rebuilt in [(z2, True), (changed, True), (z1, False)]:
+            del builds[:]
+            graph = simulate_from_model(model, z, np.random.default_rng(3))
+            assert len(builds) == int(rebuilt)
+            expected = simulate_from_model(bare, z, np.random.default_rng(3))
+            assert np.array_equal(graph.src, expected.src)
+            assert np.array_equal(graph.dst, expected.dst)
 
 
 class TestAttributeTargets:
