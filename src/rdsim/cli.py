@@ -35,7 +35,6 @@ from .estimators import sample_estimates
 from .graph import (
     EDGE_COLUMNS,
     MAX_NODE_COUNT,
-    AttributeVector,
     Graph,
     mean_degree,
     read_attributes,
@@ -107,20 +106,20 @@ def cmd_netgen(args) -> int:
         z = binary_sampler(spec).sample(n, np.random.default_rng((args.seed, 0)))
         model = fit_dyad_model(targets, mean_deg, z)
         graph = simulate_from_model(model, z, np.random.default_rng((args.seed, 1)))
-        attributes = [AttributeVector(name, z[:, k]) for k, name in enumerate(spec.names)]
+        names = spec.names
         per_attr = [
             f"{name}: " + " ".join(_attribute_stats(graph, z[:, k]))
-            for k, name in enumerate(spec.names)
+            for k, name in enumerate(names)
         ]
         summary = " | ".join(per_attr)
     else:
         targets, mode = network_run_from_config(cfg, source=args.config)
         graph, z = generate_network(targets, np.random.default_rng((args.seed, 0)), mode)
-        attributes = [AttributeVector("z", z)]
+        names = ("z",)
         summary = " ".join(_attribute_stats(graph, z))
     out = _ensure_out(args)
     write_edge_list(graph, os.path.join(out, "edges.csv"))
-    write_attributes(os.path.join(out, "attributes.csv"), attributes)
+    write_attributes(os.path.join(out, "attributes.csv"), names, z)
     _write_manifest(out, "netgen", args.seed, cfg)
     _say(
         args,
@@ -136,10 +135,7 @@ def cmd_covgen(args) -> int:
     spec, n, seed = covariate_spec_from_config(cfg, source=args.config)
     out = _ensure_out(args)
     values = binary_sampler(spec).sample(n, np.random.default_rng((seed, 0)))
-    write_attributes(
-        os.path.join(out, "attributes.csv"),
-        [AttributeVector(name, values[:, k]) for k, name in enumerate(spec.names)],
-    )
+    write_attributes(os.path.join(out, "attributes.csv"), spec.names, values)
     _write_manifest(out, "covgen", seed, cfg)
     marginals = ", ".join(f"{name}={values[:, k].mean():.4g}" for k, name in enumerate(spec.names))
     _say(args, f"covgen: wrote attributes.csv | n={n} {marginals}")
@@ -150,15 +146,9 @@ def cmd_rds(args) -> int:
     cfg = load_config(args.config)
     _check_seed(args.seed, args.config)
     sampler_config = sampler_config_from_config(cfg, source=args.config)
-    attributes = read_attributes(args.attributes)
-    graph = read_edge_list(args.edges, node_count=attributes[0].values.size)
-    forest = run_rds(
-        graph,
-        np.column_stack([a.values for a in attributes]),
-        sampler_config,
-        np.random.default_rng((args.seed, 0)),
-        tuple(a.name for a in attributes),
-    )
+    names, z = read_attributes(args.attributes)
+    graph = read_edge_list(args.edges, node_count=len(z))
+    forest = run_rds(graph, z, sampler_config, np.random.default_rng((args.seed, 0)), names)
     out = _ensure_out(args)
     write_forest(forest, os.path.join(out, "forest.csv"))
     _write_manifest(out, "rds", args.seed, cfg)
@@ -269,7 +259,10 @@ def cmd_engage(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value

@@ -15,6 +15,7 @@ import numpy as np
 
 from .covariates import CovariateSpec
 from .errors import ConfigError
+from .graph import ratio_from_assortativity
 from .harness import EngageScenario, ExperimentPlan
 from .netgen import MAX_PATTERN_ATTRIBUTES, AttributeTargets, GENERATION_MODES, NetworkTargets
 from .sampler import SEED_SELECTION_MODES, SamplerConfig
@@ -218,9 +219,11 @@ def network_run_from_config(cfg, source: str = "<config>"):
     net = _read(cfg, "network", source)
     args = (net["n"], net["p"], net["mean_degree"], net["diff_activity"])
     key = _homophily_key(net)
-    build = NetworkTargets if key == "homophily_r" else NetworkTargets.with_assortativity
     try:
-        return build(*args, net[key]), net["mode"]
+        ratio = net[key]
+        if key == "homophily_h":
+            ratio = ratio_from_assortativity(ratio, net["p"], net["diff_activity"])
+        return NetworkTargets(*args, ratio), net["mode"]
     except ValueError as exc:
         raise ConfigError(f"{source}: [network] {exc}")
 

@@ -8,17 +8,17 @@ together with the analytic bridge between those two metrics.
 
 Attribute values are checked here wherever they enter the package, and
 held as a read-only (n, m) int8 matrix of 0/1 values, a vector being one
-column. Two interchange file formats live here as well: an edge-list CSV
-(``src,dst`` with 0-based indices, ``src < dst``) and an attribute CSV
-(``node,<name1>,...`` with 0/1 values). Both are parsed and written by
-:mod:`rdsim.tables`.
+column; where they are named, the names travel beside the matrix as a
+tuple, one per column. Two interchange file formats live here as well: an
+edge-list CSV (``src,dst`` with 0-based indices, ``src < dst``) and an
+attribute CSV (``node,<name1>,...`` with 0/1 values), read and written as
+``(names, matrix)``. Both are parsed and written by :mod:`rdsim.tables`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .tables import check_names, in_file, read_table, write_table
 
 __all__ = [
     "Graph",
-    "AttributeVector",
     "MixingCounts",
     "mean_degree",
     "prevalence",
@@ -67,17 +66,17 @@ class Graph:
     ``uint64``; ``node_count`` may not exceed :data:`MAX_NODE_COUNT`.
 
     ``src`` and ``dst`` may have any integer dtype: they are range-checked
-    in that dtype and then cast straight to the key dtype, so narrow draws
-    stay narrow. The public arrays are int64 at either key width, slices
-    of one block allocated once per graph, and each is written once, in
-    that dtype: ``src`` and ``dst`` by ``>>`` and ``&`` of the sorted edge
-    keys, the neighbor array by ``&`` of the sorted adjacency keys, which
-    are built and sorted inside the neighbor slice itself, and the degrees
-    and ``indptr`` from the endpoint counts. Beside the block, the only
-    arrays of the edge count's length are key-width temporaries, each
-    freed once it has been read: the input casts (where the inputs are of
-    another dtype), the lo and hi ends, and numpy's copy of the adjacency
-    keys as it unpacks them.
+    and compared for self-loops in that dtype, and their lo and hi ends are
+    taken straight into the key dtype, so narrow draws stay narrow and no
+    cast copy of the inputs is made. The public arrays are int64 at either
+    key width, slices of one block allocated once per graph, and each is
+    written once, in that dtype: ``src`` and ``dst`` by ``>>`` and ``&`` of
+    the sorted edge keys, the neighbor array by ``&`` of the sorted
+    adjacency keys, which are built and sorted inside the neighbor slice
+    itself, and the degrees and ``indptr`` from the endpoint counts. Beside
+    the block, the only arrays of the edge count's length are key-width
+    temporaries, each freed once it has been read: the lo and hi ends, and
+    numpy's copy of the adjacency keys as it unpacks them.
     Self-loops and parallel edges are rejected. All arrays are frozen after
     construction, so instances are safe to share across workers.
     """
@@ -99,18 +98,17 @@ class Graph:
             high = max(int(src.max()), int(dst.max()))
             if low < 0 or high >= n:
                 raise ValueError(f"edge endpoint out of range: {low if low < 0 else high} is not in 0..{n - 1}")
-        # exact once the range is checked; casting each end on its own also
-        # keeps mixed int64/uint64 input away from float64 promotion
-        key_type = np.uint32 if n <= MAX_KEY32_NODE_COUNT else np.uint64
-        src = src.astype(key_type, copy=False)
-        dst = dst.astype(key_type, copy=False)
         if np.any(src == dst):
             raise ValueError("self-loops are not allowed")
         # every int64 array is a slice of one block: one allocation per graph
         e = src.size
         block = np.empty(4 * e + 2 * n + 1, dtype=np.int64)
-        key = np.minimum(src, dst)  # the lo ends, shifted in place below
-        hi = np.maximum(src, dst)
+        # the ends go straight into the key dtype, with no cast copy of the
+        # inputs: exact once the range is checked, and mixed int64/uint64
+        # input is never promoted to float64
+        key_type = np.uint32 if n <= MAX_KEY32_NODE_COUNT else np.uint64
+        key = np.minimum(src, dst, dtype=key_type, casting="unsafe")  # the lo ends, shifted in place below
+        hi = np.maximum(src, dst, dtype=key_type, casting="unsafe")
         del src, dst
         # keys are unique once parallel edges are ruled out, so a plain
         # (unstable) sort of the key gives the lexicographic (lo, hi) order
@@ -188,20 +186,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(node_count={self._n}, edge_count={self.edge_count})"
-
-
-@dataclass(frozen=True)
-class AttributeVector:
-    """Named binary attribute, one value per node."""
-
-    name: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        try:
-            object.__setattr__(self, "values", _as_attribute(self.values))
-        except ValueError as exc:
-            raise ValueError(f"attribute {self.name!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -461,23 +445,36 @@ def read_edge_list(path, node_count: int) -> Graph:
         return Graph(node_count, pairs[:, 0], pairs[:, 1])
 
 
-def write_attributes(path, attributes: Sequence[AttributeVector]) -> None:
-    """Write attribute CSV with header ``node,<name1>,...``; the names must be distinct and non-empty."""
-    attrs = list(attributes)
-    if not attrs or len({a.values.size for a in attrs}) != 1:
-        raise ValueError("need one or more attribute vectors of equal length")
-    names = check_names(a.name for a in attrs)
-    columns = [a.values.tolist() for a in attrs]
-    write_table(path, ("node",) + names, zip(range(len(columns[0])), *columns))
+def write_attributes(path, names, values) -> None:
+    """Write an attribute CSV with header ``node,<name1>,...`` from an (n, m) 0/1 matrix.
+
+    ``values`` is checked as every attribute matrix is (a vector is one
+    column), and must have one column per name; the names must be
+    distinct and non-empty.
+    """
+    names = check_names(names)
+    z = _as_attributes(values)
+    if z.shape[1] != len(names):
+        raise ValueError(f"{len(names)} attribute names for {z.shape[1]} columns (shape {np.shape(values)})")
+    write_table(path, ("node",) + names, zip(range(z.shape[0]), *z.T.tolist()))
 
 
-def read_attributes(path) -> list[AttributeVector]:
-    """Read an attribute CSV written by :func:`write_attributes`.
+def read_attributes(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """Read an attribute CSV written by :func:`write_attributes` as ``(names, z)``.
 
-    Rows must cover nodes 0..n-1 in order.
+    ``z`` is the read-only (n, m) int8 matrix of the file's 0/1 columns,
+    one per name. Rows must cover nodes 0..n-1 in order; a value other
+    than 0 or 1 is an error naming the file and its column.
     """
     names, table = read_table(path, ("node",), named=True)
     with in_file(path):
         if not np.array_equal(table[:, 0], np.arange(len(table))):
             raise ValueError("node column must be 0..n-1 in order")
-        return [AttributeVector(name, table[:, k + 1]) for k, name in enumerate(names)]
+        values = table[:, 1:]
+        try:
+            return names, _as_attributes(values)
+        except ValueError as exc:
+            outside = ((values < 0) | (values > 1)).any(axis=0)
+            if not outside.any():
+                raise
+            raise ValueError(f"attribute {names[int(outside.argmax())]!r}: {exc}") from None

@@ -101,19 +101,6 @@ class NetworkTargets:
         if self.homophily_ratio < 0.0:
             raise ValueError("homophily_ratio must be nonnegative")
 
-    @classmethod
-    def with_assortativity(
-        cls,
-        node_count: int,
-        prevalence: float,
-        mean_degree: float,
-        diff_activity: float,
-        assortativity: float,
-    ) -> "NetworkTargets":
-        """Build targets from an assortativity-scale homophily value."""
-        ratio = ratio_from_assortativity(assortativity, prevalence, diff_activity)
-        return cls(node_count, prevalence, mean_degree, diff_activity, ratio)
-
     @property
     def group_sizes(self) -> tuple[int, int]:
         """(n1, n0): attribute-present and attribute-absent group sizes."""
@@ -423,22 +410,22 @@ class DyadModel:
     is ``theta[0] + sum_k theta[1+2k]*[a_k == b_k] + theta[2+2k]*(a_k+b_k)``:
     an edge intercept plus per-attribute homophily-match and activity
     terms. The statistic vector follows the same layout: total edges, then
-    per attribute the matched-edge count and the group-1 edge-end count.
+    per attribute the matched-edge count and the group-1 edge-end count, so
+    a model over m attributes has ``1 + 2m`` entries. The attribute matrix
+    it is drawn over must have those m columns.
     """
 
     theta: np.ndarray
-    covariate_names: tuple[str, ...]
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float).ravel()
-        if theta.size != 1 + 2 * len(self.covariate_names):
-            raise ValueError("theta must have 1 + 2*len(covariate_names) entries")
+        if theta.size < 3 or theta.size % 2 == 0:
+            raise ValueError(f"theta must have 1 + 2m entries for some m >= 1, got {theta.size}")
         if not np.all(np.isfinite(theta)):
             raise ValueError("theta must be finite")
         theta = theta.copy()
         theta.flags.writeable = False
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "covariate_names", tuple(self.covariate_names))
 
 
 def _logistic(v: float) -> float:
@@ -614,7 +601,7 @@ def fit_dyad_model(attribute_targets, mean_degree: float, z: np.ndarray) -> Dyad
             f"residual {best:.3g} above tolerance {_FIT_TOL} after {_FIT_MAX_ITER} iterations",
             residuals=res,
         )
-    model = DyadModel(theta=theta, covariate_names=tuple(t.name for t in attribute_targets))
+    model = DyadModel(theta)
     # simulate_from_model reuses these classes when it is given the same z
     object.__setattr__(model, "_classes", classes)
     return model

@@ -4,7 +4,17 @@ Every function that takes attribute values checks them through one helper
 in ``rdsim.graph``, so they all give the same verdict on the same input:
 a 0/1 vector or single column is accepted, while a second column, a row
 vector, an empty input or a value other than 0 or 1 is a ``ValueError``.
+The entry points are ``write_attributes`` (test id ``AttributeVector``: one
+named vector), ``prevalence``, ``differential_activity``, ``mixing_counts``,
+the dyad classes that ``fit_dyad_model`` and ``simulate_from_model`` share
+(test id ``expected_statistics``), ``simulate_from_model``, ``run_rds`` and
+``RecruitmentForest``. ``read_attributes`` returns the same checked matrix,
+as ``(names, z)``, and names the file and the column of a value other than
+0 or 1.
 """
+
+import os
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +23,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, from_dtype
 
 from rdsim import (
-    AttributeVector,
     DyadModel,
     RecruitmentForest,
     SamplerConfig,
@@ -48,13 +57,14 @@ CHAIN = dict(
 
 # Each entry point in its one-attribute form.
 ENTRY_POINTS = {
-    "AttributeVector": lambda z: AttributeVector("z", z),
+    # one named attribute vector, as the attribute file takes it
+    "AttributeVector": lambda z: write_attributes(os.devnull, ("z",), z),
     "prevalence": prevalence,
     "differential_activity": lambda z: differential_activity(GRAPH, z),
     "mixing_counts": lambda z: mixing_counts(GRAPH, z),
     # the expected statistic vector of the dyad classes that fit_dyad_model and simulate_from_model share
     "expected_statistics": lambda z: _PatternClasses(z).expected(np.zeros(3)),
-    "simulate_from_model": lambda z: simulate_from_model(DyadModel(np.zeros(3), ("z",)), z, np.random.default_rng(0)),
+    "simulate_from_model": lambda z: simulate_from_model(DyadModel(np.zeros(3)), z, np.random.default_rng(0)),
     "run_rds": lambda z: run_rds(GRAPH, z, SamplerConfig(1, 2, N), np.random.default_rng(0), ("z",)),
     "RecruitmentForest": lambda z: RecruitmentForest(**CHAIN, attributes=z, attribute_names=("z",)),
 }
@@ -121,9 +131,6 @@ def test_accepted_values_become_a_read_only_int8_column():
     forest = RecruitmentForest(**CHAIN, attributes=BASE.astype(np.float64), attribute_names=("z",))
     assert forest.attributes.dtype == np.int8 and forest.attributes.shape == (N, 1)
     assert not forest.attributes.flags.writeable
-    vector = AttributeVector("z", BASE[:, None]).values
-    assert vector.dtype == np.int8 and vector.tolist() == BASE.tolist()
-    assert not vector.flags.writeable
 
 
 def test_forest_columns_must_match_names():
@@ -140,9 +147,32 @@ def test_two_attribute_run_keeps_both_columns():
     assert np.array_equal(forest.attributes, z[forest.nodes])
 
 
-def test_attribute_vector_error_names_the_attribute():
-    with pytest.raises(ValueError, match="attribute 'hiv': .*0 or 1.*outside"):
-        AttributeVector("hiv", [0, 2])
+def test_read_attributes_returns_a_read_only_int8_matrix(tmp_path):
+    path = tmp_path / "attributes.csv"
+    path.write_text("node,a,b\n0,1,0\n1,0,0\n2,1,1\n")
+    names, z = read_attributes(path)
+    assert names == ("a", "b")
+    assert z.dtype == np.int8 and z.shape == (3, 2) and not z.flags.writeable
+    assert z.tolist() == [[1, 0], [0, 0], [1, 1]]
+
+
+def test_attribute_vector_error_names_the_attribute(tmp_path):
+    # a file value outside 0/1 names the file and its column; int8 would
+    # wrap 256 to 0, so the check comes before the narrowing
+    path = tmp_path / "attributes.csv"
+    for value in (2, 256):
+        path.write_text(f"node,cas,hiv\n0,1,0\n1,0,{value}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: attribute 'hiv': .*0 or 1.*outside"):
+            read_attributes(path)
+
+
+def test_write_attributes_needs_one_column_per_name(tmp_path):
+    path = tmp_path / "attributes.csv"
+    with pytest.raises(ValueError, match=r"1 attribute names for 2 columns \(shape \(4, 2\)\)"):
+        write_attributes(path, ("z",), np.column_stack([BASE, BASE]))
+    with pytest.raises(ValueError, match=r"2 attribute names for 1 columns \(shape \(4,\)\)"):
+        write_attributes(path, ("a", "b"), BASE)
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -202,16 +232,16 @@ def test_forest_rejects_an_empty_attribute_name(names, empty):
 def test_write_attributes_rejects_a_repeated_or_empty_name(tmp_path):
     path = tmp_path / "attributes.csv"
     with pytest.raises(ValueError, match="column name 'z' is repeated"):
-        write_attributes(path, [AttributeVector("z", BASE), AttributeVector("z", 1 - BASE)])
+        write_attributes(path, ("z", "z"), np.column_stack([BASE, 1 - BASE]))
     with pytest.raises(ValueError, match="column name '' is empty"):
-        write_attributes(path, [AttributeVector("", BASE)])
+        write_attributes(path, ("",), BASE)
     assert not path.exists()
 
 
 def test_names_that_differ_only_in_blanks_are_repeated(tmp_path):
     # read_table strips the header cells, so " z" reads back as "z"
     with pytest.raises(ValueError, match="column name 'z' is repeated"):
-        write_attributes(tmp_path / "attributes.csv", [AttributeVector("z", BASE), AttributeVector(" z", BASE)])
+        write_attributes(tmp_path / "attributes.csv", ("z", " z"), np.column_stack([BASE, BASE]))
 
 
 def test_distinct_names_round_trip(tmp_path):
@@ -219,5 +249,6 @@ def test_distinct_names_round_trip(tmp_path):
     forest = run_rds(GRAPH, z, SamplerConfig(1, 2, N), np.random.default_rng(0), ("a", "b"))
     write_forest(forest, tmp_path / "forest.csv")
     assert read_forest(tmp_path / "forest.csv").attribute_names == ("a", "b")
-    write_attributes(tmp_path / "attributes.csv", [AttributeVector("a", BASE), AttributeVector("b", 1 - BASE)])
-    assert [a.name for a in read_attributes(tmp_path / "attributes.csv")] == ["a", "b"]
+    write_attributes(tmp_path / "attributes.csv", ("a", "b"), z)
+    names, back = read_attributes(tmp_path / "attributes.csv")
+    assert names == ("a", "b") and np.array_equal(back, z)

@@ -812,6 +812,17 @@ def test_desk_scale_is_an_unrecognized_argument(tmp_path, capsys, command):
     assert "unrecognized arguments: --desk-scale" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["experiment", "engage-mimic"])
+@pytest.mark.parametrize("threads", ["abc", "1.5", ""])
+def test_non_integer_threads_ask_for_an_integer(tmp_path, capsys, command, threads):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(tmp_path / "any.cfg"), "--threads", threads])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --threads: must be an integer >= 1, got {threads!r}" in err
+    assert "_positive_int" not in err
+
+
 @pytest.mark.parametrize(
     "command, sizes, message",
     [

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rdsim import ConfigError
+from rdsim import ConfigError, ratio_from_assortativity
 from rdsim.config import (
     _SCHEMA,
     covariate_spec_from_config,
@@ -194,7 +194,7 @@ def network_cases(draw):
         h = draw(floats(-0.5, 0.9))
         network["homophily_h"] = repr(h)
         try:
-            targets = NetworkTargets.with_assortativity(*args, h)
+            targets = NetworkTargets(*args, ratio_from_assortativity(h, args[1], args[3]))
         except ValueError:
             assume(False)
     mode = draw(optional_key(network, "mode", GENERATION_MODES))

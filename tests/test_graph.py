@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdsim import (
-    AttributeVector,
     Graph,
     MixingCounts,
     UndefinedEstimandError,
@@ -308,21 +307,23 @@ def cohort_scale_draw(n, e=336_000):
 
 class TestGraphMemory:
     def test_cohort_scale_peak_is_two_key_arrays_beside_the_block(self):
-        n = 40_400
-        src, dst = cohort_scale_draw(n)
-        tracemalloc.start()
-        try:
-            graph = Graph(n, src, dst)
-            retained, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert graph.edge_count == src.size
-        # beside the int64 arrays it keeps (11.40 MB), Graph holds at most
-        # 2 * e uint32 words at a time (2.69 MB), the lo and hi ends or
-        # numpy's copy of the adjacency keys, plus numpy's small buffers; a
-        # build that casts key-width arrays to int64 beside them (4.03 MB)
-        # fails this
-        assert peak - retained < 2 * src.size * 4 + 250_000
+        # beside the int64 arrays it keeps (11.40 MB at 40,400 nodes), Graph
+        # holds at most 2 * e key-width words at a time (2.69 MB of uint32,
+        # 5.38 MB of uint64), the lo and hi ends or numpy's copy of the
+        # adjacency keys, plus numpy's small buffers; a build that casts
+        # key-width arrays to int64 beside them (4.03 MB at 40,400 nodes),
+        # or the uint32 draw to uint64 keys before taking the ends (10.75 MB
+        # at 65,537 nodes), fails this
+        for n, key_bytes in [(40_400, 4), (MAX_KEY32_NODE_COUNT + 1, 8)]:
+            src, dst = cohort_scale_draw(n)
+            tracemalloc.start()
+            try:
+                graph = Graph(n, src, dst)
+                retained, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert graph.edge_count == src.size
+            assert peak - retained < 2 * src.size * key_bytes + 250_000, n
 
     @pytest.mark.parametrize("n", [40_400, MAX_KEY32_NODE_COUNT + 1])
     def test_adjacency_unpacked_in_place_at_both_key_widths(self, n):
@@ -574,26 +575,27 @@ class TestFileFormats:
 
     def test_attributes_round_trip(self, tmp_path):
         path = tmp_path / "attributes.csv"
-        first = AttributeVector("alpha", [1, 0, 1])
-        second = AttributeVector("beta", [0, 0, 1])
-        write_attributes(path, [first, second])
-        assert path.read_text().splitlines()[0] == "node,alpha,beta"
-        back = read_attributes(path)
-        assert [a.name for a in back] == ["alpha", "beta"]
-        assert back[0].values.tolist() == [1, 0, 1]
-        assert back[1].values.tolist() == [0, 0, 1]
+        write_attributes(path, ("alpha", "beta"), np.array([[1, 0], [0, 0], [1, 1]]))
+        assert path.read_text().splitlines() == ["node,alpha,beta", "0,1,0", "1,0,0", "2,1,1"]
+        names, z = read_attributes(path)
+        assert names == ("alpha", "beta")
+        assert z[:, 0].tolist() == [1, 0, 1]
+        assert z[:, 1].tolist() == [0, 0, 1]
 
-    def test_attribute_vector_validation(self):
-        with pytest.raises(ValueError):
-            AttributeVector("bad", [0, 2, 1])
+    def test_attribute_vector_validation(self, tmp_path):
+        with pytest.raises(ValueError, match="0 or 1"):
+            write_attributes(tmp_path / "attributes.csv", ("bad",), [0, 2, 1])
 
-    def test_attribute_vector_checks_before_narrowing(self):
+    def test_attribute_vector_checks_before_narrowing(self, tmp_path):
         # int8 would wrap 256 to 0 and 257 to 1
+        path = tmp_path / "attributes.csv"
         with pytest.raises(ValueError, match="outside"):
-            AttributeVector("z", np.array([256, 257, 1]))
+            write_attributes(path, ("z",), np.array([256, 257, 1]))
         with pytest.raises(ValueError, match="outside"):
-            AttributeVector("z", np.array([0.5, 1.0]))
-        assert AttributeVector("z", np.array([1, 0], dtype=np.int64)).values.dtype == np.int8
+            write_attributes(path, ("z",), np.array([0.5, 1.0]))
+        assert not path.exists()
+        write_attributes(path, ("z",), np.array([1, 0], dtype=np.int64))
+        assert read_attributes(path)[1].dtype == np.int8
 
     def test_statistics_check_attributes_before_casting(self):
         # an int64 cast would truncate 0.5 to 0

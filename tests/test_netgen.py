@@ -15,6 +15,7 @@ from rdsim import (
     Graph,
     InfeasibleTargetsError,
     NetworkTargets,
+    assortativity_from_ratio,
     differential_activity,
     fit_dyad_model,
     generate_network,
@@ -78,7 +79,7 @@ def saturated_model(solution) -> DyadModel:
     theta_act = (logit(solution.q11) - logit(solution.q00)) / 2.0
     theta0 = logit(solution.q10) - theta_act
     theta_match = logit(solution.q00) - theta0
-    return DyadModel(theta=np.array([theta0, theta_match, theta_act]), covariate_names=("z",))
+    return DyadModel(np.array([theta0, theta_match, theta_act]))
 
 
 class TestSolveDyadClasses:
@@ -162,8 +163,11 @@ class TestSolveDyadClasses:
             NetworkTargets(100, 0.5, 5.0, 1.0, -0.1)
 
     def test_with_assortativity_round_trip(self):
-        targets = NetworkTargets.with_assortativity(1000, 0.33, 10.0, 1.16, -0.196)
+        # an assortativity-scale target becomes a ratio before NetworkTargets
+        ratio = ratio_from_assortativity(-0.196, 0.33, 1.16)
+        targets = NetworkTargets(1000, 0.33, 10.0, 1.16, ratio)
         assert targets.homophily_ratio == pytest.approx(0.40, abs=0.01)
+        assert assortativity_from_ratio(targets.homophily_ratio, 0.33, 1.16) == pytest.approx(-0.196, rel=1e-9)
 
 
 def exact_dyad(t, size):
@@ -347,7 +351,7 @@ class TestDrawGraph:
 
         monkeypatch.setattr(netgen, "Graph", recording_graph)
         z = draw_cohort_covariates(500, seed=4)
-        model = DyadModel(np.array([-3.0, 0.5, 0.1, -0.2, 0.3, 0.4, 0.2]), ("CAS", "CIR", "HIV+"))
+        model = DyadModel(np.array([-3.0, 0.5, 0.1, -0.2, 0.3, 0.4, 0.2]))
         simulate_from_model(model, z, np.random.default_rng(5))
         assert seen == [(np.dtype(np.uint32), np.dtype(np.uint32))]
 
@@ -676,14 +680,14 @@ class TestExpectedStatistics:
         n = 30
         z = np.zeros((n, 1), dtype=np.int8)
         z[:10, 0] = 1
-        model = DyadModel(theta=np.array([-1.3, 0.0, 0.0]), covariate_names=("z",))
+        model = DyadModel(np.array([-1.3, 0.0, 0.0]))
         stats = _PatternClasses(z).expected(model.theta)
         assert stats[0] == pytest.approx(math.comb(n, 2) * expit(-1.3), rel=1e-12)
 
     def test_vanishing_intercept_limit(self):
         z = np.zeros((20, 1), dtype=np.int8)
         z[:5, 0] = 1
-        model = DyadModel(theta=np.array([-40.0, 0.0, 0.0]), covariate_names=("z",))
+        model = DyadModel(np.array([-40.0, 0.0, 0.0]))
         assert np.all(_PatternClasses(z).expected(model.theta) < 1e-12)
 
     def test_matches_brute_force(self):
@@ -693,7 +697,7 @@ class TestExpectedStatistics:
                 n = int(rng.integers(5, 41))
                 z = rng.integers(0, 2, size=(n, m)).astype(np.int8)
                 theta = rng.normal(scale=0.8, size=1 + 2 * m)
-                model = DyadModel(theta=theta, covariate_names=tuple(f"c{k}" for k in range(m)))
+                model = DyadModel(theta)
                 fast = _PatternClasses(z).expected(model.theta)
                 slow = brute_force_expected(theta, z)
                 assert np.allclose(fast, slow, rtol=1e-12, atol=1e-9)
@@ -759,6 +763,20 @@ class TestFitDyadModel:
         density = mean_degree / (n - 1)
         assert model.theta[0] == pytest.approx(math.log(density / (1 - density)), abs=1e-6)
 
+    @pytest.mark.parametrize("size", [0, 1, 2, 4, 6])
+    def test_model_takes_one_intercept_and_two_terms_per_attribute(self, size):
+        with pytest.raises(ValueError, match=f"theta must have 1 \\+ 2m entries for some m >= 1, got {size}"):
+            DyadModel(np.zeros(size))
+
+    def test_model_keeps_a_read_only_copy(self):
+        theta = np.array([-1.0, 0.5, 0.2, 0.1, -0.3])
+        model = DyadModel(theta)
+        theta[0] = 9.0
+        assert model.theta.tolist() == [-1.0, 0.5, 0.2, 0.1, -0.3]
+        assert not model.theta.flags.writeable
+        with pytest.raises(ValueError, match="finite"):
+            DyadModel(np.array([0.0, np.nan, 0.0]))
+
     def test_cohort_fit_converges_at_desk_scale(self):
         z = draw_cohort_covariates(4040)
         model = fit_dyad_model(cohort_attribute_targets(), 16.63, z)
@@ -773,7 +791,7 @@ class TestFitDyadModel:
         n = z.shape[0]
         total = achieved[0]
         refit_targets = []
-        for k, name in enumerate(first.covariate_names):
+        for k, name in enumerate(t.name for t in cohort_attribute_targets()):
             n1 = int(z[:, k].sum())
             n0 = n - n1
             match, ends = achieved[1 + 2 * k], achieved[2 + 2 * k]
@@ -815,11 +833,11 @@ class TestSimulateFromModel:
         z = np.zeros((15, 1), dtype=np.int8)
         z[:5, 0] = 1
         empty = simulate_from_model(
-            DyadModel(np.array([-40.0, 0.0, 0.0]), ("z",)), z, np.random.default_rng(0)
+            DyadModel(np.array([-40.0, 0.0, 0.0])), z, np.random.default_rng(0)
         )
         assert empty.edge_count == 0
         full = simulate_from_model(
-            DyadModel(np.array([40.0, 0.0, 0.0]), ("z",)), z, np.random.default_rng(0)
+            DyadModel(np.array([40.0, 0.0, 0.0])), z, np.random.default_rng(0)
         )
         assert full.edge_count == math.comb(15, 2)
 
@@ -839,7 +857,7 @@ class TestSimulateFromModel:
     def test_model_z_mismatch_rejected(self):
         z = np.zeros((10, 2), dtype=np.int8)
         with pytest.raises(ValueError):
-            simulate_from_model(DyadModel(np.array([0.0, 0.0, 0.0]), ("z",)), z, np.random.default_rng(0))
+            simulate_from_model(DyadModel(np.array([0.0, 0.0, 0.0])), z, np.random.default_rng(0))
 
     def test_fitted_classes_are_reused_only_for_an_equal_z(self, monkeypatch):
         z1 = draw_cohort_covariates(600)
@@ -849,7 +867,7 @@ class TestSimulateFromModel:
         model = fit_dyad_model(cohort_attribute_targets(), 8.0, fitted_on)
         changed = fitted_on  # the caller's array, changed after the fit
         changed[:5] = 1 - changed[:5]
-        bare = DyadModel(model.theta, model.covariate_names)
+        bare = DyadModel(model.theta)
         builds = []
 
         def counted(z):
@@ -897,7 +915,7 @@ LAW_Z = np.array([[a, b] for a in (0, 1) for b in (0, 1) for _ in range(3)], dty
     np.random.default_rng(1).permutation(12)
 ]
 # class tie probabilities from 0.35 to 0.77
-LAW_MODEL = DyadModel(np.array([-0.4, 0.6, 0.3, -0.5, 0.4]), ("a", "b"))
+LAW_MODEL = DyadModel(np.array([-0.4, 0.6, 0.3, -0.5, 0.4]))
 # 12 nodes, 6 carrying the attribute: exact counts 6, 7 and 11 in classes of 15, 36 and 15 dyads
 LAW_TARGETS = NetworkTargets(12, 0.5, 4.0, 1.5, 1.5)
 
@@ -1022,7 +1040,7 @@ class TestGeneratorLaw:
         # for populations above 10,000 when population // 50 < k <= population // 20.
         z = np.zeros((150, 1), dtype=np.int8)
         q = 400 / 11175
-        model = DyadModel(np.array([math.log(q / (1 - q)), 0.0, 0.0]), ("z",))
+        model = DyadModel(np.array([math.log(q / (1 - q)), 0.0, 0.0]))
         rng = np.random.default_rng(2028)
         graphs = [simulate_from_model(model, z, rng) for _ in range(300)]
         assert all(11175 // 50 < graph.edge_count <= 11175 // 20 for graph in graphs)

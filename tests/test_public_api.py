@@ -2,12 +2,14 @@
 
 ``rdsim.__all__`` is ``__version__`` plus the ``__all__`` of each public
 module, so a name is listed in exactly one place. These checks pin the
-names, that each one is the object its module defines, and the parameter
-names and defaults of each callable, so that an option added or retired
-shows up here.
+names, that each one is the object its module defines, the parameter
+names and defaults of each callable, and the public members of each
+class, so that an option, method or property added or retired shows up
+here.
 """
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -20,7 +22,6 @@ MODULES = (errors, graph, covariates, netgen, sampler, estimators, harness)
 
 PUBLIC_NAMES = [
     "AttributeTargets",
-    "AttributeVector",
     "Cell",
     "ConfigError",
     "CovariateSpec",
@@ -114,12 +115,11 @@ def test_harness_keeps_its_unexported_module_attributes():
 # parameter names and defaults, annotations left out; "(*args)" is an exception's own message arguments
 SIGNATURES = {
     "AttributeTargets": "(name, prevalence, diff_activity, homophily_ratio=None, assortativity=None)",
-    "AttributeVector": "(name, values)",
     "Cell": "(index, prevalence, diff_activity, homophily_ratio, sample_size)",
     "ConfigError": "(*args)",
     "CovariateSpec": "(names, marginals, correlations)",
     "DyadClassSolution": "(n1, n0, e11, e10, e00, q11, q10, q00)",
-    "DyadModel": "(theta, covariate_names)",
+    "DyadModel": "(theta)",
     "EngageScenario": (
         "(node_count, mean_degree, covariates, correlations, num_seeds, coupons_per_node, sample_size, "
         "replicates, master_seed)"
@@ -176,7 +176,7 @@ SIGNATURES = {
     "simulate_from_model": "(model, z, rng)",
     "solve_dyad_classes": "(targets)",
     "summarize_replicates": "(rows, group_columns, value_columns, replicates)",
-    "write_attributes": "(path, attributes)",
+    "write_attributes": "(path, names, values)",
     "write_edge_list": "(graph, path)",
     "write_forest": "(forest, path)",
 }
@@ -194,6 +194,59 @@ def parameters(obj) -> str:
 def test_public_signatures_are_pinned():
     callables = [name for name in rdsim.__all__ if name != "__version__"]
     assert {name: parameters(getattr(rdsim, name)) for name in callables} == SIGNATURES
+
+
+# public members of each public class: its fields, methods, properties and
+# classmethods, leaving out what it inherits from a builtin base
+MEMBERS = {
+    "AttributeTargets": ["assortativity", "diff_activity", "homophily_ratio", "name", "prevalence", "resolve_ratio"],
+    "Cell": ["diff_activity", "homophily_ratio", "index", "prevalence", "sample_size"],
+    "ConfigError": [],
+    "CovariateSpec": ["correlations", "marginals", "names"],
+    "DyadClassSolution": ["e00", "e10", "e11", "n0", "n1", "q00", "q10", "q11", "total_edges"],
+    "DyadModel": ["theta"],
+    "EngageScenario": [
+        "correlations", "coupons_per_node", "covariate_names", "covariate_spec", "covariates", "master_seed",
+        "mean_degree", "node_count", "num_seeds", "replicates", "sample_size", "sampler_config",
+    ],
+    "ExperimentPlan": [
+        "cell_groups", "cells", "coupons_per_node", "diff_activities", "homophily_ratios", "master_seed",
+        "mean_degree", "mode", "network_targets", "node_count", "num_seeds", "prevalences",
+        "regenerate_network", "replicates", "sample_sizes", "sampler_config", "seed_selection",
+    ],
+    "FitConvergenceError": [],
+    "Graph": ["degrees", "dst", "edge_count", "neighbors", "node_count", "src"],
+    "InfeasibleTargetsError": [],
+    "LatentBinaryModel": ["cholesky", "sample", "thresholds"],
+    "MixingCounts": ["cross", "total", "within_0", "within_1"],
+    "NetworkTargets": ["diff_activity", "group_sizes", "homophily_ratio", "mean_degree", "node_count", "prevalence"],
+    "RdsimError": [],
+    "RecruitmentForest": [
+        "attribute_names", "attributes", "coupon_indices", "degrees", "max_wave", "nodes", "prefix",
+        "recruiter_entries", "recruiters", "recruitment_edges", "reseed_count", "seed_ids", "size", "truncated",
+        "waves",
+    ],
+    "SampleEstimates": [
+        "attribute_names", "crude_prevalence", "diff_activity", "for_attribute", "homophily", "homophily_ratio",
+        "induced_homophily", "max_wave", "rds2_prevalence", "reseed_count", "sample_size", "truncated",
+    ],
+    "SamplerConfig": ["coupons_per_node", "num_seeds", "reseed_on_death", "seed_selection", "target_sample_size"],
+    "UndefinedEstimandError": [],
+}
+
+
+def members(cls) -> list[str]:
+    """Sorted public attribute names of ``cls``: dataclass fields and class attributes not from a builtin base."""
+    builtin = set().union(*(dir(base) for base in cls.__mro__ if base.__module__ == "builtins"))
+    names = {name for name, _ in inspect.getmembers(cls) if not name.startswith("_") and name not in builtin}
+    if dataclasses.is_dataclass(cls):
+        names.update(field.name for field in dataclasses.fields(cls))
+    return sorted(names)
+
+
+def test_public_class_members_are_pinned():
+    classes = [name for name in rdsim.__all__ if inspect.isclass(getattr(rdsim, name))]
+    assert {name: members(getattr(rdsim, name)) for name in classes} == MEMBERS
 
 
 # (importing module, defining module) -> the private names it takes, from every

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdsim import (
-    AttributeVector,
     Graph,
     SamplerConfig,
     read_attributes,
@@ -62,10 +61,10 @@ def test_edge_list_round_trip(tmp_path_factory, graph):
 def test_attribute_round_trip(tmp_path_factory, data, node_count):
     labels, values = data.draw(attribute_matrices(node_count))
     path = tmp_path_factory.mktemp("attributes") / "attributes.csv"
-    write_attributes(path, [AttributeVector(name, values[:, k]) for k, name in enumerate(labels)])
-    back = read_attributes(path)
-    assert [a.name for a in back] == labels
-    assert np.array_equal(np.column_stack([a.values for a in back]), values)
+    write_attributes(path, labels, values)
+    back_names, back = read_attributes(path)
+    assert back_names == tuple(labels)
+    assert np.array_equal(back, values)
 
 
 @settings(max_examples=60, deadline=None)
