@@ -63,6 +63,30 @@ def _blas_build() -> dict[str, str]:
     return {label: blas[key] for label, key in keys.items() if key in blas}
 
 
+def _blas_core() -> str | None:
+    """OpenBLAS's name for the kernel it runs, or None where numpy bundles no scipy-openblas.
+
+    ``DYNAMIC_ARCH`` builds pick the kernel from the CPU, or from
+    ``OPENBLAS_CORETYPE``, when the library loads. The name is OpenBLAS's
+    own and may differ from that variable's value.
+    """
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    found = glob.glob(os.path.join(libs, "libscipy_openblas*"))
+    if len(found) != 1:
+        return None
+    try:
+        # numpy has this library loaded already, so this returns its handle
+        corename = ctypes.CDLL(found[0]).scipy_openblas_get_corename64_
+    except (OSError, AttributeError):
+        return None
+    corename.restype = ctypes.c_char_p
+    name = corename()
+    return name.decode() if name else None
+
+
 def _write_manifest(out_dir: str, command: str, seed: int | None, cfg) -> None:
     path = os.path.join(out_dir, "manifest.txt")
     with open(path, "w", encoding="utf-8") as fh:
@@ -73,6 +97,9 @@ def _write_manifest(out_dir: str, command: str, seed: int | None, cfg) -> None:
         fh.write(f"numpy-version = {np.__version__}\n")
         for label, value in _blas_build().items():
             fh.write(f"blas-{label} = {value}\n")
+        core = _blas_core()
+        if core is not None:
+            fh.write(f"blas-core = {core}\n")
         fh.write(f"command = {command}\n")
         if seed is not None:
             fh.write(f"master-seed = {seed}\n")

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cache
 from math import asin, erfc, exp, pi, sqrt
-from statistics import NormalDist
 
 import numpy as np
 
@@ -51,7 +51,15 @@ def binary_correlation_bounds(p1: float, p2: float) -> tuple[float, float]:
     return lo, hi
 
 
-_inv_normal_cdf = NormalDist().inv_cdf
+def _inv_normal_cdf(p: float) -> float:
+    """Standard normal quantile.
+
+    ``statistics`` (with ``decimal`` and ``fractions``) loads on the first
+    call, which compiling a covariate sampler makes, not with the package.
+    """
+    from statistics import NormalDist
+
+    return NormalDist().inv_cdf(p)
 
 
 def _normal_cdf(x: float) -> float:
@@ -59,9 +67,21 @@ def _normal_cdf(x: float) -> float:
     return 0.5 * erfc(-x / sqrt(2.0))
 
 
-# Gauss-Legendre rules on [-1, 1] for Genz's bivariate normal scheme: 6, 12
-# or 20 nodes as |rho| grows.
-_LEGENDRE = {n: np.polynomial.legendre.leggauss(n) for n in (6, 12, 20)}
+@cache
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], as ``leggauss(n)``.
+
+    Genz's bivariate normal scheme takes 6, 12 or 20 nodes as |rho| grows.
+    Each rule is built on its first use, so ``numpy.polynomial`` loads with
+    the first :func:`bivariate_normal_cdf` call (a covariate sampler's
+    compile makes one), not with the package.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    rule = leggauss(n)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
 def bivariate_normal_cdf(h: float, k: float, rho: float) -> float:
@@ -78,7 +98,7 @@ def bivariate_normal_cdf(h: float, k: float, rho: float) -> float:
     if not -1.0 < rho < 1.0:
         raise ValueError("rho must be strictly inside (-1, 1)")
     h, k = -h, -k
-    x, w = _LEGENDRE[6 if abs(rho) < 0.3 else 12 if abs(rho) < 0.75 else 20]
+    x, w = _legendre(6 if abs(rho) < 0.3 else 12 if abs(rho) < 0.75 else 20)
     hk = h * k
     if abs(rho) < 0.925:
         hs = (h * h + k * k) / 2.0

@@ -22,7 +22,6 @@ are nested, and comparisons across sampling fractions are paired.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass
 from itertools import product
 
@@ -311,10 +310,17 @@ def _usable_cpus() -> int:
 
 
 def _run_tasks(tasks: list, worker, threads: int) -> list[dict]:
+    """``[worker(task) for task in tasks]``, in a process pool when more than one worker runs.
+
+    The pool's import (``multiprocessing``, ``socket``, ``logging`` and more)
+    is paid only on that branch, so a one-worker run never loads it.
+    """
     # a worker beyond the tasks or the usable CPUs would only be forked and wait
     workers = min(threads, len(tasks), _usable_cpus())
     if workers <= 1:
         return [worker(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     chunksize = max(1, len(tasks) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks, chunksize=chunksize))

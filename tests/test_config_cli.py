@@ -18,7 +18,7 @@ from rdsim import (
     write_edge_list,
     write_forest,
 )
-from rdsim.cli import _attribute_stats, main
+from rdsim.cli import _attribute_stats, _blas_core, main
 from rdsim.config import (
     covariate_spec_from_config,
     engage_scenario_from_config,
@@ -229,8 +229,29 @@ class TestCliNetgen:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert f"blas-name = {blas['name']}\nblas-version = {blas['version']}\n" in manifest
         assert f"blas-configuration = {blas['openblas configuration']}\n" in manifest
+        core = _blas_core()
+        assert ("blas-core = " in manifest) == (core is not None)
+        if core is not None:
+            assert f"blas-configuration = {blas['openblas configuration']}\nblas-core = {core}\n" in manifest
         printed = capsys.readouterr().out
         assert "mean_degree=" in printed and "prevalence=" in printed
+
+    def test_manifest_names_the_forced_blas_kernel(self, tmp_path):
+        if _blas_core() is None:
+            pytest.skip("numpy bundles no scipy-openblas whose kernel name can be read")
+        cfg = tmp_path / "cov.cfg"
+        cfg.write_text("[covgen]\nn = 10\nseed = 1\n\n[covariate A]\nprevalence = 0.3\n")
+        out = tmp_path / "out"
+        src = Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "rdsim.cli", "covgen", "--config", str(cfg), "--out", str(out), "-q"],
+            env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_CORETYPE="Haswell"),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "\nblas-core = Haswell\n" in (out / "manifest.txt").read_text()
 
     def test_homophily_near_one_finishes(self, tmp_path):
         # ratio about 2e6: the bisection that inverted the assortativity

@@ -20,7 +20,7 @@ from rdsim import (
     latent_correlation_matrix,
     latent_normal_correlation,
 )
-from rdsim.covariates import _nearest_correlation, _normal_cdf
+from rdsim.covariates import _legendre, _nearest_correlation, _normal_cdf
 
 
 def oracle_cdf(h, k, rho):
@@ -241,10 +241,13 @@ class TestLatentMatrixRepair:
 
 
 def test_import_loads_no_scipy():
-    # scipy is a test-only oracle: the package and its CLI must not load it
+    # scipy is a test-only oracle: the package and its CLI must not load it. The
+    # pool, the quadrature rules and statistics load on first use: the pool with a
+    # second worker, the rest when a covariate sampler is compiled
     code = (
-        "import rdsim, rdsim.cli, sys; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import sys, numpy; before = set(sys.modules); "
+        "import rdsim, rdsim.config, rdsim.cli; "
+        "print('\\n'.join(sorted(set(sys.modules) - before)))"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     result = subprocess.run(
@@ -255,4 +258,18 @@ def test_import_loads_no_scipy():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    added = result.stdout.split()
+    assert "rdsim.cli" in added
+    unwanted = ("scipy", "multiprocessing", "concurrent.futures.process", "statistics", "numpy.polynomial")
+    assert [m for m in added if any(m == name or m.startswith(name + ".") for name in unwanted)] == []
+
+
+@pytest.mark.parametrize("n", [6, 12, 20])
+def test_legendre_rules_are_leggauss_and_read_only(n):
+    x, w = _legendre(n)
+    expected_x, expected_w = np.polynomial.legendre.leggauss(n)
+    assert np.array_equal(x, expected_x) and np.array_equal(w, expected_w)
+    assert _legendre(n)[0] is x  # built once
+    for array in (x, w):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0

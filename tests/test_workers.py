@@ -4,6 +4,8 @@ The pool is replaced by a recorder that maps inline, so no test here
 starts a worker process.
 """
 
+import concurrent.futures
+
 import pytest
 
 from rdsim import ExperimentPlan, harness, run_experiment
@@ -34,7 +36,8 @@ def pools(monkeypatch):
     """Pools made by the harness, as (max_workers, chunksize), on a host with 3 usable CPUs."""
     made = []
     monkeypatch.setattr(InlinePool, "pools", made)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    # the harness imports the pool on its multi-worker branch, so it finds the stand-in there
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
     return made
 
