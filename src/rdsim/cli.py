@@ -207,15 +207,27 @@ def cmd_estimate(args) -> int:
             stray = ~np.isin(lo * graph.node_count + hi, edge_keys)
             if stray.any():
                 raise ValueError(f"{path}: tie {lo[stray][0]}-{hi[stray][0]} is not an edge of {args.edges}")
-    out = _ensure_out(args)
     rows = []
+    # column -> the (forest, estimate, attribute) that first fills it: attribute names
+    # such as "X" and "ratio_X" spell one column for two estimates
+    filled = {}
     for path, forest in zip(args.forest, forests):
         est = sample_estimates(forest, graph)
         row = {"forest": path, "sample_size": est.sample_size, "max_wave": est.max_wave}
         for k, name in enumerate(est.attribute_names):
-            row.update((f"est_{field}_{name}", value) for field, value in est.for_attribute(k).items())
+            for field, value in est.for_attribute(k).items():
+                column = f"est_{field}_{name}"
+                first, first_field, first_name = filled.setdefault(column, (path, field, name))
+                if (first_field, first_name) != (field, name):
+                    where = path if first == path else f"{first} and {path}"
+                    raise ValueError(
+                        f"{where}: column {column!r} would hold both {first_field} of attribute "
+                        f"{first_name!r} and {field} of attribute {name!r}"
+                    )
+                row[column] = value
         rows.append(row)
         _say(args, f"estimate: {path} sampled={est.sample_size} max_wave={est.max_wave}")
+    out = _ensure_out(args)
     # forests may name different attributes: take every row's columns, in order
     header = list(dict.fromkeys(key for row in rows for key in row))
     write_rows(os.path.join(out, "estimates.csv"), header, rows)

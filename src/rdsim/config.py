@@ -313,6 +313,7 @@ def _covariate_targets(cfg, source: str, network: bool = True) -> tuple[Attribut
     targets it gives are checked as usual, and neutral ones (diff_activity
     and homophily_r of 1) stand in for those it leaves out. With a network,
     the sections may number at most ``netgen.MAX_PATTERN_ATTRIBUTES``.
+    A repeated name is left to the ``CovariateSpec`` of :func:`_covariate_spec`.
     """
     targets = []
     for section in cfg:
@@ -343,9 +344,6 @@ def _covariate_targets(cfg, source: str, network: bool = True) -> tuple[Attribut
             f"{source}: a network takes at most {MAX_PATTERN_ATTRIBUTES} covariates "
             f"(netgen.MAX_PATTERN_ATTRIBUTES), got {len(targets)} [covariate NAME] sections"
         )
-    names = [t.name for t in targets]
-    if len(set(names)) != len(names):
-        raise ConfigError(f"{source}: duplicate covariate names")
     return tuple(targets)
 
 

@@ -47,8 +47,8 @@ from .netgen import (
     simulate_from_model,
     solve_dyad_classes,
 )
-from .sampler import SamplerConfig, run_rds
-from .tables import write_rows
+from .sampler import SEED_SELECTION_MODES, SamplerConfig, run_rds
+from .tables import check_names, write_rows
 
 __all__ = [
     "ExperimentPlan",
@@ -66,7 +66,7 @@ _TAG_RDS = 2
 _TAG_COVARIATES = 3
 
 _MODE_CODES = {mode: i for i, mode in enumerate(GENERATION_MODES)}
-_SEED_SELECTION_CODES = {"uniform": 0, "degree": 1}
+_SEED_SELECTION_CODES = {mode: i for i, mode in enumerate(SEED_SELECTION_MODES)}
 
 
 def _scaled(x: float) -> int:
@@ -420,7 +420,9 @@ class EngageScenario:
         if self.sample_size > self.node_count:
             raise ValueError("sample_size cannot exceed the population size")
         SamplerConfig(self.num_seeds, self.coupons_per_node, self.sample_size)
-        self.covariate_spec()  # validates marginals/correlations
+        self.covariate_spec()  # validates names, marginals and correlations
+        # names such as "X" and "ratio_X" can spell one column twice
+        check_names(engage_columns(self.covariate_names))
 
     @property
     def covariate_names(self) -> tuple[str, ...]:
@@ -460,19 +462,20 @@ def engage_columns(names: tuple[str, ...]) -> list[str]:
 def _engage_task(args: tuple[EngageScenario, LatentBinaryModel, int]) -> dict:
     scenario, sampler_model, replicate = args
     names = scenario.covariate_names
+    suffixes = [f"_{name}" for name in names]
     covariate_rng = np.random.default_rng(scenario._entropy(_TAG_COVARIATES, replicate))
     z = sampler_model.sample(scenario.node_count, covariate_rng)
     try:
         model = fit_dyad_model(scenario.covariates, scenario.mean_degree, z)
     except (InfeasibleTargetsError, FitConvergenceError) as exc:
-        return _skip_row({}, replicate, f"fit failed: {exc}", engage_columns(names))
+        return _skip_row({}, replicate, f"fit failed: {exc}", _replicate_columns(suffixes))
     network_rng = np.random.default_rng(scenario._entropy(_TAG_NETWORK, replicate))
     graph = simulate_from_model(model, z, network_rng)
     rds_rng = np.random.default_rng(scenario._entropy(_TAG_RDS, replicate))
     forest = run_rds(graph, z, scenario.sampler_config(), rds_rng, names)
     est = sample_estimates(forest, graph)
     truths = [_realized_truth(graph, z[:, k]) for k in range(len(names))]
-    return _ok_row({}, replicate, est, truths, [f"_{name}" for name in names])
+    return _ok_row({}, replicate, est, truths, suffixes)
 
 
 def run_engage_mimic(
@@ -489,15 +492,13 @@ def run_engage_mimic(
     rows = _run_tasks(tasks, _engage_task, threads)
 
     names = scenario.covariate_names
-    summary: list[dict] = []
-    for name in names:
-        per_cov = []
-        for row in rows:
-            flat = {"covariate": name}
-            for column in RB_COLUMNS:
-                flat[column] = row.get(f"{column}_{name}")
-            per_cov.append(flat)
-        summary.extend(summarize_replicates(per_cov, ["covariate"], RB_COLUMNS, scenario.replicates))
+    # one summary over every covariate's rb_ columns, covariate-major as the rows list them
+    pairs = [(name, estimand) for name in names for estimand in _BIAS_TRUTH]
+    columns = [f"rb_{estimand}_{name}" for name, estimand in pairs]
+    summary = [
+        {"covariate": name, **entry, "estimand": estimand}
+        for (name, estimand), entry in zip(pairs, summarize_replicates(rows, [], columns, scenario.replicates))
+    ]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_rows(os.path.join(out_dir, "replicates.csv"), engage_columns(names), rows)

@@ -90,8 +90,7 @@ class NetworkTargets:
             raise ValueError("node_count must be >= 2")
         if not 0.0 < self.prevalence < 1.0:
             raise ValueError("prevalence must be strictly inside (0, 1)")
-        n1 = int(round(self.prevalence * self.node_count))
-        if n1 < 1 or n1 > self.node_count - 1:
+        if min(self.group_sizes) < 1:
             raise ValueError("both attribute groups must round to at least one node")
         # mean_degree = n-1 is allowed: it forces the complete graph
         if not 0.0 < self.mean_degree <= self.node_count - 1:
@@ -390,17 +389,6 @@ class AttributeTargets:
         if self.homophily_ratio is not None and self.homophily_ratio < 0.0:
             raise ValueError(f"attribute {self.name!r}: homophily_ratio must be nonnegative")
 
-    def resolve_ratio(self, prevalence: float) -> float:
-        """Homophily on the ratio scale, converting from assortativity if needed.
-
-        Args:
-            prevalence: Prevalence to use for the conversion (e.g. the
-                realized one).
-        """
-        if self.homophily_ratio is not None:
-            return self.homophily_ratio
-        return ratio_from_assortativity(self.assortativity, prevalence, self.diff_activity)
-
 
 @dataclass(frozen=True)
 class DyadModel:
@@ -515,7 +503,9 @@ def _target_statistics(
                 f"attribute {target.name!r}: realized group sizes ({n1}, {n - n1}) are degenerate"
             )
         realized_p = n1 / n
-        ratio = target.resolve_ratio(prevalence=realized_p)
+        ratio = target.homophily_ratio
+        if ratio is None:
+            ratio = ratio_from_assortativity(target.assortativity, realized_p, target.diff_activity)
         solution = solve_dyad_classes(
             NetworkTargets(
                 node_count=n,

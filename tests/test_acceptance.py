@@ -276,7 +276,9 @@ def test_criterion_08_multi_attribute_fit():
     goal = [n * 16.63 / 2.0]
     for k, spec_k in enumerate(targets):
         n1 = int(z[:, k].sum())
-        ratio = spec_k.resolve_ratio(prevalence=n1 / n)
+        ratio = spec_k.homophily_ratio
+        if ratio is None:
+            ratio = ratio_from_assortativity(spec_k.assortativity, n1 / n, spec_k.diff_activity)
         sol = solve_dyad_classes(NetworkTargets(n, n1 / n, 16.63, spec_k.diff_activity, ratio))
         goal.extend([sol.e11 + sol.e00, 2 * sol.e11 + sol.e10])
     goal = np.asarray(goal)

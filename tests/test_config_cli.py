@@ -604,6 +604,36 @@ class TestCliMalformedFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {forest}: node_count must be <=") and err.count("\n") == 1
 
+    def test_estimate_attribute_names_that_spell_one_column_twice(self, tmp_path, capsys):
+        forest = tmp_path / "forest.csv"
+        forest.write_text(
+            "node,recruiter,wave,seed_id,coupon_index,degree,X,ratio_X\n0,,0,0,,2,1,0\n1,0,1,0,0,2,0,1\n2,1,2,0,0,1,1,1\n"
+        )
+        out = tmp_path / "out"
+        self._fails_naming(capsys, ["estimate", "--forest", str(forest), "--out", str(out)], forest)
+        assert not out.exists()
+        main(["estimate", "--forest", str(forest), "--out", str(out)])
+        assert capsys.readouterr().err == (
+            f"error: {forest}: column 'est_homophily_ratio_X' would hold both homophily_ratio of "
+            "attribute 'X' and homophily of attribute 'ratio_X'\n"
+        )
+
+    def test_estimate_forests_that_spell_one_column_twice(self, tmp_path, capsys):
+        first, second = tmp_path / "x.csv", tmp_path / "ratio_x.csv"
+        first.write_text(FOREST_CSV.replace(",z", ",X"))
+        second.write_text(FOREST_CSV.replace(",z", ",ratio_X"))
+        out = tmp_path / "out"
+        argv = ["estimate", "--forest", str(first), str(second), "--out", str(out), "-q"]
+        self._fails_naming(capsys, argv, second)
+        assert not out.exists()
+        main(argv)
+        assert capsys.readouterr().err == (
+            f"error: {first} and {second}: column 'est_homophily_ratio_X' would hold both homophily_ratio of "
+            "attribute 'X' and homophily of attribute 'ratio_X'\n"
+        )
+        # one forest naming both attributes is no collision across forests
+        assert main(["estimate", "--forest", str(first), str(first), "--out", str(out), "-q"]) == 0
+
     def test_estimate_columns(self, tmp_path):
         forest = tmp_path / "forest.csv"
         forest.write_text(FOREST_CSV)
@@ -744,6 +774,16 @@ class TestCliEngage:
         out = tmp_path / "out"
         assert main(["engage-mimic", "--config", str(cfg), "--out", str(out)]) == 2
         assert "[covariate B] diff_activity = 'inf' is not a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    def test_covariate_names_that_spell_one_column_twice_fail_before_the_run(self, tmp_path, capsys):
+        cfg = tmp_path / "engage.cfg"
+        text = ENGAGE_CFG.replace("[covariate A]", "[covariate X]").replace("[covariate B]", "[covariate ratio_X]")
+        cfg.write_text(text.replace("A:B", "X:ratio_X"))
+        out = tmp_path / "out"
+        assert main(["engage-mimic", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"config error: {cfg}: column name 'truth_homophily_ratio_X' is repeated\n")
         assert not out.exists()
 
 
@@ -894,6 +934,26 @@ def test_too_many_covariates_for_a_network_fail_before_the_run(tmp_path, capsys,
     cfg.write_text(head + covariate_sections(MAX_PATTERN_ATTRIBUTES))
     build = engage_scenario_from_config if command == "engage-mimic" else multi_network_run_from_config
     build(parse_config(cfg.read_text()))
+
+
+@pytest.mark.parametrize(
+    "command, head",
+    [
+        ("engage-mimic", ENGAGE_CFG[:ENGAGE_CFG.index("[covariate A]")]),
+        ("netgen", "[network]\nn = 50\nmean_degree = 4\n\n"),
+        ("covgen", "[covgen]\nn = 20\n\n"),
+    ],
+    ids=["engage-mimic", "netgen", "covgen"],
+)
+def test_covariate_names_equal_once_stripped_fail_before_the_run(tmp_path, capsys, command, head):
+    # two sections, one name: "[covariate  A]" names "A" as "[covariate A]" does
+    covariates = ENGAGE_CFG[ENGAGE_CFG.index("[covariate A]"):ENGAGE_CFG.index("[correlations]")]
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(head + covariates.replace("[covariate B]", "[covariate  A]"))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"config error: {cfg}: covariate names must be unique\n")
+    assert not out.exists()
 
 
 def test_covgen_takes_more_covariates_than_a_network(tmp_path):

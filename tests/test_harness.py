@@ -362,10 +362,22 @@ class TestEngageMimic:
             for row in rows:
                 assert row[f"est_induced_homophily_{name}"] not in (None, "")
                 assert row[f"rb_induced_homophily_{name}"] not in (None, "")
-        estimands = {(e["covariate"], e["estimand"]) for e in summary}
-        assert ("A", "diff_activity") in estimands
-        assert ("B", "rds2_prevalence") in estimands
-        assert {("A", "induced_homophily"), ("B", "induced_homophily")} <= estimands
+        estimands = [(e["covariate"], e["estimand"]) for e in summary]
+        rb = [column.removeprefix("rb_") for column in harness.RB_COLUMNS]
+        assert estimands == [(name, estimand) for name in ("A", "B") for estimand in rb]
+        assert ("A", "induced_homophily") in estimands
+        for entry in summary:
+            values = [row[f"rb_{entry['estimand']}_{entry['covariate']}"] for row in rows]
+            assert entry["mean"] == np.mean(values)
+
+    def test_covariate_names_that_spell_one_column_twice_are_rejected(self):
+        # "X"'s homophily ratio and "ratio_X"'s homophily share the suffix "homophily_ratio_X"
+        covariates = (
+            AttributeTargets("X", 0.5, 1.2, assortativity=0.1),
+            AttributeTargets("ratio_X", 0.3, 0.9, assortativity=0.05),
+        )
+        with pytest.raises(ValueError, match="^column name 'truth_homophily_ratio_X' is repeated$"):
+            tiny_scenario(covariates=covariates)
 
     def test_deterministic_across_thread_counts(self, tmp_path):
         scenario = tiny_scenario(replicates=4)

@@ -891,13 +891,18 @@ class TestAttributeTargets:
         with pytest.raises(ValueError):
             AttributeTargets("x", 0.5, 1.0, homophily_ratio=1.0, assortativity=0.1)
 
-    def test_resolve_ratio_uses_override_prevalence(self):
-        spec = AttributeTargets("x", 0.5, 1.0, assortativity=0.2)
-        default = spec.resolve_ratio(spec.prevalence)
-        shifted = spec.resolve_ratio(prevalence=0.4)
-        assert default == pytest.approx(ratio_from_assortativity(0.2, 0.5, 1.0))
-        assert shifted == pytest.approx(ratio_from_assortativity(0.2, 0.4, 1.0))
-        assert default != shifted
+    def test_fit_converts_assortativity_at_the_realized_prevalence(self):
+        # targets say prevalence 0.5; the attribute drawn holds 20 of 50 nodes
+        z = (np.arange(50) < 20).astype(np.int8)
+        fit = fit_dyad_model([AttributeTargets("x", 0.5, 1.0, assortativity=0.2)], 6.0, z)
+        realized = fit_dyad_model(
+            [AttributeTargets("x", 0.5, 1.0, homophily_ratio=ratio_from_assortativity(0.2, 0.4, 1.0))], 6.0, z
+        )
+        targeted = fit_dyad_model(
+            [AttributeTargets("x", 0.5, 1.0, homophily_ratio=ratio_from_assortativity(0.2, 0.5, 1.0))], 6.0, z
+        )
+        assert np.array_equal(fit.theta, realized.theta)
+        assert not np.allclose(fit.theta, targeted.theta)
 
 
 # ---------------------------------------------------------------------------

@@ -199,7 +199,7 @@ def test_public_signatures_are_pinned():
 # public members of each public class: its fields, methods, properties and
 # classmethods, leaving out what it inherits from a builtin base
 MEMBERS = {
-    "AttributeTargets": ["assortativity", "diff_activity", "homophily_ratio", "name", "prevalence", "resolve_ratio"],
+    "AttributeTargets": ["assortativity", "diff_activity", "homophily_ratio", "name", "prevalence"],
     "Cell": ["diff_activity", "homophily_ratio", "index", "prevalence", "sample_size"],
     "ConfigError": [],
     "CovariateSpec": ["correlations", "marginals", "names"],
@@ -261,12 +261,47 @@ PRIVATE_IMPORTS = {
 }
 
 
-def test_private_imports_between_modules_are_pinned():
-    found = {}
+def source_nodes():
+    """(module name, AST node) for every node of every module under src/rdsim."""
     for path in sorted(Path(rdsim.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and node.level and node.module:
-                private = {alias.name for alias in node.names if alias.name.startswith("_")}
-                if private:
-                    found.setdefault((path.stem, node.module), set()).update(private)
+            yield path.stem, node
+
+
+def test_private_imports_between_modules_are_pinned():
+    found = {}
+    for module, node in source_nodes():
+        if isinstance(node, ast.ImportFrom) and node.level and node.module:
+            private = {alias.name for alias in node.names if alias.name.startswith("_")}
+            if private:
+                found.setdefault((module, node.module), set()).update(private)
     assert found == PRIVATE_IMPORTS
+
+
+# module -> the private attributes it reaches on objects other than ``self`` and
+# ``cls``: each ``obj._name`` in its source, and each ``"_name"`` literal it hands
+# to ``getattr`` or ``object.__setattr__`` (dunders are the language's own). A
+# private name imported shows up above; one reached through an object, here.
+PRIVATE_READS = {
+    "estimators": {"forest._cuts"},
+    "harness": {"plan._entropy", "scenario._entropy"},
+    "netgen": {'getattr("_classes")', 'object.__setattr__("_classes")'},
+    "sampler": {"graph._indices", "graph._indptr"},
+}
+
+
+def private(name) -> bool:
+    return isinstance(name, str) and name.startswith("_") and not name.startswith("__")
+
+
+def test_private_reads_on_other_objects_are_pinned():
+    found = {}
+    for module, node in source_nodes():
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            if not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")):
+                found.setdefault(module, set()).add(ast.unparse(node))
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in ("getattr", "object.__setattr__"):
+            name = node.args[1] if len(node.args) > 1 else None
+            if isinstance(name, ast.Constant) and private(name.value):
+                found.setdefault(module, set()).add(f'{ast.unparse(node.func)}("{name.value}")')
+    assert found == PRIVATE_READS
