@@ -14,6 +14,7 @@ import argparse
 import os
 import platform
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .errors import ConfigError, RdsimError
 from .estimators import sample_estimates
 from .graph import (
     EDGE_COLUMNS,
-    MAX_NODE_COUNT,
     Graph,
     mean_degree,
     read_attributes,
@@ -191,22 +191,22 @@ def cmd_estimate(args) -> int:
     forests = [read_forest(path) for path in args.forest]
     graph = None
     if args.edges is not None:
-        # The population size is not stored. The induced-subgraph oracle reads
-        # only sampled nodes, so trailing isolated nodes do not matter.
         _, pairs = read_table(args.edges, EDGE_COLUMNS, named=False)
-        holders = [(int(pairs.max(initial=-1)), args.edges)]
-        holders += [(int(f.nodes.max()), path) for path, f in zip(args.forest, forests)]
-        largest, holder = max(holders, key=lambda item: item[0])
-        # Graph checks its node-count bound first: that error is the holder's
-        with in_file(holder if largest >= MAX_NODE_COUNT else args.edges):
-            graph = Graph(largest + 1, pairs[:, 0], pairs[:, 1])
+        if pairs.min(initial=0) < 0:  # an empty cell reads as -1
+            raise ValueError(f"{args.edges}: edge endpoint {pairs.min()} is negative")
+        # the graph's nodes are the ids read, labelled in order; relabelled forests recheck themselves
+        ids = np.unique(np.concatenate([pairs.ravel()] + [forest.nodes for forest in forests]))
+        with in_file(args.edges):
+            graph = Graph(ids.size, *ids.searchsorted(pairs.T))
         # a forest drawn on another network has recruiter-recruit pairs that are not edges here
         edge_keys = graph.src * graph.node_count + graph.dst
-        for path, forest in zip(args.forest, forests):
+        for i, (path, forest) in enumerate(zip(args.forest, forests)):
+            recruiters = np.where(forest.recruiters < 0, -1, ids.searchsorted(forest.recruiters))
+            forests[i] = forest = replace(forest, nodes=ids.searchsorted(forest.nodes), recruiters=recruiters)
             lo, hi = np.sort(np.stack(forest.recruitment_edges()), axis=0)
             stray = ~np.isin(lo * graph.node_count + hi, edge_keys)
             if stray.any():
-                raise ValueError(f"{path}: tie {lo[stray][0]}-{hi[stray][0]} is not an edge of {args.edges}")
+                raise ValueError(f"{path}: tie {ids[lo[stray][0]]}-{ids[hi[stray][0]]} is not an edge of {args.edges}")
     rows = []
     # column -> the (forest, estimate, attribute) that first fills it: attribute names
     # such as "X" and "ratio_X" spell one column for two estimates

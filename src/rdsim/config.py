@@ -116,7 +116,7 @@ def parse_config(text: str, source: str = "<config>") -> dict[str, dict[str, str
 
 
 def load_config(path) -> dict[str, dict[str, str]]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_config(fh.read(), source=str(path))
 
 

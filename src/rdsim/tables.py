@@ -55,7 +55,7 @@ def read_table(path, fixed: tuple[str, ...], named: bool) -> tuple[tuple[str, ..
     with -1 for empty cells. A malformed header or row is a ``ValueError``
     naming ``path``.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         header = [h.strip() for h in next(csv.reader(fh), [])]
         names = tuple(header[len(fixed):])
         if header[: len(fixed)] != list(fixed) or bool(names) != named or not all(names):

@@ -5,7 +5,9 @@ report lines. The long-running full-scale cohort check (criterion 9's
 best-effort figures) is opt-in: set ``RDSIM_FULL_SCALE=1``.
 """
 
+import functools
 import os
+import statistics
 
 import numpy as np
 import pytest
@@ -52,6 +54,17 @@ MASTER_SEED = 20250811
 
 def report(criterion: int, message: str) -> None:
     print(f"\n[acceptance] criterion {criterion:02d} PASS: {message}")
+
+
+def with_se(summary, rows, covariate: str, estimand: str) -> str:
+    """The summary's mean relative bias of a cohort estimand, with its Monte Carlo standard error.
+
+    The standard error is sd / sqrt(count) over the replicates' defined ``rb_*`` values.
+    """
+    (mean,) = [e["mean"] for e in summary if (e["covariate"], e["estimand"]) == (covariate, estimand)]
+    values = [row[f"rb_{estimand}_{covariate}"] for row in rows]
+    values = [value for value in values if value is not None]
+    return f"{mean:+.4f} (se {statistics.stdev(values) / np.sqrt(len(values)):.4f})"
 
 
 def medians(summary, estimand):
@@ -318,15 +331,16 @@ def test_criterion_09_cohort_directional_findings_desk_scale():
     assert abs(means["CIR"]) <= 0.02
     assert means["HIV+"] < means["CIR"]
     # the tree-edge estimate beside the induced-subgraph oracle of the same samples
-    stats = {(e["covariate"], e["estimand"]): e["mean"] for e in summary}
+    rb = functools.partial(with_se, summary, rows)
     split = ", ".join(
-        f"{name} {stats[(name, 'homophily')]:+.4f} / {stats[(name, 'induced_homophily')]:+.4f}"
+        f"{name} {rb(name, 'homophily')} / {rb(name, 'induced_homophily')}"
         for name in (target.name for target in cohort_targets())
     )
     report(
         9,
-        f"desk-scale cohort (200 replicates): mean RB(Da) CIR {means['CIR']:+.4f} (within 0.02), "
-        f"HIV+ {means['HIV+']:+.4f} more negative than CIR; mean RB(h) tree-edge / induced: {split}",
+        f"desk-scale cohort (200 replicates): mean RB(Da) CIR {rb('CIR', 'diff_activity')} "
+        f"(within 0.02), HIV+ {rb('HIV+', 'diff_activity')} more negative than CIR; "
+        f"mean RB(h) tree-edge / induced: {split}",
     )
 
 
@@ -349,16 +363,17 @@ def test_criterion_09_cohort_exact_figures_full_scale():
         replicates=200,
         master_seed=MASTER_SEED,
     )
-    _, summary = run_engage_mimic(scenario, threads=THREADS)
+    rows, summary = run_engage_mimic(scenario, threads=THREADS)
     stats = {(e["covariate"], e["estimand"]): e["mean"] for e in summary}
     cir_da = stats[("CIR", "diff_activity")]
     hiv_da = stats[("HIV+", "diff_activity")]
     hiv_h = stats[("HIV+", "homophily")]
+    rb = functools.partial(with_se, summary, rows)
     print(
         f"\n[acceptance] criterion 09 full-scale figures: "
-        f"RB(Da) CIR {cir_da:+.4f}, HIV+ {hiv_da:+.4f} (target -0.029 +/- 0.02), "
-        f"RB(h) HIV+ {hiv_h:+.4f} (target -0.0256 +/- 0.02; "
-        f"induced-subgraph oracle {stats[('HIV+', 'induced_homophily')]:+.4f})"
+        f"RB(Da) CIR {rb('CIR', 'diff_activity')}, HIV+ {rb('HIV+', 'diff_activity')} "
+        f"(target -0.029 +/- 0.02), RB(h) HIV+ {rb('HIV+', 'homophily')} (target -0.0256 +/- 0.02; "
+        f"induced-subgraph oracle {rb('HIV+', 'induced_homophily')})"
     )
     assert abs(cir_da) <= 0.02
     assert hiv_da == pytest.approx(-0.029, abs=0.02)

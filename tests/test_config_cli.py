@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rdsim.cli
+
 from rdsim import (
     ConfigError,
     Graph,
@@ -15,6 +17,7 @@ from rdsim import (
     read_edge_list,
     read_forest,
     run_rds,
+    sample_estimates,
     write_edge_list,
     write_forest,
 )
@@ -23,6 +26,7 @@ from rdsim.config import (
     covariate_spec_from_config,
     engage_scenario_from_config,
     experiment_plan_from_config,
+    load_config,
     multi_network_run_from_config,
     network_run_from_config,
     parse_config,
@@ -107,6 +111,14 @@ class TestParser:
     def test_garbage_line_rejected(self):
         with pytest.raises(ConfigError, match="expected"):
             parse_config("[a]\nnot a key value\n")
+
+
+    def test_byte_order_mark_is_not_part_of_the_first_line(self, tmp_path):
+        # editors that save "UTF-8 with BOM" start the file with EF BB BF
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_bytes(FIG_NETWORK_CFG.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + FIG_NETWORK_CFG.encode())
+        assert load_config(marked) == load_config(plain)
 
 
 class TestSchemas:
@@ -509,7 +521,10 @@ FOREST_CSV = "node,recruiter,wave,seed_id,coupon_index,degree,z\n0,,0,0,,2,1\n1,
 
 
 class TestCliMalformedFiles:
-    """Malformed or inconsistent input files exit 1 with one ``error:`` line naming the file."""
+    """Malformed or inconsistent input files exit 1 with one ``error:`` line naming the file.
+
+    Node ids far above the node count are neither: ``estimate`` reads them as labels.
+    """
 
     def _fails_naming(self, capsys, argv, path):
         assert main(argv) == 1
@@ -576,33 +591,72 @@ class TestCliMalformedFiles:
         assert capsys.readouterr().err == f"error: {forest}: tie 1-2 is not an edge of {edges}\n"
         assert not out.exists()
 
-    def test_estimate_edges_with_huge_node_index(self, tmp_path, capsys):
-        # the Graph for the induced-subgraph oracle used to end in a numpy
-        # MemoryError ("Unable to allocate 7.28 TiB") instead of an error line
-        forest = tmp_path / "forest.csv"
-        forest.write_text(
-            "node,recruiter,wave,seed_id,coupon_index,degree,z\n"
-            f"{10**12},,0,0,,2,1\n5,{10**12},1,0,0,1,0\n7,{10**12},1,0,1,1,1\n"
-        )
-        edges = tmp_path / "edges.csv"
-        edges.write_text(f"src,dst\n5,{10**12}\n7,{10**12}\n")
-        argv = ["estimate", "--forest", str(forest), "--edges", str(edges), "--out", str(tmp_path / "o")]
-        self._fails_naming(capsys, argv, edges)
+    def _estimates(self, tmp_path, name, forest_text, edges_text, monkeypatch):
+        """Exit status, estimates.csv rows without the forest column, and the oracle graph's node count."""
+        forest, edges, out = tmp_path / f"{name}.csv", tmp_path / f"{name}_edges.csv", tmp_path / name
+        forest.write_text("node,recruiter,wave,seed_id,coupon_index,degree,z\n" + forest_text)
+        edges.write_text("src,dst\n" + edges_text)
+        graphs = []
 
-    def test_estimate_edges_blames_forest_holding_huge_node(self, tmp_path, capsys):
-        # the node count comes from the forest, so the well-formed edge list
-        # must not be named
+        def recording(f, graph):
+            graphs.append(graph)
+            return sample_estimates(f, graph)
+
+        monkeypatch.setattr(rdsim.cli, "sample_estimates", recording)
+        status = main(["estimate", "--forest", str(forest), "--edges", str(edges), "--out", str(out), "-q"])
+        with open(out / "estimates.csv", newline="") as fh:
+            rows = [{k: v for k, v in row.items() if k != "forest"} for row in csv.DictReader(fh)]
+        return status, rows, graphs[0].node_count
+
+    def test_estimate_edges_with_huge_node_index(self, tmp_path, monkeypatch):
+        # node ids are labels, such as participant numbers: the oracle graph has one node
+        # per distinct id, where it used to ask for 10**12 + 1 nodes and fail
+        huge = self._estimates(
+            tmp_path, "huge", f"{10**12},,0,0,,2,1\n5,{10**12},1,0,0,1,0\n7,{10**12},1,0,1,1,1\n",
+            f"5,{10**12}\n7,{10**12}\n", monkeypatch,
+        )
+        small = self._estimates(
+            tmp_path, "small", "0,,0,0,,2,1\n1,0,1,0,0,1,0\n2,0,1,0,1,1,1\n", "0,1\n0,2\n", monkeypatch
+        )
+        assert huge == small
+        status, rows, node_count = huge
+        assert status == 0 and node_count == 3 and rows[0]["est_induced_homophily_z"] != ""
+
+    def test_estimate_edges_with_huge_node_only_in_forest(self, tmp_path, monkeypatch):
+        # an isolated reseed carries the largest id, which no edge holds
+        huge = self._estimates(
+            tmp_path, "huge", f"5,,0,0,,1,0\n7,5,1,0,0,1,1\n{10**12},,0,1,,0,1\n", "5,7\n", monkeypatch
+        )
+        small = self._estimates(
+            tmp_path, "small", "0,,0,0,,1,0\n1,0,1,0,0,1,1\n2,,0,1,,0,1\n", "0,1\n", monkeypatch
+        )
+        assert huge == small
+        assert huge[0] == 0 and huge[2] == 3
+
+    def test_estimate_edges_with_negative_endpoint(self, tmp_path, capsys):
+        # an empty cell reads as -1, which no node id is
+        forest = tmp_path / "forest.csv"
+        forest.write_text(FOREST_CSV)
+        edges = tmp_path / "edges.csv"
+        edges.write_text("src,dst\n0,1\n,2\n")
+        out = tmp_path / "o"
+        assert main(["estimate", "--forest", str(forest), "--edges", str(edges), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {edges}: edge endpoint -1 is negative\n"
+        assert not out.exists()
+
+    def test_estimate_stray_tie_names_the_file_ids(self, tmp_path, capsys):
         forest = tmp_path / "forest.csv"
         forest.write_text(
             "node,recruiter,wave,seed_id,coupon_index,degree,z\n"
-            f"{10**12},,0,0,,2,1\n5,{10**12},1,0,0,1,0\n7,{10**12},1,0,1,1,1\n"
+            f"5,,0,0,,1,0\n{10**12},5,1,0,0,1,1\n"
         )
         edges = tmp_path / "edges.csv"
-        edges.write_text("src,dst\n5,7\n")
-        argv = ["estimate", "--forest", str(forest), "--edges", str(edges), "--out", str(tmp_path / "o")]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {forest}: node_count must be <=") and err.count("\n") == 1
+        edges.write_text(f"src,dst\n5,7\n7,{10**12}\n")
+        out = tmp_path / "o"
+        assert main(["estimate", "--forest", str(forest), "--edges", str(edges), "--out", str(out)]) == 1
+        # the labels would read 0-2
+        assert capsys.readouterr().err == f"error: {forest}: tie 5-{10**12} is not an edge of {edges}\n"
+        assert not out.exists()
 
     def test_estimate_attribute_names_that_spell_one_column_twice(self, tmp_path, capsys):
         forest = tmp_path / "forest.csv"

@@ -24,6 +24,9 @@ from rdsim.harness import write_rows
 from rdsim.tables import read_table, write_table
 
 
+FOREST_FIELDS = ("nodes", "recruiters", "waves", "seed_ids", "coupon_indices", "degrees", "attributes")
+
+
 @st.composite
 def graphs(draw, max_nodes: int = 16) -> Graph:
     n = draw(st.integers(1, max_nodes))
@@ -83,7 +86,7 @@ def test_forest_round_trip(tmp_path_factory, data, graph, seed):
     path = tmp_path_factory.mktemp("forest") / "forest.csv"
     write_forest(forest, path)
     back = read_forest(path)
-    for field in ("nodes", "recruiters", "waves", "seed_ids", "coupon_indices", "degrees", "attributes"):
+    for field in FOREST_FIELDS:
         assert np.array_equal(getattr(back, field), getattr(forest, field)), field
     assert back.attribute_names == forest.attribute_names
 
@@ -104,6 +107,38 @@ def test_empty_cell_is_missing(tmp_path):
     assert names == ("x",)
     assert values.dtype == np.int64
     assert values.tolist() == [[1, -1, 0], [-1, 2, 1]]
+
+
+def _edge_contents(path):
+    graph = read_edge_list(path, node_count=3)
+    return graph.node_count, graph.src.tolist(), graph.dst.tolist()
+
+
+def _attribute_contents(path):
+    names, z = read_attributes(path)
+    return names, z.tolist()
+
+
+def _forest_contents(path):
+    forest = read_forest(path)
+    return forest.attribute_names, [getattr(forest, field).tolist() for field in FOREST_FIELDS]
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (_edge_contents, "src,dst\n0,1\n1,2\n"),
+        (_attribute_contents, "node,z,w\n0,1,0\n1,0,0\n2,1,1\n"),
+        (_forest_contents, "node,recruiter,wave,seed_id,coupon_index,degree,z\n0,,0,0,,2,1\n1,0,1,0,0,2,0\n"),
+    ],
+    ids=["edges", "attributes", "forest"],
+)
+def test_byte_order_mark_is_not_part_of_the_header(tmp_path, reader, text):
+    # spreadsheet "CSV UTF-8" exports start with EF BB BF
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert reader(marked) == reader(plain)
 
 
 def test_write_rows_formats_numpy_scalars(tmp_path):
