@@ -9,6 +9,7 @@ plus an optional ``[correlations]`` section with ``NAME:NAME = r`` pairs.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -220,10 +221,12 @@ def network_run_from_config(cfg, source: str = "<config>"):
     args = (net["n"], net["p"], net["mean_degree"], net["diff_activity"])
     key = _homophily_key(net)
     try:
-        ratio = net[key]
-        if key == "homophily_h":
-            ratio = ratio_from_assortativity(ratio, net["p"], net["diff_activity"])
-        return NetworkTargets(*args, ratio), net["mode"]
+        if key == "homophily_r":
+            return NetworkTargets(*args, net[key]), net["mode"]
+        # the bridge is taken at the prevalence of the network drawn, whose group sizes are rounded
+        targets = NetworkTargets(*args, 0.0)
+        ratio = ratio_from_assortativity(net[key], targets.group_sizes[0] / net["n"], net["diff_activity"])
+        return dataclasses.replace(targets, homophily_ratio=ratio), net["mode"]
     except ValueError as exc:
         raise ConfigError(f"{source}: [network] {exc}")
 

@@ -24,12 +24,6 @@ shuffle=False)``: ``Graph`` sorts the edges into canonical order, so the
 random order that the shuffle would add is thrown away, and skipping it
 leaves each class a uniform subset. :func:`_sample_class_dyads` says
 where the set and the stream differ from the shuffled call's.
-
-A fit and the network drawn from it share one set of dyad classes:
-:func:`fit_dyad_model` leaves the ``_PatternClasses`` it fitted on the
-returned model, and :func:`simulate_from_model` draws from them when its
-checked attribute matrix equals the fitted one, so the classes are built
-once per fitted network.
 """
 
 from __future__ import annotations
@@ -428,12 +422,11 @@ class _PatternClasses:
 
     ``members[c]`` holds the ``uint32`` indices of the nodes with pattern
     ``c``, ascending; ``uint32`` covers every node count up to
-    :data:`~rdsim.graph.MAX_NODE_COUNT`. ``z`` keeps the checked (read-only
-    int8) attribute matrix the classes were built from.
+    :data:`~rdsim.graph.MAX_NODE_COUNT`.
     """
 
     def __init__(self, z: np.ndarray):
-        self.z = z = _as_attributes(z)
+        z = _as_attributes(z)
         self.n, self.m = z.shape
         if self.n < 2:
             raise ValueError(f"attribute matrix must have n >= 2 rows, got shape {z.shape}")
@@ -591,10 +584,7 @@ def fit_dyad_model(attribute_targets, mean_degree: float, z: np.ndarray) -> Dyad
             f"residual {best:.3g} above tolerance {_FIT_TOL} after {_FIT_MAX_ITER} iterations",
             residuals=res,
         )
-    model = DyadModel(theta)
-    # simulate_from_model reuses these classes when it is given the same z
-    object.__setattr__(model, "_classes", classes)
-    return model
+    return DyadModel(theta)
 
 
 def simulate_from_model(model: DyadModel, z: np.ndarray, rng: np.random.Generator) -> Graph:
@@ -602,13 +592,8 @@ def simulate_from_model(model: DyadModel, z: np.ndarray, rng: np.random.Generato
 
     Each joint-pattern dyad class draws a binomial edge count at its tie
     probability, then places the edges on a uniform subset of the class
-    dyads (exactly the independent-Bernoulli law). A model returned by
-    :func:`fit_dyad_model` carries the dyad classes of the ``z`` it was fitted
-    on; they are reused when the checked ``z`` here is equal to that one, and
-    built afresh otherwise.
+    dyads (exactly the independent-Bernoulli law).
     """
-    classes = getattr(model, "_classes", None)
-    if classes is None or not np.array_equal(_as_attributes(z), classes.z):
-        classes = _PatternClasses(z)
+    classes = _PatternClasses(z)
     counts = _binomial_counts(classes, classes.probabilities(model.theta), rng)
     return _draw_graph(classes, counts, rng)

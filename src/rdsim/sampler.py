@@ -299,8 +299,6 @@ def run_rds(
     seeds = select_seeds(graph, config, rng)
     is_open = np.ones(graph.node_count, dtype=bool)  # not yet sampled
     is_open[seeds] = False
-    # graph.neighbors(r) is this slice of the CSR arrays; slicing them here saves a call per recruiter
-    indptr, indices = graph._indptr, graph._indices
     nodes = seeds.tolist()
     owners, counts = [], []  # one record per recruiter that recruits, or per reseed (owner -1)
     count = len(nodes)  # entries so far
@@ -327,7 +325,7 @@ def run_rds(
             continue
         recruiter = nodes[head]
         head += 1
-        neighbors = indices[indptr[recruiter]:indptr[recruiter + 1]]
+        neighbors = graph.neighbors(recruiter)
         open_nbrs = neighbors[is_open[neighbors]]
         size = open_nbrs.size
         budget = n_target - count

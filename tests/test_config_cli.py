@@ -13,7 +13,9 @@ from rdsim import (
     ConfigError,
     Graph,
     SamplerConfig,
+    assortativity_from_ratio,
     newman_assortativity,
+    ratio_from_assortativity,
     read_edge_list,
     read_forest,
     run_rds,
@@ -161,6 +163,15 @@ class TestSchemas:
         assert targets.node_count == 12
         assert targets.homophily_ratio == 0.40
         assert mode == "bernoulli"
+
+    def test_network_homophily_h_is_bridged_at_the_realized_prevalence(self):
+        # p = 0.13 of 50 nodes rounds to 6 group-1 nodes, a prevalence of 0.12
+        text = "[network]\nn = 50\np = 0.13\nmean_degree = 4\ndiff_activity = 1.2\nhomophily_h = 0.3\n"
+        targets, _ = network_run_from_config(parse_config(text))
+        assert targets.group_sizes == (6, 44)
+        assert targets.prevalence == 0.13
+        assert targets.homophily_ratio == ratio_from_assortativity(0.3, 0.12, 1.2)
+        assert assortativity_from_ratio(targets.homophily_ratio, 0.12, 1.2) == pytest.approx(0.3, abs=1e-9)
 
     def test_sampler_config(self):
         cfg = parse_config("[rds]\nseeds = 2\ncoupons = 3\nsample_size = 10\nreseed = false\n")

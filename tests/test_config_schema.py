@@ -194,7 +194,9 @@ def network_cases(draw):
         h = draw(floats(-0.5, 0.9))
         network["homophily_h"] = repr(h)
         try:
-            targets = NetworkTargets(*args, ratio_from_assortativity(h, args[1], args[3]))
+            # the bridge is taken at the realized prevalence, round(p * n) / n
+            realized = NetworkTargets(*args, 0.0).group_sizes[0] / n
+            targets = NetworkTargets(*args, ratio_from_assortativity(h, realized, args[3]))
         except ValueError:
             assume(False)
     mode = draw(optional_key(network, "mode", GENERATION_MODES))

@@ -285,8 +285,6 @@ def test_private_imports_between_modules_are_pinned():
 PRIVATE_READS = {
     "estimators": {"forest._cuts"},
     "harness": {"plan._entropy", "scenario._entropy"},
-    "netgen": {'getattr("_classes")', 'object.__setattr__("_classes")'},
-    "sampler": {"graph._indices", "graph._indptr"},
 }
 
 
