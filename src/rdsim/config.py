@@ -182,7 +182,11 @@ def _read(cfg, section: str, source: str, lists=(), schema=None) -> _Section:
             value = kind(text)
         except ValueError:
             raise ConfigError(f"{source}: [{section}] {key} = {text!r} is not a valid {kind.__name__}")
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
             raise ConfigError(f"{source}: [{section}] {key} = {text!r} is not a finite number")
         return value
 

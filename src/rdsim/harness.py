@@ -71,7 +71,12 @@ _SEED_SELECTION_CODES = {mode: i for i, mode in enumerate(SEED_SELECTION_MODES)}
 
 def _scaled(x: float) -> int:
     """Nonnegative integer image of a parameter for entropy tuples."""
-    value = int(round(x * 1_000_000_000))
+    try:
+        value = int(round(x * 1_000_000_000))
+    except OverflowError:
+        # x * 1e9 is past the float range, so x is an integral float: this
+        # image is exact and lies above every finite one
+        value = int(x) * 1_000_000_000
     if value < 0:
         raise ValueError("stream-entropy parameters must be nonnegative")
     return value
@@ -225,7 +230,9 @@ def _replicate_columns(suffixes: list[str]) -> list[str]:
 
 EXPERIMENT_GROUP_COLUMNS = ["cell", "prevalence", "diff_activity", "homophily_ratio", "sample_size"]
 
-EXPERIMENT_COLUMNS = EXPERIMENT_GROUP_COLUMNS + _replicate_columns([""])
+_EXPERIMENT_REPLICATE_COLUMNS = _replicate_columns([""])
+
+EXPERIMENT_COLUMNS = EXPERIMENT_GROUP_COLUMNS + _EXPERIMENT_REPLICATE_COLUMNS
 
 RB_COLUMNS = [column for column in EXPERIMENT_COLUMNS if column.startswith("rb_")]
 
@@ -245,24 +252,24 @@ def _realized_truth(graph, z) -> dict:
     }
 
 
-def _ok_row(key: dict, replicate: int, est, truths: list[dict], suffixes: list[str]) -> dict:
-    """One ``ok`` replicate row.
+def _ok_row(key: dict, replicate: int, est, truths: list[dict], columns: list[str]) -> dict:
+    """One ``ok`` replicate row: ``key``, then ``columns`` with their values.
 
-    Attribute k's truth, estimate and relative-bias fields come from
-    ``truths[k]`` and ``est``, named with the suffix ``suffixes[k]``; the
-    forest statistics come from ``est`` too.
+    ``columns`` is the study's ``_replicate_columns`` list, and the values
+    come in the order it names them, so every row is keyed by the header's
+    own strings. Attribute k's truths come from ``truths[k]``, its estimates
+    and relative biases from ``est``, and the forest statistics from ``est``
+    too.
     """
-    row = dict(key, replicate=replicate, status="ok", reason=None)
-    row[f"truth_{_GRAPH_TRUTH}"] = truths[0][_GRAPH_TRUTH]
-    for k, (truth, suffix) in enumerate(zip(truths, suffixes)):
+    values = [replicate, "ok", None, truths[0][_GRAPH_TRUTH]]
+    for k, truth in enumerate(truths):
         estimates = est.for_attribute(k)
-        row.update((f"truth_{name}{suffix}", truth[name]) for name in _TRUTHS)
-        row.update((f"est_{name}{suffix}", value) for name, value in estimates.items())
-        row.update(
-            (f"rb_{name}{suffix}", relative_bias(estimates[name], truth[of]))
-            for name, of in _BIAS_TRUTH.items()
-        )
-    row.update(reseed_count=est.reseed_count, max_wave=est.max_wave, truncated=est.truncated)
+        values.extend(truth[name] for name in _TRUTHS)
+        values.extend(estimates[name] for name in _PER_ATTRIBUTE)
+        values.extend(relative_bias(estimates[name], truth[of]) for name, of in _BIAS_TRUTH.items())
+    values += (est.reseed_count, est.max_wave, est.truncated)
+    row = dict(key)
+    row.update(zip(columns, values, strict=True))
     return row
 
 
@@ -291,7 +298,10 @@ def _experiment_task(args: tuple[ExperimentPlan, tuple[Cell, ...], tuple[int, ..
         rds_rng = np.random.default_rng(plan._entropy(_TAG_RDS, cells[0], replicate))
         run = run_rds(graph, z, config, rds_rng)
         estimates = sample_estimates(run, graph, sizes)
-        rows.extend(_ok_row(key, replicate, est, [truth], [""]) for key, est in zip(keys, estimates))
+        rows.extend(
+            _ok_row(key, replicate, est, [truth], _EXPERIMENT_REPLICATE_COLUMNS)
+            for key, est in zip(keys, estimates)
+        )
     return rows
 
 
@@ -459,23 +469,23 @@ def engage_columns(names: tuple[str, ...]) -> list[str]:
     return _replicate_columns([f"_{name}" for name in names])
 
 
-def _engage_task(args: tuple[EngageScenario, LatentBinaryModel, int]) -> dict:
-    scenario, sampler_model, replicate = args
+def _engage_task(args: tuple[EngageScenario, LatentBinaryModel, list[str], int]) -> dict:
+    """One replicate's row, keyed by ``columns``, the scenario's ``engage_columns``."""
+    scenario, sampler_model, columns, replicate = args
     names = scenario.covariate_names
-    suffixes = [f"_{name}" for name in names]
     covariate_rng = np.random.default_rng(scenario._entropy(_TAG_COVARIATES, replicate))
     z = sampler_model.sample(scenario.node_count, covariate_rng)
     try:
         model = fit_dyad_model(scenario.covariates, scenario.mean_degree, z)
     except (InfeasibleTargetsError, FitConvergenceError) as exc:
-        return _skip_row({}, replicate, f"fit failed: {exc}", _replicate_columns(suffixes))
+        return _skip_row({}, replicate, f"fit failed: {exc}", columns)
     network_rng = np.random.default_rng(scenario._entropy(_TAG_NETWORK, replicate))
     graph = simulate_from_model(model, z, network_rng)
     rds_rng = np.random.default_rng(scenario._entropy(_TAG_RDS, replicate))
     forest = run_rds(graph, z, scenario.sampler_config(), rds_rng, names)
     est = sample_estimates(forest, graph)
     truths = [_realized_truth(graph, z[:, k]) for k in range(len(names))]
-    return _ok_row({}, replicate, est, truths, suffixes)
+    return _ok_row({}, replicate, est, truths, columns)
 
 
 def run_engage_mimic(
@@ -487,11 +497,13 @@ def run_engage_mimic(
     skipped rows. Summary rows aggregate relative bias per covariate and
     estimand.
     """
+    names = scenario.covariate_names
+    # one list keys every row and names the header
+    replicate_columns = engage_columns(names)
     sampler_model = binary_sampler(scenario.covariate_spec())
-    tasks = [(scenario, sampler_model, rep) for rep in range(scenario.replicates)]
+    tasks = [(scenario, sampler_model, replicate_columns, rep) for rep in range(scenario.replicates)]
     rows = _run_tasks(tasks, _engage_task, threads)
 
-    names = scenario.covariate_names
     # one summary over every covariate's rb_ columns, covariate-major as the rows list them
     pairs = [(name, estimand) for name in names for estimand in _BIAS_TRUTH]
     columns = [f"rb_{estimand}_{name}" for name, estimand in pairs]
@@ -501,7 +513,7 @@ def run_engage_mimic(
     ]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        write_rows(os.path.join(out_dir, "replicates.csv"), engage_columns(names), rows)
+        write_rows(os.path.join(out_dir, "replicates.csv"), replicate_columns, rows)
         write_rows(os.path.join(out_dir, "summary.csv"), ["covariate"] + _SUMMARY_STAT_COLUMNS, summary)
     return rows, summary
 

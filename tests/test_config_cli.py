@@ -801,6 +801,20 @@ class TestCliExperiment:
         assert captured.err == f"config error: {cfg}: {message}\n"
         assert not out.exists()
 
+    def test_homophily_ratio_past_the_stream_scale_runs(self, tmp_path):
+        # the stream entropy scales R by 1e9, which overflows a float at R = 1e300
+        text = EXPERIMENT_CFG.replace("p = 0.5, 0.8", "p = 0.5").replace("diff_activity = 1, 4", "diff_activity = 1")
+        text = text.replace("n = 300", "n = 200").replace("mean_degree = 10", "mean_degree = 6")
+        text = text.replace("homophily_r = 1", "homophily_r = 1e300").replace("sample_size = 40, 60", "sample_size = 40")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text.replace("replicates = 2", "replicates = 1"))
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out), "-q"]) == 0
+        with open(out / "replicates.csv", newline="") as f:
+            (row,) = csv.DictReader(f)
+        assert row["status"] == "ok"
+        assert row["homophily_ratio"] == "1e+300"
+
     def test_skipped_cells_warn_but_exit_zero(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(EXPERIMENT_CFG)
@@ -927,6 +941,28 @@ def test_negative_seed_fails_before_any_output(tmp_path, capsys, argv, text, mes
     argv = argv + ["--config", str(cfg), "--out", str(out)] + (files if argv[0] == "rds" else [])
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"config error: {cfg}: {message}\n")
+    assert not out.exists()
+
+
+HUGE_INT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "command, text, old, key",
+    [
+        ("covgen", "[covgen]\nn = 10\nseed = 4\n\n[covariate A]\nprevalence = 0.5\n", "seed = 4", "[covgen] seed"),
+        ("experiment", EXPERIMENT_CFG, "n = 300", "[network] n"),
+        ("experiment", EXPERIMENT_CFG, "replicates = 2", "[experiment] replicates"),
+    ],
+    ids=["covgen-seed", "network-n", "experiment-replicates"],
+)
+def test_integer_past_the_float_range_is_config_error(tmp_path, capsys, command, text, old, key):
+    cfg = tmp_path / "huge.cfg"
+    key_name = key.split()[-1]
+    cfg.write_text(text.replace(old, f"{key_name} = {HUGE_INT}"))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"config error: {cfg}: {key} = {HUGE_INT!r} is not a finite number\n")
     assert not out.exists()
 
 

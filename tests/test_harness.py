@@ -1,4 +1,5 @@
 import csv
+import sys
 
 import numpy as np
 import pytest
@@ -53,6 +54,14 @@ def tiny_scenario(**overrides) -> EngageScenario:
     return EngageScenario(**base)
 
 
+def assert_keyed_by_header(rows: list[dict], columns: list[str]):
+    """Every row's keys are ``columns`` in order, and the same string objects as the first row's."""
+    first = list(map(id, rows[0]))
+    for row in rows:
+        assert list(row) == columns, row["status"]
+        assert list(map(id, row)) == first, row["status"]
+
+
 class TestRunExperiment:
     def test_census_recovers_degree_based_estimands_exactly(self):
         plan = small_plan(node_count=200, mean_degree=8.0, sample_sizes=(200,), replicates=1)
@@ -90,8 +99,7 @@ class TestRunExperiment:
         plan = small_plan(prevalences=(0.5, 0.8), diff_activities=(1.0, 4.0), replicates=2)
         rows, _ = run_experiment(plan)
         assert {row["status"] for row in rows} == {"ok", "skipped"}
-        for row in rows:
-            assert set(row) == set(EXPERIMENT_COLUMNS), row["status"]
+        assert_keyed_by_header(rows, EXPERIMENT_COLUMNS)
 
     def test_skip_reason_names_bound(self):
         plan = small_plan(prevalences=(0.8,), diff_activities=(4.0,), replicates=1)
@@ -223,6 +231,7 @@ class TestRunExperiment:
         )
         rows, _ = run_experiment(plan)
         cells = {cell.index: cell for cell in plan.cells()}
+        columns = harness._replicate_columns([""])
         for row in rows:
             cell = cells[row["cell"]]
             replicate = row["replicate"]
@@ -234,7 +243,7 @@ class TestRunExperiment:
             forest = run_rds(graph, z, plan.sampler_config(cell), rds_rng)
             est = sample_estimates(forest, graph)
             truth = harness._realized_truth(graph, z)
-            assert row == harness._ok_row(harness._cell_key(cell), replicate, est, [truth], [""])
+            assert row == harness._ok_row(harness._cell_key(cell), replicate, est, [truth], columns)
 
     @pytest.mark.parametrize("regenerate_network", [True, False], ids=["fresh", "fixed"])
     def test_smaller_samples_are_prefixes_of_one_run(self, monkeypatch, regenerate_network):
@@ -417,13 +426,27 @@ class TestEngageMimic:
         infeasible = tiny_scenario(
             covariates=(AttributeTargets("A", 0.5, 40.0, homophily_ratio=1.0), feasible.covariates[1]),
             correlations=((1.0, 0.0), (0.0, 1.0)),
-            replicates=1,
+            replicates=2,
         )
-        rows = run_engage_mimic(feasible)[0] + run_engage_mimic(infeasible)[0]
-        assert [row["status"] for row in rows] == ["ok", "ok", "skipped"]
-        columns = set(harness.engage_columns(feasible.covariate_names))
-        for row in rows:
-            assert set(row) == columns, row["status"]
+        columns = harness.engage_columns(feasible.covariate_names)
+        for scenario, status in ((feasible, "ok"), (infeasible, "skipped")):
+            rows = run_engage_mimic(scenario)[0]
+            assert [row["status"] for row in rows] == [status] * scenario.replicates
+            assert_keyed_by_header(rows, columns)
+
+
+def test_scaled_keeps_the_rounded_image_of_every_ordinary_value():
+    values = [0.0, 1e-9, 0.1, 0.3, 0.5, 0.8, 1.0, 2.16, 5.0, 99.9, 1e6, 1e299]
+    values += list(np.linspace(0.0, 50.0, 1001))
+    for x in values:
+        assert harness._scaled(x) == int(round(x * 1_000_000_000)), x
+
+
+def test_scaled_is_exact_past_the_float_range():
+    # 1e300 * 1e9 overflows to infinity; the image stays an exact integer above every finite one
+    assert harness._scaled(1e300) == int(1e300) * 10**9
+    assert harness._scaled(1e300) > int(sys.float_info.max)
+    assert harness._scaled(sys.float_info.max) == int(sys.float_info.max) * 10**9
 
 
 def test_write_rows_formats(tmp_path):
