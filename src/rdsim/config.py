@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -131,11 +132,25 @@ def serialize_config(sections: dict[str, dict[str, str]]) -> str:
     return "\n\n".join(chunks) + "\n"
 
 
+@contextmanager
+def _refused(source: str, section: str | None = None):
+    """Turn a target type's ``ValueError`` in the block into a ``ConfigError`` naming the file and section."""
+    try:
+        yield
+    except ValueError as exc:
+        where = "" if section is None else f"[{section}] "
+        raise ConfigError(f"{source}: {where}{exc}") from None
+
+
+def _is_covariate(section: str) -> bool:
+    """Whether ``section`` is a ``[covariate NAME]`` section (a bare ``[covariate]`` included)."""
+    return section.partition(" ")[0] == "covariate"
+
+
 def _check_sections(cfg, required: set[str], allow_covariates: bool, source: str):
     seen = set()
     for name in cfg:
-        base = "covariate" if name.startswith("covariate ") else name
-        if allow_covariates and base in ("covariate", "correlations"):
+        if allow_covariates and (_is_covariate(name) or name == "correlations"):
             continue
         if name not in required:
             raise ConfigError(f"{source}: unknown section [{name}] for this command")
@@ -224,15 +239,13 @@ def network_run_from_config(cfg, source: str = "<config>"):
     net = _read(cfg, "network", source)
     args = (net["n"], net["p"], net["mean_degree"], net["diff_activity"])
     key = _homophily_key(net)
-    try:
+    with _refused(source, "network"):
         if key == "homophily_r":
             return NetworkTargets(*args, net[key]), net["mode"]
         # the bridge is taken at the prevalence of the network drawn, whose group sizes are rounded
         targets = NetworkTargets(*args, 0.0)
         ratio = ratio_from_assortativity(net[key], targets.group_sizes[0] / net["n"], net["diff_activity"])
         return dataclasses.replace(targets, homophily_ratio=ratio), net["mode"]
-    except ValueError as exc:
-        raise ConfigError(f"{source}: [network] {exc}")
 
 
 def multi_network_run_from_config(cfg, source: str = "<config>"):
@@ -259,14 +272,14 @@ def multi_network_run_from_config(cfg, source: str = "<config>"):
 
 
 def has_covariate_sections(cfg) -> bool:
-    return any(section.startswith("covariate ") for section in cfg)
+    return any(map(_is_covariate, cfg))
 
 
 def sampler_config_from_config(cfg, source: str = "<config>") -> SamplerConfig:
     """[rds] with a scalar sample size -> SamplerConfig."""
     _check_sections(cfg, {"rds"}, False, source)
     rds = _read(cfg, "rds", source)
-    try:
+    with _refused(source, "rds"):
         return SamplerConfig(
             num_seeds=rds["seeds"],
             coupons_per_node=rds["coupons"],
@@ -274,8 +287,6 @@ def sampler_config_from_config(cfg, source: str = "<config>") -> SamplerConfig:
             seed_selection=rds["seed_selection"],
             reseed_on_death=rds["reseed"],
         )
-    except ValueError as exc:
-        raise ConfigError(f"{source}: [rds] {exc}")
 
 
 def experiment_plan_from_config(cfg, source: str = "<config>") -> ExperimentPlan:
@@ -293,7 +304,7 @@ def experiment_plan_from_config(cfg, source: str = "<config>") -> ExperimentPlan
         raise ConfigError(
             f"{source}: [rds] reseed = false is not supported by sweeps, which always reseed"
         )
-    try:
+    with _refused(source):
         return ExperimentPlan(
             node_count=net["n"],
             mean_degree=net["mean_degree"],
@@ -309,8 +320,6 @@ def experiment_plan_from_config(cfg, source: str = "<config>") -> ExperimentPlan
             seed_selection=rds["seed_selection"],
             regenerate_network=not experiment["fixed_network"],
         )
-    except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}")
 
 
 def _covariate_targets(cfg, source: str, network: bool = True) -> tuple[AttributeTargets, ...]:
@@ -323,10 +332,8 @@ def _covariate_targets(cfg, source: str, network: bool = True) -> tuple[Attribut
     A repeated name is left to the ``CovariateSpec`` of :func:`_covariate_spec`.
     """
     targets = []
-    for section in cfg:
-        if not section.startswith("covariate "):
-            continue
-        name = section[len("covariate "):].strip()
+    for section in filter(_is_covariate, cfg):
+        name = section[len("covariate"):].strip()
         if not name:
             raise ConfigError(f"{source}: covariate section needs a name: [covariate NAME]")
         values = _read(cfg, section, source, schema=_SCHEMA["covariate"])
@@ -336,14 +343,12 @@ def _covariate_targets(cfg, source: str, network: bool = True) -> tuple[Attribut
                 values["homophily_r"] = 1.0
         key = _homophily_key(values)
         scale = {"homophily_r": "homophily_ratio", "homophily_h": "assortativity"}[key]
-        try:
+        with _refused(source, section):
             targets.append(
                 AttributeTargets(
                     name, values["prevalence"], values["diff_activity"], **{scale: values[key]}
                 )
             )
-        except ValueError as exc:
-            raise ConfigError(f"{source}: [{section}] {exc}")
     if not targets:
         raise ConfigError(f"{source}: need at least one [covariate NAME] section")
     if network and len(targets) > MAX_PATTERN_ATTRIBUTES:
@@ -374,10 +379,8 @@ def _covariate_spec(cfg, targets: tuple[AttributeTargets, ...], source: str) -> 
     for key, r in _read(cfg, "correlations", source, schema=dict.fromkeys(pairs, float)).items():
         i, j = pairs[key]
         matrix[i, j] = matrix[j, i] = r
-    try:
+    with _refused(source):
         return CovariateSpec(tuple(names), np.array([t.prevalence for t in targets]), matrix)
-    except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}")
 
 
 def covariate_spec_from_config(cfg, source: str = "<config>") -> tuple[CovariateSpec, int, int]:
@@ -402,7 +405,7 @@ def engage_scenario_from_config(cfg, source: str = "<config>") -> EngageScenario
     engage = _read(cfg, "engage", source)
     targets = _covariate_targets(cfg, source)
     spec = _covariate_spec(cfg, targets, source)
-    try:
+    with _refused(source):
         return EngageScenario(
             node_count=engage["n"],
             mean_degree=engage["mean_degree"],
@@ -414,5 +417,3 @@ def engage_scenario_from_config(cfg, source: str = "<config>") -> EngageScenario
             replicates=engage["replicates"],
             master_seed=engage["seed"],
         )
-    except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}")

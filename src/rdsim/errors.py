@@ -35,7 +35,8 @@ class InfeasibleTargetsError(RdsimError):
     """Requested network targets violate a structural bound.
 
     The message names the violated bound (negative expected edge count or
-    a dyad-class probability above 1).
+    a dyad-class probability above 1), or the attribute and the realized
+    group sizes of a draw the targets cannot be met at.
     """
 
 

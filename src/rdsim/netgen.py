@@ -382,6 +382,12 @@ class AttributeTargets:
             raise ValueError(f"attribute {self.name!r}: diff_activity must be positive")
         if self.homophily_ratio is not None and self.homophily_ratio < 0.0:
             raise ValueError(f"attribute {self.name!r}: homophily_ratio must be nonnegative")
+        if self.assortativity is not None:
+            # reachable at the target's own prevalence; a draw's prevalence is checked by the fit
+            try:
+                ratio_from_assortativity(self.assortativity, self.prevalence, self.diff_activity)
+            except ValueError as exc:
+                raise ValueError(f"attribute {self.name!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -491,23 +497,16 @@ def _target_statistics(
     z_counts = sizes @ classes.patterns
     for k, target in enumerate(attribute_targets):
         n1 = int(z_counts[k])
-        if n1 < 1 or n1 > n - 1:
+        try:
+            ratio = target.homophily_ratio
+            if ratio is None:
+                ratio = ratio_from_assortativity(target.assortativity, n1 / n, target.diff_activity)
+            realized = NetworkTargets(n, n1 / n, mean_degree, target.diff_activity, ratio)
+        except ValueError as exc:
             raise InfeasibleTargetsError(
-                f"attribute {target.name!r}: realized group sizes ({n1}, {n - n1}) are degenerate"
-            )
-        realized_p = n1 / n
-        ratio = target.homophily_ratio
-        if ratio is None:
-            ratio = ratio_from_assortativity(target.assortativity, realized_p, target.diff_activity)
-        solution = solve_dyad_classes(
-            NetworkTargets(
-                node_count=n,
-                prevalence=realized_p,
-                mean_degree=mean_degree,
-                diff_activity=target.diff_activity,
-                homophily_ratio=ratio,
-            )
-        )
+                f"attribute {target.name!r} at realized group sizes ({n1}, {n - n1}): {exc}"
+            ) from None
+        solution = solve_dyad_classes(realized)
         goal[1 + 2 * k] = solution.e11 + solution.e00
         goal[2 + 2 * k] = 2.0 * solution.e11 + solution.e10
     return goal
@@ -532,7 +531,9 @@ def fit_dyad_model(attribute_targets, mean_degree: float, z: np.ndarray) -> Dyad
         Fitted :class:`DyadModel`.
 
     Raises:
-        InfeasibleTargetsError: If any per-attribute moment solve fails.
+        InfeasibleTargetsError: If any per-attribute moment solve fails, or an
+            attribute's group in ``z`` is empty or its assortativity is out of
+            reach at the realized prevalence (named with the group sizes).
         FitConvergenceError: If some relative moment residual is above
             ``_FIT_TOL`` after ``_FIT_MAX_ITER`` Newton steps; carries the
             final residual vector.

@@ -8,11 +8,13 @@ can vouch for the production implementations.
 
 from __future__ import annotations
 
+import math
+
 import networkx as nx
 import numpy as np
 import pytest
 
-from rdsim import Graph
+from rdsim import Graph, assortativity_from_ratio
 from rdsim.graph import MixingCounts
 
 
@@ -91,6 +93,17 @@ def networkx_induced_counts(forest, graph: Graph) -> list[MixingCounts]:
                 cross += 1
         counts.append(MixingCounts(within_1=w1, within_0=w0, cross=cross))
     return counts
+
+
+def near_bound_assortativity(prevalence: float, diff_activity: float, node_count: int) -> float:
+    """Midway between the least assortativity a network reaches at ``prevalence`` and one sd below it.
+
+    A covariate with this target is accepted, but a draw of ``node_count``
+    nodes whose prevalence falls far enough below ``prevalence`` cannot meet it.
+    """
+    below = prevalence - math.sqrt(prevalence * (1.0 - prevalence) / node_count)
+    bounds = [assortativity_from_ratio(0.0, p, diff_activity) for p in (prevalence, below)]
+    return sum(bounds) / 2.0
 
 
 def random_graph(n: int, edge_prob: float, rng: np.random.Generator):

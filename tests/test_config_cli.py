@@ -36,7 +36,7 @@ from rdsim.config import (
 )
 from rdsim.errors import or_none
 from rdsim.netgen import MAX_PATTERN_ATTRIBUTES
-from conftest import networkx_induced_counts, random_graph
+from conftest import near_bound_assortativity, networkx_induced_counts, random_graph
 
 EXPERIMENT_CFG = """\
 # sweep definition
@@ -855,6 +855,19 @@ class TestCliEngage:
         assert "[covariate B] diff_activity = 'inf' is not a finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_assortativity_out_of_reach_at_a_drawn_prevalence_warns_but_exits_zero(self, tmp_path, capsys):
+        # B's target is reachable at its prevalence 0.3, not at every prevalence drawn
+        h = near_bound_assortativity(0.3, 0.9, 1010)
+        cfg = tmp_path / "engage.cfg"
+        text = ENGAGE_CFG.replace("homophily_r = 0.5", f"homophily_h = {h!r}")
+        cfg.write_text(text.replace("replicates = 2", "replicates = 8"))
+        out = tmp_path / "out"
+        assert main(["engage-mimic", "--config", str(cfg), "--out", str(out), "-q"]) == 0
+        with open(out / "replicates.csv", newline="") as f:
+            skipped = [row for row in csv.DictReader(f) if row["status"] == "skipped"]
+        assert 0 < len(skipped) < 8
+        assert all(row["reason"].startswith("fit failed: attribute 'B' at realized group sizes (") for row in skipped)
+        assert capsys.readouterr() == ("", f"warning: {len(skipped)} replicates skipped (fit failures)\n")
 
     def test_covariate_names_that_spell_one_column_twice_fail_before_the_run(self, tmp_path, capsys):
         cfg = tmp_path / "engage.cfg"
@@ -928,8 +941,17 @@ def test_seed_override_adds_no_missing_section(tmp_path, capsys, command, sectio
         (["covgen"], "[covgen]\nn = 10\nseed = -1\n\n[covariate A]\nprevalence = 0.5\n",
          "[covgen] seed must be nonnegative, got -1"),
         (["experiment", "--seed", "-1"], EXPERIMENT_CFG, "master_seed must be nonnegative"),
+        (["rds"], "[rds]\nseeds = 0\ncoupons = 2\nsample_size = 3\n", "[rds] num_seeds must be >= 1"),
+        (["rds"], "[rds]\nseeds = 1\ncoupons = 0\nsample_size = 3\n", "[rds] coupons_per_node must be >= 1"),
+        (["rds"], "[rds]\nseeds = 2\ncoupons = 2\nsample_size = 1\n", "[rds] target_sample_size must be >= num_seeds"),
+        (["experiment"], EXPERIMENT_CFG.replace("p = 0.5, 0.8", "p = 0.5,"), "[network] p has an empty list entry"),
+        (["covgen"], "[covgen]\nn = 10\n", "need at least one [covariate NAME] section"),
+        (["covgen"], "[covgen]\nn = 10\n\n[covariate A]\nprevalence = 1.5\n",
+         "[covariate A] attribute 'A': prevalence must be inside (0, 1)"),
     ],
-    ids=["netgen", "rds", "covgen-flag", "covgen-config", "experiment"],
+    ids=["netgen", "rds", "covgen-flag", "covgen-config", "experiment", "rds-no-seeds", "rds-no-coupons",
+         "rds-sample-below-seeds", "experiment-empty-list-entry", "covgen-no-covariate-section",
+         "covgen-covariate-prevalence"],
 )
 def test_negative_seed_fails_before_any_output(tmp_path, capsys, argv, text, message):
     cfg = tmp_path / "run.cfg"
@@ -993,9 +1015,14 @@ def test_non_integer_threads_ask_for_an_integer(tmp_path, capsys, command, threa
         ("netgen", "[network]\nn = 50\nmean_degree = -3\n", "[network] mean_degree must be in (0, n - 1]"),
         ("netgen", "[network]\nn = 50\nmean_degree = 500\n", "[network] mean_degree must be in (0, n - 1]"),
         ("netgen", "[network]\nn = 1\nmean_degree = 0.5\n", "[network] n must be >= 2"),
+        ("engage-mimic", ENGAGE_CFG[:ENGAGE_CFG.index("[covariate A]")].replace("replicates = 2", "replicates = 0"),
+         "replicates must be >= 1"),
+        ("engage-mimic",
+         ENGAGE_CFG[:ENGAGE_CFG.index("[covariate A]")].replace("n = 1010", "n = 4040").replace("size = 80", "size = 5000"),
+         "sample_size cannot exceed the population size"),
     ],
     ids=["covgen-n-0", "netgen-mean-degree-0", "netgen-mean-degree-negative",
-         "netgen-mean-degree-above-n", "netgen-n-1"],
+         "netgen-mean-degree-above-n", "netgen-n-1", "engage-replicates-0", "engage-sample-above-n"],
 )
 def test_out_of_range_size_fails_before_the_run(tmp_path, capsys, command, sizes, message):
     cfg = tmp_path / "cov.cfg"
@@ -1054,6 +1081,40 @@ def test_covariate_names_equal_once_stripped_fail_before_the_run(tmp_path, capsy
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", f"config error: {cfg}: covariate names must be unique\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("named", [True, False], ids=["beside-named", "alone"])
+@pytest.mark.parametrize(
+    "command, head",
+    [
+        ("engage-mimic", ENGAGE_CFG[:ENGAGE_CFG.index("[covariate A]")]),
+        ("netgen", "[network]\nn = 50\nmean_degree = 4\n\n"),
+        ("covgen", "[covgen]\nn = 20\n\n"),
+    ],
+    ids=["engage-mimic", "netgen", "covgen"],
+)
+def test_bare_covariate_section_fails_before_the_run(tmp_path, capsys, command, head, named):
+    covariates = ENGAGE_CFG[ENGAGE_CFG.index("[covariate A]"):ENGAGE_CFG.index("[correlations]")]
+    cfg = tmp_path / "bare.cfg"
+    cfg.write_text(head + "[covariate]\nprevalence = 0.5\n\n" + (covariates if named else ""))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"config error: {cfg}: covariate section needs a name: [covariate NAME]\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("[ ]\nn = 12\n", "1: empty section name"), ("[network]\n = 1\n", "2: empty key")],
+    ids=["empty-section-name", "empty-key"],
+)
+def test_malformed_line_fails_before_any_output(tmp_path, capsys, text, message):
+    cfg = tmp_path / "net.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["netgen", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"config error: {cfg}:{message}\n")
     assert not out.exists()
 
 

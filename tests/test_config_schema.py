@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rdsim import ConfigError, ratio_from_assortativity
+from rdsim import ConfigError, assortativity_from_ratio, ratio_from_assortativity
 from rdsim.config import (
     _SCHEMA,
     covariate_spec_from_config,
@@ -94,7 +94,8 @@ def covariate_sections(draw):
             body["homophily_r"] = repr(ratio)
             targets.append(AttributeTargets(name, prevalence, diff_activity, homophily_ratio=ratio))
         else:
-            h = draw(floats(-0.5, 0.9))
+            # above the least assortativity a network at this prevalence and activity reaches
+            h = draw(st.floats(assortativity_from_ratio(0.0, prevalence, diff_activity), 0.9, exclude_min=True))
             body["homophily_h"] = repr(h)
             targets.append(AttributeTargets(name, prevalence, diff_activity, assortativity=h))
         sections[f"covariate {name}"] = body
@@ -363,3 +364,20 @@ def test_ill_typed_value_names_section_and_key(data):
     with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}")):
         builder(round_trip(cfg))
 
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_covariate_assortativity_out_of_reach_at_its_prevalence_is_config_error(data):
+    builder, valid, section = data.draw(st.sampled_from([
+        (engage_scenario_from_config, _ENGAGE, "covariate B"),
+        (covariate_spec_from_config, _COVGEN, "covariate A"),
+        (multi_network_run_from_config, _MULTI_NETWORK, "covariate B"),
+    ]))
+    prevalence, diff_activity = data.draw(floats(0.05, 0.95)), data.draw(floats(0.2, 5.0))
+    h = data.draw(floats(-2.0, assortativity_from_ratio(0.0, prevalence, diff_activity)))
+    cfg = {name: dict(body) for name, body in valid.items()}
+    cfg[section] = {"prevalence": repr(prevalence), "diff_activity": repr(diff_activity), "homophily_h": repr(h)}
+    name = section.removeprefix("covariate ")
+    message = f"[{section}] attribute {name!r}: assortativity {h!r} not attainable: must be in ("
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        builder(round_trip(cfg))

@@ -16,6 +16,7 @@ from rdsim import (
 )
 from rdsim import harness, netgen
 from rdsim.harness import EXPERIMENT_COLUMNS, write_rows
+from conftest import near_bound_assortativity
 
 
 def small_plan(**overrides) -> ExperimentPlan:
@@ -410,6 +411,23 @@ class TestEngageMimic:
         assert all(r["status"] == "skipped" for r in rows)
         assert all("fit failed" in r["reason"] for r in rows)
         assert all(e["count"] == 0 and e["undefined"] == 2 for e in summary)
+
+    def test_assortativity_out_of_reach_at_a_drawn_prevalence_recorded_as_skips(self, tmp_path):
+        # B's target is reachable at its prevalence 0.3 but not one standard deviation below it
+        base = tiny_scenario()
+        a, b = base.covariates
+        h = near_bound_assortativity(b.prevalence, b.diff_activity, base.node_count)
+        scenario = tiny_scenario(
+            covariates=(a, AttributeTargets("B", b.prevalence, b.diff_activity, assortativity=h)), replicates=8
+        )
+        rows, summary = run_engage_mimic(scenario, threads=1, out_dir=tmp_path / "one")
+        skipped = [row for row in rows if row["status"] == "skipped"]
+        assert 0 < len(skipped) < len(rows)
+        assert all(row["reason"].startswith("fit failed: attribute 'B' at realized group sizes (") for row in skipped)
+        assert all(e["count"] + e["undefined"] == scenario.replicates for e in summary)
+        run_engage_mimic(scenario, threads=2, out_dir=tmp_path / "two")
+        for name in ("replicates.csv", "summary.csv"):
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
     def test_iteration_cap_recorded_as_skips(self, monkeypatch):
         monkeypatch.setattr(netgen, "_FIT_MAX_ITER", 1)

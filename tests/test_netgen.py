@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -827,6 +828,21 @@ class TestFitDyadModel:
         assert residuals.shape == (3,)
         assert np.all(np.isfinite(residuals))
 
+    def test_assortativity_out_of_reach_at_the_realized_prevalence_is_infeasible(self):
+        # -0.95 is within reach at the target prevalence 0.5, not at the 60 of 200 drawn
+        z = (np.arange(200) < 60).astype(np.int8)
+        message = (
+            "attribute 'A' at realized group sizes (60, 140): "
+            "assortativity -0.95 not attainable: must be in (-0.6, 1)"
+        )
+        with pytest.raises(InfeasibleTargetsError, match=f"^{re.escape(message)}$"):
+            fit_dyad_model([AttributeTargets("A", 0.5, 1.0, assortativity=-0.95)], 6.0, z)
+
+    def test_empty_realized_group_is_infeasible(self):
+        z = np.zeros(200, dtype=np.int8)
+        with pytest.raises(InfeasibleTargetsError, match=re.escape("attribute 'A' at realized group sizes (0, 200): ")):
+            fit_dyad_model([AttributeTargets("A", 0.5, 1.0, assortativity=-0.95)], 6.0, z)
+
 
 class TestSimulateFromModel:
     def test_probability_extremes(self):
@@ -879,6 +895,11 @@ class TestAttributeTargets:
             AttributeTargets("x", 0.5, 1.0)
         with pytest.raises(ValueError):
             AttributeTargets("x", 0.5, 1.0, homophily_ratio=1.0, assortativity=0.1)
+
+    def test_assortativity_out_of_reach_at_its_own_prevalence_is_refused(self):
+        message = "attribute 'x': assortativity -1.0 not attainable: must be in (-1, 1)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AttributeTargets("x", 0.5, 1.0, assortativity=-1.0)
 
     def test_fit_converts_assortativity_at_the_realized_prevalence(self):
         # targets say prevalence 0.5; the attribute drawn holds 20 of 50 nodes
