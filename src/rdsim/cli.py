@@ -160,8 +160,8 @@ def cmd_covgen(args) -> int:
     cfg = load_config(args.config)
     _apply_seed_override(cfg, "covgen", args.seed)
     spec, n, seed = covariate_spec_from_config(cfg, source=args.config)
-    out = _ensure_out(args)
     values = binary_sampler(spec).sample(n, np.random.default_rng((seed, 0)))
+    out = _ensure_out(args)
     write_attributes(os.path.join(out, "attributes.csv"), spec.names, values)
     _write_manifest(out, "covgen", seed, cfg)
     marginals = ", ".join(f"{name}={values[:, k].mean():.4g}" for k, name in enumerate(spec.names))
@@ -375,7 +375,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (RdsimError, ValueError, OSError) as exc:
+    # numpy's _ArrayMemoryError, an array too large to allocate, is a MemoryError
+    except (RdsimError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,7 @@ from .covariates import CovariateSpec
 from .errors import ConfigError
 from .graph import ratio_from_assortativity
 from .harness import EngageScenario, ExperimentPlan
-from .netgen import MAX_PATTERN_ATTRIBUTES, AttributeTargets, GENERATION_MODES, NetworkTargets
+from .netgen import MAX_PATTERN_ATTRIBUTES, AttributeTargets, GENERATION_MODES, NetworkTargets, _check_population
 from .sampler import SEED_SELECTION_MODES, SamplerConfig
 
 __all__ = [
@@ -263,10 +263,8 @@ def multi_network_run_from_config(cfg, source: str = "<config>"):
                 f"(use per-covariate blocks for targets)"
             )
     net = _read(cfg, "network", source)
-    if net["n"] < 2:
-        raise ConfigError(f"{source}: [network] n must be >= 2")
-    if not 0.0 < net["mean_degree"] <= net["n"] - 1:
-        raise ConfigError(f"{source}: [network] mean_degree must be in (0, n - 1]")
+    with _refused(source, "network"):
+        _check_population(net["n"], net["mean_degree"])
     targets = _covariate_targets(cfg, source)
     return net["n"], net["mean_degree"], targets, _covariate_spec(cfg, targets, source)
 

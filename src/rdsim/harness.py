@@ -42,12 +42,13 @@ from .netgen import (
     AttributeTargets,
     GENERATION_MODES,
     NetworkTargets,
+    _check_population,
     fit_dyad_model,
     generate_network,
     simulate_from_model,
     solve_dyad_classes,
 )
-from .sampler import SEED_SELECTION_MODES, SamplerConfig, run_rds
+from .sampler import SEED_SELECTION_MODES, SamplerConfig, _check_sample_size, run_rds
 from .tables import check_names, write_rows
 
 __all__ = [
@@ -137,8 +138,7 @@ class ExperimentPlan:
             raise ValueError("master_seed must be nonnegative")
         if self.mode not in GENERATION_MODES:
             raise ValueError(f"mode must be one of {GENERATION_MODES}")
-        if max(self.sample_sizes) > self.node_count:
-            raise ValueError("sample sizes cannot exceed the population size")
+        _check_sample_size(max(self.sample_sizes), self.node_count)
         # validates num_seeds/coupons against the smallest sample size
         SamplerConfig(self.num_seeds, self.coupons_per_node, min(self.sample_sizes), self.seed_selection)
         # Out-of-range targets fail here, before any cell runs; infeasible ones
@@ -425,10 +425,8 @@ class EngageScenario:
             raise ValueError("replicates must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
-        if not 0.0 < self.mean_degree <= self.node_count - 1:
-            raise ValueError("mean_degree must be in (0, node_count - 1]")
-        if self.sample_size > self.node_count:
-            raise ValueError("sample_size cannot exceed the population size")
+        _check_population(self.node_count, self.mean_degree)
+        _check_sample_size(self.sample_size, self.node_count)
         SamplerConfig(self.num_seeds, self.coupons_per_node, self.sample_size)
         self.covariate_spec()  # validates names, marginals and correlations
         # names such as "X" and "ratio_X" can spell one column twice

@@ -59,6 +59,15 @@ _FIT_TOL = 1e-6
 _FIT_MAX_ITER = 100
 
 
+def _check_population(node_count: int, mean_degree: float) -> None:
+    """Refuse fewer than two nodes, or a mean degree outside ``(0, node_count - 1]``."""
+    if node_count < 2:
+        raise ValueError("node_count must be >= 2")
+    # mean_degree = n-1 is allowed: it forces the complete graph
+    if not 0.0 < mean_degree <= node_count - 1:
+        raise ValueError("mean_degree must be in (0, node_count - 1]")
+
+
 @dataclass(frozen=True)
 class NetworkTargets:
     """Desired population-network characteristics for one binary attribute.
@@ -67,7 +76,7 @@ class NetworkTargets:
         node_count: Population size N.
         prevalence: Attribute prevalence p; both groups must round to at
             least one node.
-        mean_degree: Target average degree, in (0, N-1).
+        mean_degree: Target average degree, in (0, N-1].
         diff_activity: Target ratio of group mean degrees (value-1 over
             value-0), positive.
         homophily_ratio: Target within-1/cross edge ratio, nonnegative.
@@ -80,15 +89,11 @@ class NetworkTargets:
     homophily_ratio: float
 
     def __post_init__(self):
-        if self.node_count < 2:
-            raise ValueError("node_count must be >= 2")
+        _check_population(self.node_count, self.mean_degree)
         if not 0.0 < self.prevalence < 1.0:
             raise ValueError("prevalence must be strictly inside (0, 1)")
         if min(self.group_sizes) < 1:
             raise ValueError("both attribute groups must round to at least one node")
-        # mean_degree = n-1 is allowed: it forces the complete graph
-        if not 0.0 < self.mean_degree <= self.node_count - 1:
-            raise ValueError("mean_degree must be in (0, node_count - 1]")
         if self.diff_activity <= 0.0:
             raise ValueError("diff_activity must be positive")
         if self.homophily_ratio < 0.0:
@@ -531,6 +536,8 @@ def fit_dyad_model(attribute_targets, mean_degree: float, z: np.ndarray) -> Dyad
         Fitted :class:`DyadModel`.
 
     Raises:
+        ValueError: If ``z`` has fewer than two rows or ``mean_degree`` is
+            outside ``(0, n - 1]``, the bounds of :class:`NetworkTargets`.
         InfeasibleTargetsError: If any per-attribute moment solve fails, or an
             attribute's group in ``z`` is empty or its assortativity is out of
             reach at the realized prevalence (named with the group sizes).
@@ -542,6 +549,7 @@ def fit_dyad_model(attribute_targets, mean_degree: float, z: np.ndarray) -> Dyad
     classes = _PatternClasses(z)
     if len(attribute_targets) != classes.m:
         raise ValueError("need exactly one AttributeTargets per attribute column")
+    _check_population(classes.n, mean_degree)
     goal = _target_statistics(attribute_targets, mean_degree, classes)
     scale = np.maximum(np.abs(goal), 1.0)
 

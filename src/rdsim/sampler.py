@@ -238,6 +238,12 @@ def select_seeds(graph: Graph, config: SamplerConfig, rng: np.random.Generator) 
     return seeds
 
 
+def _check_sample_size(sample_size: int, node_count: int) -> None:
+    """Refuse a sample larger than the population it is drawn from."""
+    if sample_size > node_count:
+        raise ValueError(f"target_sample_size {sample_size} exceeds the population size {node_count}")
+
+
 def run_rds(
     graph: Graph,
     attributes: np.ndarray,
@@ -293,8 +299,7 @@ def run_rds(
     if attribute_names is None:
         attribute_names = ("z",) if z.shape[1] == 1 else tuple(f"z{k}" for k in range(z.shape[1]))
     n_target = config.target_sample_size
-    if n_target > graph.node_count:
-        raise ValueError(f"target_sample_size {n_target} exceeds the population size {graph.node_count}")
+    _check_sample_size(n_target, graph.node_count)
 
     seeds = select_seeds(graph, config, rng)
     is_open = np.ones(graph.node_count, dtype=bool)  # not yet sampled

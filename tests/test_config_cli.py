@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1011,15 +1012,15 @@ def test_non_integer_threads_ask_for_an_integer(tmp_path, capsys, command, threa
     "command, sizes, message",
     [
         ("covgen", "[covgen]\nn = 0\n", "[covgen] n must be >= 1"),
-        ("netgen", "[network]\nn = 50\nmean_degree = 0\n", "[network] mean_degree must be in (0, n - 1]"),
-        ("netgen", "[network]\nn = 50\nmean_degree = -3\n", "[network] mean_degree must be in (0, n - 1]"),
-        ("netgen", "[network]\nn = 50\nmean_degree = 500\n", "[network] mean_degree must be in (0, n - 1]"),
-        ("netgen", "[network]\nn = 1\nmean_degree = 0.5\n", "[network] n must be >= 2"),
+        ("netgen", "[network]\nn = 50\nmean_degree = 0\n", "[network] mean_degree must be in (0, node_count - 1]"),
+        ("netgen", "[network]\nn = 50\nmean_degree = -3\n", "[network] mean_degree must be in (0, node_count - 1]"),
+        ("netgen", "[network]\nn = 50\nmean_degree = 500\n", "[network] mean_degree must be in (0, node_count - 1]"),
+        ("netgen", "[network]\nn = 1\nmean_degree = 0.5\n", "[network] node_count must be >= 2"),
         ("engage-mimic", ENGAGE_CFG[:ENGAGE_CFG.index("[covariate A]")].replace("replicates = 2", "replicates = 0"),
          "replicates must be >= 1"),
         ("engage-mimic",
          ENGAGE_CFG[:ENGAGE_CFG.index("[covariate A]")].replace("n = 1010", "n = 4040").replace("size = 80", "size = 5000"),
-         "sample_size cannot exceed the population size"),
+         "target_sample_size 5000 exceeds the population size 4040"),
     ],
     ids=["covgen-n-0", "netgen-mean-degree-0", "netgen-mean-degree-negative",
          "netgen-mean-degree-above-n", "netgen-n-1", "engage-replicates-0", "engage-sample-above-n"],
@@ -1125,3 +1126,31 @@ def test_covgen_takes_more_covariates_than_a_network(tmp_path):
     assert main(["covgen", "--config", str(cfg), "--out", str(out), "-q"]) == 0
     header = (out / "attributes.csv").read_text().splitlines()[0]
     assert header == "node," + ",".join(f"c{k}" for k in range(MAX_PATTERN_ATTRIBUTES + 1))
+
+
+# the text numpy's _ArrayMemoryError gives; no test allocates the array
+ALLOCATION_FAILURE = "Unable to allocate 745. GiB for an array with shape (100000000000, 8) and data type int8"
+
+
+def refuse_allocation(*args, **kwargs):
+    raise MemoryError(ALLOCATION_FAILURE)
+
+
+@pytest.mark.parametrize(
+    "command, text, name, stand_in",
+    [
+        ("covgen", "[covgen]\nn = 100000000000\n\n[covariate A]\nprevalence = 0.3\n",
+         "binary_sampler", lambda spec: SimpleNamespace(sample=refuse_allocation)),
+        ("netgen", "[network]\nn = 100000000000\np = 0.5\nmean_degree = 4\ndiff_activity = 1\nhomophily_r = 1\n",
+         "generate_network", refuse_allocation),
+    ],
+    ids=["covgen", "netgen"],
+)
+def test_allocation_failure_is_one_error_line_and_no_output(tmp_path, capsys, monkeypatch, command, text, name, stand_in):
+    monkeypatch.setattr(rdsim.cli, name, stand_in)
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {ALLOCATION_FAILURE}\n")
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import csv
+import re
 import sys
 
 import numpy as np
@@ -471,3 +472,16 @@ def test_write_rows_formats(tmp_path):
     path = tmp_path / "rows.csv"
     write_rows(path, ["a", "b", "c", "d"], [{"a": 0.1, "b": None, "c": True, "d": 3}])
     assert path.read_text().splitlines() == ["a,b,c,d", "0.1,,true,3"]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: small_plan(sample_sizes=(60, 400)), "target_sample_size 400 exceeds the population size 300"),
+        (lambda: tiny_scenario(node_count=1, mean_degree=0.5, sample_size=1), "node_count must be >= 2"),
+    ],
+    ids=["plan-sample", "scenario-node-count"],
+)
+def test_studies_state_the_population_bounds_as_netgen_and_run_rds_do(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()

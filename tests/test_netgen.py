@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -838,6 +839,12 @@ class TestFitDyadModel:
         with pytest.raises(InfeasibleTargetsError, match=f"^{re.escape(message)}$"):
             fit_dyad_model([AttributeTargets("A", 0.5, 1.0, assortativity=-0.95)], 6.0, z)
 
+    def test_mean_degree_past_the_population_names_the_bound(self):
+        # the bound NetworkTargets states, not an infeasible attribute
+        z = (np.arange(100) < 50).astype(np.int8)
+        with pytest.raises(ValueError, match=f"^{re.escape('mean_degree must be in (0, node_count - 1]')}$"):
+            fit_dyad_model([AttributeTargets("A", 0.5, 1.0, homophily_ratio=1.0)], 5000.0, z)
+
     def test_empty_realized_group_is_infeasible(self):
         z = np.zeros(200, dtype=np.int8)
         with pytest.raises(InfeasibleTargetsError, match=re.escape("attribute 'A' at realized group sizes (0, 200): ")):
@@ -913,6 +920,86 @@ class TestAttributeTargets:
         )
         assert np.array_equal(fit.theta, realized.theta)
         assert not np.allclose(fit.theta, targeted.theta)
+
+
+@contextmanager
+def consumed_class_counts():
+    """The edge count of each class that the draws in the block take, in draw order."""
+    seen = []
+
+    def binomial(classes, probabilities, rng):
+        for count in _binomial_counts(classes, probabilities, rng):
+            seen.append(count)
+            yield count
+
+    def apportion(expected, capacities, total):
+        counts = _apportion_counts(expected, capacities, total)
+        seen.extend(counts)
+        return counts
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(netgen, "_binomial_counts", binomial)
+        patch.setattr(netgen, "_apportion_counts", apportion)
+        yield seen
+
+
+def recount_class_edges(graph: Graph, z: np.ndarray, classes: _PatternClasses) -> list[int]:
+    """Edges per dyad class of ``classes``, counted from each edge's two endpoint patterns."""
+    pattern_of = {tuple(row): c for c, row in enumerate(classes.patterns.tolist())}
+    node_pattern = [pattern_of[tuple(row)] for row in z.tolist()]
+    class_of = {pair: c for c, pair in enumerate(zip(classes.class_a.tolist(), classes.class_b.tolist()))}
+    counts = [0] * len(class_of)
+    for u, v in zip(graph.src.tolist(), graph.dst.tolist()):
+        counts[class_of[tuple(sorted((node_pattern[u], node_pattern[v])))]] += 1
+    return counts
+
+
+def assert_class_counts_are_the_truth(graph: Graph, z: np.ndarray, consumed: list[int]):
+    """The draw's class counts are the graph's, and their statistics are its edge-scan truth."""
+    z = z.reshape(graph.node_count, -1)
+    classes = _PatternClasses(z)
+    assert consumed == recount_class_edges(graph, z, classes)
+    truth = [graph.edge_count]
+    for column in z.T:
+        counts = mixing_counts(graph, column)
+        truth += [counts.within_1 + counts.within_0, int(graph.degrees @ column)]
+    assert (classes.statistics.T @ np.array(consumed, dtype=np.int64)).tolist() == truth
+
+
+class TestClassCountTruth:
+    """Oracle for a truth read off the draw: each class's consumed edge count against an edge scan."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n1=st.integers(2, 100),
+        n0=st.integers(2, 100),
+        q11=st.floats(0.0, 0.9),
+        q10=st.floats(0.01, 0.9),
+        q00=st.floats(0.0, 0.9),
+        mode=st.sampled_from(netgen.GENERATION_MODES),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_generate_network(self, n1, n0, q11, q10, q00, mode, seed):
+        # targets read off class probabilities, so every draw is feasible
+        e11, e10, e00 = q11 * n1 * (n1 - 1) / 2, q10 * n1 * n0, q00 * n0 * (n0 - 1) / 2
+        n = n1 + n0
+        activity = ((2 * e11 + e10) / n1) / ((2 * e00 + e10) / n0)
+        targets = NetworkTargets(n, n1 / n, 2 * (e11 + e10 + e00) / n, activity, e11 / e10)
+        with consumed_class_counts() as consumed:
+            graph, z = generate_network(targets, np.random.default_rng(seed), mode)
+        assert len(consumed) == 3
+        assert_class_counts_are_the_truth(graph, z, consumed)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_simulate_from_model(self, m, data, seed):
+        n = data.draw(st.integers(2, 120), label="n")
+        z = data.draw(arrays(np.int8, (n, m), elements=st.integers(0, 1)), label="z")
+        theta = data.draw(arrays(np.float64, 1 + 2 * m, elements=st.floats(-3.0, 1.5)), label="theta")
+        with consumed_class_counts() as consumed:
+            graph = simulate_from_model(DyadModel(theta), z, np.random.default_rng(seed))
+        assert_class_counts_are_the_truth(graph, z, consumed)
 
 
 # ---------------------------------------------------------------------------

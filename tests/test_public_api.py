@@ -254,8 +254,11 @@ def test_public_class_members_are_pinned():
 # shared between modules shows up here, as a new option does in SIGNATURES
 PRIVATE_IMPORTS = {
     ("cli", "harness"): {"_TRUTHS", "_realized_truth"},
+    ("config", "netgen"): {"_check_population"},
     ("estimators", "graph"): {"_classify", "_mean_ratio", "_mixing"},
     ("harness", "estimators"): {"_PER_ATTRIBUTE"},
+    ("harness", "netgen"): {"_check_population"},
+    ("harness", "sampler"): {"_check_sample_size"},
     ("netgen", "graph"): {"_as_attributes"},
     ("sampler", "graph"): {"_as_attributes", "_as_int64"},
 }
