@@ -375,9 +375,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    # numpy's _ArrayMemoryError, an array too large to allocate, is a MemoryError
-    except (RdsimError, ValueError, OSError, MemoryError) as exc:
+    except (RdsimError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    # numpy's _ArrayMemoryError names the array it could not allocate; the
+    # interpreter's own MemoryError usually carries no text
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -100,15 +100,9 @@ class Graph:
                 raise ValueError(f"edge endpoint out of range: {low if low < 0 else high} is not in 0..{n - 1}")
         if np.any(src == dst):
             raise ValueError("self-loops are not allowed")
-        # every int64 array is a slice of one block: one allocation per graph,
-        # its length rounded up to one of 8-16 lengths per power of two, so the
-        # graphs of one model share a length and each reuses the heap chunk the
-        # last one freed (a larger block that cannot grow into that chunk is
-        # mapped afresh beside it: 7 MB more peak RSS at 40,400 nodes)
+        # every int64 array is a slice of one block: one allocation per graph
         e = src.size
-        length = 4 * e + 2 * n + 1
-        step = 1 << max(length.bit_length() - 4, 0)
-        block = np.empty(-(-length // step) * step, dtype=np.int64)
+        block = np.empty(4 * e + 2 * n + 1, dtype=np.int64)
         # the ends go straight into the key dtype, with no cast copy of the
         # inputs: exact once the range is checked, and mixed int64/uint64
         # input is never promoted to float64
@@ -149,7 +143,7 @@ class Graph:
         np.bitwise_and(adj, mask, out=indices)
         degrees = block[4 * e:4 * e + n]
         np.add(np.bincount(src, minlength=n), np.bincount(dst, minlength=n), out=degrees)
-        indptr = block[4 * e + n:length]
+        indptr = block[4 * e + n:]
         indptr[0] = 0
         np.cumsum(degrees, out=indptr[1:])
 

@@ -1136,21 +1136,28 @@ def refuse_allocation(*args, **kwargs):
     raise MemoryError(ALLOCATION_FAILURE)
 
 
+def run_out_of_memory(*args, **kwargs):
+    raise MemoryError()
+
+
+HUGE_NETWORK = "[network]\nn = 100000000000\np = 0.5\nmean_degree = 4\ndiff_activity = 1\nhomophily_r = 1\n"
+
+
 @pytest.mark.parametrize(
-    "command, text, name, stand_in",
+    "command, text, name, stand_in, line",
     [
         ("covgen", "[covgen]\nn = 100000000000\n\n[covariate A]\nprevalence = 0.3\n",
-         "binary_sampler", lambda spec: SimpleNamespace(sample=refuse_allocation)),
-        ("netgen", "[network]\nn = 100000000000\np = 0.5\nmean_degree = 4\ndiff_activity = 1\nhomophily_r = 1\n",
-         "generate_network", refuse_allocation),
+         "binary_sampler", lambda spec: SimpleNamespace(sample=refuse_allocation), f"error: {ALLOCATION_FAILURE}"),
+        ("netgen", HUGE_NETWORK, "generate_network", refuse_allocation, f"error: {ALLOCATION_FAILURE}"),
+        ("netgen", HUGE_NETWORK, "generate_network", run_out_of_memory, "error: out of memory"),
     ],
-    ids=["covgen", "netgen"],
+    ids=["covgen", "netgen", "netgen-no-text"],
 )
-def test_allocation_failure_is_one_error_line_and_no_output(tmp_path, capsys, monkeypatch, command, text, name, stand_in):
+def test_allocation_failure_is_one_error_line_and_no_output(tmp_path, capsys, monkeypatch, command, text, name, stand_in, line):
     monkeypatch.setattr(rdsim.cli, name, stand_in)
     cfg = tmp_path / "huge.cfg"
     cfg.write_text(text)
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
-    assert capsys.readouterr() == ("", f"error: {ALLOCATION_FAILURE}\n")
+    assert capsys.readouterr() == ("", line + "\n")
     assert not out.exists()

@@ -325,19 +325,6 @@ class TestGraphMemory:
             assert graph.edge_count == src.size
             assert peak - retained < 2 * src.size * key_bytes + 250_000, n
 
-    def test_nearby_edge_counts_share_one_block_size(self):
-        # a replicate's graph reuses the heap chunk the last one freed only if
-        # it asks for no more: edge counts 1% apart at the cohort shape ask
-        # for one block size, and the block holds the five arrays exactly
-        n = 40_400
-        src, dst = cohort_scale_draw(n)
-        graphs = [Graph(n, src[:e], dst[:e]) for e in (332_000, 336_000)]
-        assert graphs[0].src.base.size == graphs[1].src.base.size
-        for graph in graphs:
-            e = graph.edge_count
-            assert graph.src.base.size >= 4 * e + 2 * n + 1
-            assert graph._indptr.size == n + 1 and graph._indptr[-1] == 2 * e
-
     @pytest.mark.parametrize("n", [40_400, MAX_KEY32_NODE_COUNT + 1])
     def test_adjacency_unpacked_in_place_at_both_key_widths(self, n):
         # uint32 adjacency keys fill the last half of the neighbor slice's
