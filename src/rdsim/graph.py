@@ -181,8 +181,18 @@ class Graph:
         return self._degrees
 
     def neighbors(self, node: int) -> np.ndarray:
-        """Sorted neighbor array of ``node`` (read-only view)."""
-        return self._indices[self._indptr[node]:self._indptr[node + 1]]
+        """Sorted neighbor array of ``node`` (read-only view).
+
+        ``node`` is a node id in ``0..node_count - 1``, a Python or numpy integer.
+
+        Raises:
+            IndexError: If ``node`` is outside that range; a negative id is
+                not read from the end.
+        """
+        if not 0 <= node < self._n:
+            raise IndexError(f"node {node} is not in 0..{self._n - 1}")
+        indptr = self._indptr
+        return self._indices[indptr.item(node):indptr.item(node + 1)]
 
     def __repr__(self) -> str:
         return f"Graph(node_count={self._n}, edge_count={self.edge_count})"

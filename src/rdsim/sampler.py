@@ -20,7 +20,10 @@ other.
 
 The shuffle's swaps are applied to positions of the open-neighbor array,
 and only the picked positions are read from it. That picks what swapping a
-full list of the open neighbors would, without building the list.
+full list of the open neighbors would, without building the list. The
+first two picks read their positions directly; a record of the positions
+that swaps moved is kept from the third pick on, so a two-coupon run keeps
+none.
 
 The loop keeps the entries' nodes and one record per recruiter that
 recruits: its entry and its recruit count, whose recruits are the entries
@@ -272,9 +275,12 @@ def run_rds(
     (partial Fisher-Yates). ``u < 1`` keeps every index in range, and
     ``floor(u * k)`` moves an outcome's probability by at most 2**-53.
     The swaps act on positions only: the open neighbors stay one array in
-    ``graph.neighbors`` order, a dict holds the positions that earlier
-    swaps moved, and each pick reads one cell of the array. That equals
-    the shuffle of the full list.
+    ``graph.neighbors`` order, and each pick reads one cell of the array.
+    Pick 0 reads position ``j0`` and pick 1 position ``j1``, or 0 when
+    ``j1 == j0``, as the first swap moved position 0's neighbor there. From
+    the third pick on, a dict holds the positions that earlier swaps moved,
+    started at the state the first two swaps left. That equals the shuffle
+    of the full list.
 
     The loop records each recruiter that recruits once, as its entry and
     its recruit count, and each reseed as a one-entry record with owner
@@ -331,7 +337,7 @@ def run_rds(
         recruiter = nodes[head]
         head += 1
         neighbors = graph.neighbors(recruiter)
-        open_nbrs = neighbors[is_open[neighbors]]
+        open_nbrs = neighbors.compress(is_open[neighbors])
         size = open_nbrs.size
         budget = n_target - count
         if coupons < budget:
@@ -340,16 +346,29 @@ def run_rds(
             budget = size
         if budget <= 0:
             continue
-        # partial Fisher-Yates on positions of open_nbrs, a uniform ordered draw without replacement;
-        # moved[p] is the position that a swap put at p
+        # partial Fisher-Yates on positions of open_nbrs, a uniform ordered draw without replacement.
+        # Pick 0 swaps positions 0 and j0, so pick 1 finds position 0's neighbor at j0 and
+        # reads every other position as it stands
         first = count - num_seeds
-        moved = {}
-        for t in range(budget):
-            j = t + int(uniforms[first + t] * (size - t))
-            node = open_nbrs.item(moved.get(j, j))
-            moved[j] = moved.get(t, t)
+        j0 = int(uniforms[first] * size)
+        node = open_nbrs.item(j0)
+        is_open[node] = False
+        nodes.append(node)
+        if budget > 1:
+            j1 = 1 + int(uniforms[first + 1] * (size - 1))
+            node = open_nbrs.item(0 if j1 == j0 else j1)
             is_open[node] = False
             nodes.append(node)
+            if budget > 2:
+                # moved[p] is the position that a swap put at p, as the first two swaps left it
+                moved = {j0: 0}
+                moved[j1] = moved.get(1, 1)
+                for t in range(2, budget):
+                    j = t + int(uniforms[first + t] * (size - t))
+                    node = open_nbrs.item(moved.get(j, j))
+                    moved[j] = moved.get(t, t)
+                    is_open[node] = False
+                    nodes.append(node)
         owners.append(head - 1)
         counts.append(budget)
         count += budget

@@ -61,6 +61,19 @@ class TestGraph:
         assert graph.neighbors(2).tolist() == [0]
         assert graph.degrees.tolist() == [2, 2, 1, 1]
 
+    def test_neighbors_refuses_ids_outside_the_nodes(self):
+        # a negative id used to read from the end (-2 gave node 3's neighbors, -1 an empty array)
+        graph = Graph(4, [2, 0, 3], [0, 1, 1])
+        for node in (-1, -2, 4, np.int64(-3), np.uint32(4)):
+            with pytest.raises(IndexError, match=rf"^node {node} is not in 0\.\.3$"):
+                graph.neighbors(node)
+
+    def test_neighbors_takes_numpy_integer_ids(self):
+        graph = Graph(4, [2, 0, 3], [0, 1, 1])
+        for kind in (np.int64, np.uint32, np.int8, np.uint64):
+            assert graph.neighbors(kind(0)).tolist() == [1, 2]
+            assert graph.neighbors(kind(3)).tolist() == [1]
+
     def test_degree_sum_is_twice_edges(self):
         rng = np.random.default_rng(5)
         for _ in range(30):

@@ -543,6 +543,11 @@ HAND_SHAPES = {
         lambda f: f.truncated,
     ),
     "seeds-only": (lambda: iid_graph(200, 2000, 4), SamplerConfig(5, 2, 5), lambda f: f.size == 5),
+    "table2": (
+        lambda: iid_graph(1000, 50_000, 5),
+        SamplerConfig(5, 2, 800),
+        lambda f: f.size == 800 and np.count_nonzero(f.coupon_indices == 1) >= 300,
+    ),
     "engage": (
         lambda: iid_graph(40_400, 336_000, 5),
         SamplerConfig(27, 6, 1179),
