@@ -19,7 +19,7 @@ from .covariates import CovariateSpec
 from .errors import ConfigError
 from .graph import ratio_from_assortativity
 from .harness import EngageScenario, ExperimentPlan
-from .netgen import MAX_PATTERN_ATTRIBUTES, AttributeTargets, GENERATION_MODES, NetworkTargets, _check_population
+from .netgen import AttributeTargets, GENERATION_MODES, NetworkTargets, _check_attribute_count, _check_population
 from .sampler import SEED_SELECTION_MODES, SamplerConfig
 
 __all__ = [
@@ -266,6 +266,8 @@ def multi_network_run_from_config(cfg, source: str = "<config>"):
     with _refused(source, "network"):
         _check_population(net["n"], net["mean_degree"])
     targets = _covariate_targets(cfg, source)
+    with _refused(source):
+        _check_attribute_count(len(targets))
     return net["n"], net["mean_degree"], targets, _covariate_spec(cfg, targets, source)
 
 
@@ -325,8 +327,7 @@ def _covariate_targets(cfg, source: str, network: bool = True) -> tuple[Attribut
 
     With ``network=False`` a section needs only ``prevalence``: the network
     targets it gives are checked as usual, and neutral ones (diff_activity
-    and homophily_r of 1) stand in for those it leaves out. With a network,
-    the sections may number at most ``netgen.MAX_PATTERN_ATTRIBUTES``.
+    and homophily_r of 1) stand in for those it leaves out.
     A repeated name is left to the ``CovariateSpec`` of :func:`_covariate_spec`.
     """
     targets = []
@@ -349,11 +350,6 @@ def _covariate_targets(cfg, source: str, network: bool = True) -> tuple[Attribut
             )
     if not targets:
         raise ConfigError(f"{source}: need at least one [covariate NAME] section")
-    if network and len(targets) > MAX_PATTERN_ATTRIBUTES:
-        raise ConfigError(
-            f"{source}: a network takes at most {MAX_PATTERN_ATTRIBUTES} covariates "
-            f"(netgen.MAX_PATTERN_ATTRIBUTES), got {len(targets)} [covariate NAME] sections"
-        )
     return tuple(targets)
 
 

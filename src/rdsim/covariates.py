@@ -37,14 +37,18 @@ _RHO_LIMIT = 1.0 - 1e-9
 _CORRELATION_TOL = 1e-6
 
 
+def _check_marginals(*marginals: float) -> None:
+    """Refuse a marginal outside (0, 1); the comparison is False for NaN."""
+    if not all(0.0 < p < 1.0 for p in marginals):
+        raise ValueError("marginals must be strictly inside (0, 1)")
+
+
 def binary_correlation_bounds(p1: float, p2: float) -> tuple[float, float]:
     """Attainable Pearson-correlation interval for binaries with given marginals.
 
     Follows from the Frechet bounds on the joint success probability.
     """
-    for p in (p1, p2):
-        if not 0.0 < p < 1.0:
-            raise ValueError("marginals must be strictly inside (0, 1)")
+    _check_marginals(p1, p2)
     denom = sqrt(p1 * (1 - p1) * p2 * (1 - p2))
     lo = (max(0.0, p1 + p2 - 1.0) - p1 * p2) / denom
     hi = (min(p1, p2) - p1 * p2) / denom
@@ -142,6 +146,7 @@ def bivariate_normal_cdf(h: float, k: float, rho: float) -> float:
 
 def binary_correlation(p1: float, p2: float, rho: float) -> float:
     """Pearson correlation of thresholded binaries given latent correlation."""
+    _check_marginals(p1, p2)
     h = _inv_normal_cdf(p1)
     k = _inv_normal_cdf(p2)
     p11 = bivariate_normal_cdf(h, k, rho)
@@ -214,8 +219,7 @@ class CovariateSpec:
             raise ValueError("names and marginals must align and be non-empty")
         if len(set(names)) != m:
             raise ValueError("covariate names must be unique")
-        if np.any(marginals <= 0.0) or np.any(marginals >= 1.0):
-            raise ValueError("marginals must be strictly inside (0, 1)")
+        _check_marginals(*marginals.tolist())
         corr = np.asarray(self.correlations, dtype=float)
         if corr.shape != (m, m):
             raise ValueError(f"correlation matrix must be {m}x{m}")

@@ -18,7 +18,7 @@ attribute CSV (``node,<name1>,...`` with 0/1 values), read and written as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 
@@ -380,6 +380,16 @@ def homophily_ratio(counts: MixingCounts) -> float:
     return counts.within_1 / counts.cross
 
 
+def _check_targets(prevalence: float, diff_activity: float, ratio: float) -> None:
+    """Refuse a prevalence outside (0, 1), an activity outside (0, inf) or a ratio outside [0, inf), NaN too."""
+    if not 0.0 < prevalence < 1.0:
+        raise ValueError("prevalence must be strictly inside (0, 1)")
+    if not 0.0 < diff_activity < inf:
+        raise ValueError("diff_activity must be positive and finite")
+    if not 0.0 <= ratio < inf:
+        raise ValueError("homophily_ratio must be nonnegative and finite")
+
+
 def assortativity_from_ratio(ratio: float, prevalence: float, diff_activity: float) -> float:
     """Map the within/cross edge ratio to the assortativity scale.
 
@@ -390,16 +400,11 @@ def assortativity_from_ratio(ratio: float, prevalence: float, diff_activity: flo
     generally differs from :func:`newman_assortativity` of that network.
 
     Args:
-        ratio: Within-1/cross edge ratio (>= 0).
+        ratio: Within-1/cross edge ratio, in [0, inf).
         prevalence: Attribute prevalence p, strictly inside (0, 1).
-        diff_activity: Differential activity D_a (> 0).
+        diff_activity: Differential activity D_a, in (0, inf).
     """
-    if not 0.0 < prevalence < 1.0:
-        raise ValueError("prevalence must be strictly inside (0, 1)")
-    if diff_activity <= 0.0:
-        raise ValueError("differential activity must be positive")
-    if ratio < 0.0:
-        raise ValueError("homophily ratio must be nonnegative")
+    _check_targets(prevalence, diff_activity, ratio)
     eta = (1.0 / diff_activity) * (1.0 - prevalence) / prevalence
     return ratio / (1.0 + ratio) - 2.0 / (1.0 + eta * (1.0 + 2.0 * ratio))
 
@@ -423,13 +428,11 @@ def ratio_from_assortativity(assortativity: float, prevalence: float, diff_activ
         The unique nonnegative ratio mapping to ``assortativity``.
 
     Raises:
-        ValueError: If the target is outside the attainable open interval.
+        ValueError: If an input is out of range or the target outside the attainable open interval.
     """
     lo_value = assortativity_from_ratio(0.0, prevalence, diff_activity)
     if not lo_value < assortativity < 1.0:
-        raise ValueError(
-            f"assortativity {assortativity} not attainable: must be in ({lo_value:.6g}, 1)"
-        )
+        raise ValueError(f"assortativity {assortativity} not attainable: must be in ({lo_value:.6g}, 1)")
     h = assortativity
     eta = (1.0 / diff_activity) * (1.0 - prevalence) / prevalence
     a = 2.0 * eta * (1.0 - h)

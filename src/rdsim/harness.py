@@ -42,6 +42,8 @@ from .netgen import (
     AttributeTargets,
     GENERATION_MODES,
     NetworkTargets,
+    _check_attribute_count,
+    _check_mode,
     _check_population,
     fit_dyad_model,
     generate_network,
@@ -83,6 +85,14 @@ def _scaled(x: float) -> int:
     return value
 
 
+def _check_run(replicates: int, master_seed: int) -> None:
+    """Refuse fewer than one replicate or a negative master seed, for both studies."""
+    if not replicates >= 1:
+        raise ValueError("replicates must be >= 1")
+    if not master_seed >= 0:
+        raise ValueError("master_seed must be nonnegative")
+
+
 @dataclass(frozen=True)
 class Cell:
     """One grid cell: swept parameters plus its position in the sweep."""
@@ -122,22 +132,16 @@ class ExperimentPlan:
     regenerate_network: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "prevalences", tuple(float(v) for v in self.prevalences))
-        object.__setattr__(self, "diff_activities", tuple(float(v) for v in self.diff_activities))
-        object.__setattr__(self, "homophily_ratios", tuple(float(v) for v in self.homophily_ratios))
-        object.__setattr__(self, "sample_sizes", tuple(int(v) for v in self.sample_sizes))
-        for name in ("prevalences", "diff_activities", "homophily_ratios", "sample_sizes"):
-            values = getattr(self, name)
+        swept = {"prevalences": float, "diff_activities": float, "homophily_ratios": float, "sample_sizes": int}
+        for name, kind in swept.items():
+            values = tuple(kind(v) for v in getattr(self, name))
+            object.__setattr__(self, name, values)
             if not values:
                 raise ValueError("every swept parameter list must be non-empty")
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} repeats a value: {values}")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be nonnegative")
-        if self.mode not in GENERATION_MODES:
-            raise ValueError(f"mode must be one of {GENERATION_MODES}")
+        _check_run(self.replicates, self.master_seed)
+        _check_mode(self.mode)
         _check_sample_size(max(self.sample_sizes), self.node_count)
         # validates num_seeds/coupons against the smallest sample size
         SamplerConfig(self.num_seeds, self.coupons_per_node, min(self.sample_sizes), self.seed_selection)
@@ -416,19 +420,13 @@ class EngageScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "covariates", tuple(self.covariates))
-        object.__setattr__(
-            self, "correlations", tuple(tuple(float(v) for v in row) for row in self.correlations)
-        )
-        if not self.covariates:
-            raise ValueError("need at least one covariate")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be nonnegative")
+        object.__setattr__(self, "correlations", tuple(tuple(map(float, row)) for row in self.correlations))
+        _check_attribute_count(len(self.covariates))
+        _check_run(self.replicates, self.master_seed)
         _check_population(self.node_count, self.mean_degree)
         _check_sample_size(self.sample_size, self.node_count)
         SamplerConfig(self.num_seeds, self.coupons_per_node, self.sample_size)
-        self.covariate_spec()  # validates names, marginals and correlations
+        self.covariate_spec()  # validates names (at least one), marginals and correlations
         # names such as "X" and "ratio_X" can spell one column twice
         check_names(engage_columns(self.covariate_names))
 

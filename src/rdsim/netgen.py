@@ -34,7 +34,7 @@ from math import exp, log
 import numpy as np
 
 from .errors import FitConvergenceError, InfeasibleTargetsError
-from .graph import Graph, _as_attributes, ratio_from_assortativity
+from .graph import Graph, _as_attributes, _check_targets, ratio_from_assortativity
 
 __all__ = [
     "NetworkTargets",
@@ -68,6 +68,18 @@ def _check_population(node_count: int, mean_degree: float) -> None:
         raise ValueError("mean_degree must be in (0, node_count - 1]")
 
 
+def _check_attribute_count(m: int) -> None:
+    """Refuse more attributes than a pattern code holds."""
+    if m > MAX_PATTERN_ATTRIBUTES:
+        raise ValueError(f"a network takes at most {MAX_PATTERN_ATTRIBUTES} attributes, got {m}")
+
+
+def _check_mode(mode: str) -> None:
+    """Refuse a generation mode not in ``GENERATION_MODES``."""
+    if mode not in GENERATION_MODES:
+        raise ValueError(f"mode must be one of {GENERATION_MODES}")
+
+
 @dataclass(frozen=True)
 class NetworkTargets:
     """Desired population-network characteristics for one binary attribute.
@@ -78,8 +90,8 @@ class NetworkTargets:
             least one node.
         mean_degree: Target average degree, in (0, N-1].
         diff_activity: Target ratio of group mean degrees (value-1 over
-            value-0), positive.
-        homophily_ratio: Target within-1/cross edge ratio, nonnegative.
+            value-0), positive and finite.
+        homophily_ratio: Target within-1/cross edge ratio, nonnegative, finite.
     """
 
     node_count: int
@@ -90,14 +102,9 @@ class NetworkTargets:
 
     def __post_init__(self):
         _check_population(self.node_count, self.mean_degree)
-        if not 0.0 < self.prevalence < 1.0:
-            raise ValueError("prevalence must be strictly inside (0, 1)")
+        _check_targets(self.prevalence, self.diff_activity, self.homophily_ratio)
         if min(self.group_sizes) < 1:
             raise ValueError("both attribute groups must round to at least one node")
-        if self.diff_activity <= 0.0:
-            raise ValueError("diff_activity must be positive")
-        if self.homophily_ratio < 0.0:
-            raise ValueError("homophily_ratio must be nonnegative")
 
     @property
     def group_sizes(self) -> tuple[int, int]:
@@ -335,8 +342,7 @@ def generate_network(
     Returns:
         (graph, attribute values) with the graph simple and undirected.
     """
-    if mode not in GENERATION_MODES:
-        raise ValueError(f"mode must be one of {GENERATION_MODES}")
+    _check_mode(mode)
     solution = solve_dyad_classes(targets)
     z = np.zeros(targets.node_count, dtype=np.int8)
     z[: solution.n1] = 1
@@ -367,7 +373,7 @@ class AttributeTargets:
 
     Homophily is given either on the within/cross-ratio scale
     (``homophily_ratio``) or the assortativity scale (``assortativity``),
-    exactly one of the two.
+    exactly one of the two, in the ranges of :class:`NetworkTargets`.
     """
 
     name: str
@@ -377,22 +383,16 @@ class AttributeTargets:
     assortativity: float | None = None
 
     def __post_init__(self):
-        if (self.homophily_ratio is None) == (self.assortativity is None):
-            raise ValueError(
-                f"attribute {self.name!r}: give exactly one of homophily_ratio or assortativity"
-            )
-        if not 0.0 < self.prevalence < 1.0:
-            raise ValueError(f"attribute {self.name!r}: prevalence must be inside (0, 1)")
-        if self.diff_activity <= 0.0:
-            raise ValueError(f"attribute {self.name!r}: diff_activity must be positive")
-        if self.homophily_ratio is not None and self.homophily_ratio < 0.0:
-            raise ValueError(f"attribute {self.name!r}: homophily_ratio must be nonnegative")
-        if self.assortativity is not None:
-            # reachable at the target's own prevalence; a draw's prevalence is checked by the fit
-            try:
+        try:
+            if (self.homophily_ratio is None) == (self.assortativity is None):
+                raise ValueError("give exactly one of homophily_ratio or assortativity")
+            if self.assortativity is None:
+                _check_targets(self.prevalence, self.diff_activity, self.homophily_ratio)
+            else:
+                # checks the prevalence and activity too; a draw's prevalence is checked by the fit
                 ratio_from_assortativity(self.assortativity, self.prevalence, self.diff_activity)
-            except ValueError as exc:
-                raise ValueError(f"attribute {self.name!r}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"attribute {self.name!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -441,8 +441,7 @@ class _PatternClasses:
         self.n, self.m = z.shape
         if self.n < 2:
             raise ValueError(f"attribute matrix must have n >= 2 rows, got shape {z.shape}")
-        if self.m > MAX_PATTERN_ATTRIBUTES:
-            raise ValueError(f"at most {MAX_PATTERN_ATTRIBUTES} attributes, got {self.m}")
+        _check_attribute_count(self.m)
         # each row packed into the narrowest unsigned integer that holds m
         # bits, first column most significant, so sorted codes follow the
         # lexicographic order of the rows; up to 16 bits numpy's stable sort

@@ -948,7 +948,7 @@ def test_seed_override_adds_no_missing_section(tmp_path, capsys, command, sectio
         (["experiment"], EXPERIMENT_CFG.replace("p = 0.5, 0.8", "p = 0.5,"), "[network] p has an empty list entry"),
         (["covgen"], "[covgen]\nn = 10\n", "need at least one [covariate NAME] section"),
         (["covgen"], "[covgen]\nn = 10\n\n[covariate A]\nprevalence = 1.5\n",
-         "[covariate A] attribute 'A': prevalence must be inside (0, 1)"),
+         "[covariate A] attribute 'A': prevalence must be strictly inside (0, 1)"),
     ],
     ids=["netgen", "rds", "covgen-flag", "covgen-config", "experiment", "rds-no-seeds", "rds-no-coupons",
          "rds-sample-below-seeds", "experiment-empty-list-entry", "covgen-no-covariate-section",
@@ -1053,10 +1053,7 @@ def test_too_many_covariates_for_a_network_fail_before_the_run(tmp_path, capsys,
     cfg.write_text(head + covariate_sections(MAX_PATTERN_ATTRIBUTES + 1))
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-    message = (
-        f"config error: {cfg}: a network takes at most 62 covariates (netgen.MAX_PATTERN_ATTRIBUTES), "
-        "got 63 [covariate NAME] sections\n"
-    )
+    message = f"config error: {cfg}: a network takes at most 62 attributes, got 63\n"
     assert capsys.readouterr() == ("", message)
     assert not out.exists()
     # the most a network takes is a valid config

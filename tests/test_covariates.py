@@ -133,6 +133,20 @@ class TestCovariateSpec:
         with pytest.raises(ValueError, match="feasible"):
             CovariateSpec(("a", "b"), [0.9, 0.1], [[1.0, 0.9], [0.9, 1.0]])
 
+    @pytest.mark.parametrize("marginal", [math.nan, math.inf, -math.inf, 0.0, 1.0])
+    def test_a_marginal_outside_the_unit_interval_is_refused(self, marginal):
+        # NaN fails every comparison, so a check not written to refuse it lets it through to a
+        # NaN threshold, which draws an all-zero column
+        calls = [
+            lambda: CovariateSpec(("a",), [marginal], [[1.0]]),
+            lambda: CovariateSpec(("a", "b"), [0.5, marginal], np.eye(2)),
+            lambda: binary_correlation_bounds(marginal, 0.5),
+            lambda: binary_correlation(0.5, marginal, 0.1),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^marginals must be strictly inside \(0, 1\)$"):
+                call()
+
 
 class TestGeneration:
     def test_single_covariate_marginal(self):

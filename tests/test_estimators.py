@@ -19,6 +19,7 @@ from rdsim import (
     sample_estimates,
     write_forest,
 )
+from rdsim import estimators
 from rdsim.errors import or_none
 from rdsim.estimators import _induced_counts
 from rdsim.graph import MixingCounts, _activity_ratio, _classify
@@ -250,11 +251,21 @@ class TestInducedHomophilyCases:
         forest = seed_forest(self.GRAPH, self.Z, [0, 3, 5])
         assert induced_homophily_of(forest, self.GRAPH, 0) == (None, None)
 
-    def test_edgeless_graph_past_one_block(self):
+    def test_edgeless_graph_past_one_block(self, monkeypatch):
+        # one size bit and 64 column bits overflow one 64-bit mark, so the columns take two blocks
+        real = estimators._block_counts
+        blocks = []
+
+        def block_counts(nodes, columns, graph, levels):
+            blocks.append(columns.shape[1])
+            return real(nodes, columns, graph, levels)
+
+        monkeypatch.setattr(estimators, "_block_counts", block_counts)
         graph = Graph(4, [], [])
-        z = np.tile(np.array([[1], [0], [1], [1]], dtype=np.int8), (1, 9))
+        z = np.tile(np.array([[1], [0], [1], [1]], dtype=np.int8), (1, 64))
         forest = seed_forest(graph, z, [2, 0, 1])
-        assert _induced_counts(forest.nodes, forest.attributes, graph, [3]) == [[MixingCounts(0, 0, 0)] * 9]
+        assert _induced_counts(forest.nodes, forest.attributes, graph, [3]) == [[MixingCounts(0, 0, 0)] * 64]
+        assert blocks == [63, 1]
 
 
 class TestRds2Prevalence:

@@ -1,4 +1,5 @@
 import csv
+import math
 import re
 import sys
 
@@ -483,5 +484,24 @@ def test_write_rows_formats(tmp_path):
     ids=["plan-sample", "scenario-node-count"],
 )
 def test_studies_state_the_population_bounds_as_netgen_and_run_rds_do(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: small_plan(homophily_ratios=(1.0, math.nan)), "homophily_ratio must be nonnegative and finite"),
+        (lambda: small_plan(diff_activities=(math.inf,)), "diff_activity must be positive and finite"),
+        (lambda: tiny_scenario(
+            covariates=[AttributeTargets(f"c{k}", 0.5, 1.0, homophily_ratio=1.0) for k in range(63)],
+            correlations=np.eye(63),
+        ), "a network takes at most 62 attributes, got 63"),
+    ],
+    ids=["plan-nan-ratio", "plan-inf-activity", "scenario-63-covariates"],
+)
+def test_studies_refuse_at_construction_what_a_replicate_cannot_run(build, message):
+    # refused before any replicate: a NaN ratio has no stream seed, and 63
+    # covariates do not fit the pattern code the first fit would build
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()

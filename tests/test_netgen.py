@@ -922,6 +922,47 @@ class TestAttributeTargets:
         assert not np.allclose(fit.theta, targeted.theta)
 
 
+def refused(text: str):
+    """``pytest.raises`` for a ``ValueError`` whose whole message is ``text``."""
+    return pytest.raises(ValueError, match=f"^{re.escape(text)}$")
+
+
+# each target range and the one text that refuses it, whichever entry point is handed the value
+TARGET_RANGES = {
+    "prevalence": ((math.nan, math.inf, -math.inf, 0.0, 1.0), "prevalence must be strictly inside (0, 1)"),
+    "diff_activity": ((math.nan, math.inf, -math.inf, 0.0, -1.0), "diff_activity must be positive and finite"),
+    "homophily_ratio": ((math.nan, math.inf, -math.inf, -0.1), "homophily_ratio must be nonnegative and finite"),
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(field, value) for field, (values, _) in TARGET_RANGES.items() for value in values],
+)
+def test_a_target_out_of_range_has_one_text_at_every_entry_point(field, value):
+    given = {"prevalence": 0.3, "diff_activity": 1.5, "homophily_ratio": 2.0, field: value}
+    p, da, ratio = given["prevalence"], given["diff_activity"], given["homophily_ratio"]
+    text = TARGET_RANGES[field][1]
+    with refused(text):
+        assortativity_from_ratio(ratio, p, da)
+    with refused(text):
+        NetworkTargets(100, p, 5.0, da, ratio)
+    with refused(f"attribute 'x': {text}"):
+        AttributeTargets("x", p, da, homophily_ratio=ratio)
+    if field != "homophily_ratio":
+        # an assortativity is converted at the target's prevalence and activity, which meet the same rule
+        with refused(f"attribute 'x': {text}"):
+            AttributeTargets("x", p, da, assortativity=0.1)
+        with refused(text):
+            ratio_from_assortativity(0.1, p, da)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_assortativity_is_out_of_reach(value):
+    with pytest.raises(ValueError, match=f"^attribute 'x': assortativity {value} not attainable"):
+        AttributeTargets("x", 0.5, 1.0, assortativity=value)
+
+
 @contextmanager
 def consumed_class_counts():
     """The edge count of each class that the draws in the block take, in draw order."""

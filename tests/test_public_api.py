@@ -254,12 +254,12 @@ def test_public_class_members_are_pinned():
 # shared between modules shows up here, as a new option does in SIGNATURES
 PRIVATE_IMPORTS = {
     ("cli", "harness"): {"_TRUTHS", "_realized_truth"},
-    ("config", "netgen"): {"_check_population"},
+    ("config", "netgen"): {"_check_attribute_count", "_check_population"},
     ("estimators", "graph"): {"_classify", "_mean_ratio", "_mixing"},
     ("harness", "estimators"): {"_PER_ATTRIBUTE"},
-    ("harness", "netgen"): {"_check_population"},
+    ("harness", "netgen"): {"_check_attribute_count", "_check_mode", "_check_population"},
     ("harness", "sampler"): {"_check_sample_size"},
-    ("netgen", "graph"): {"_as_attributes"},
+    ("netgen", "graph"): {"_as_attributes", "_check_targets"},
     ("sampler", "graph"): {"_as_attributes", "_as_int64"},
 }
 
@@ -279,6 +279,33 @@ def test_private_imports_between_modules_are_pinned():
             if private:
                 found.setdefault((module, node.module), set()).update(private)
     assert found == PRIVATE_IMPORTS
+
+
+# raise text -> the modules of the raises that state it, where more than one
+# raise does, with each f-string field written {}. A rule has one owner that
+# raises its text; the one text raised twice is a wrapper that prefixes the
+# name of an attribute to the message of the error it caught.
+REPEATED_RAISES = {"attribute {}: {}": ["graph", "netgen"]}
+
+
+def raise_text(node) -> str | None:
+    """The message of a ``raise`` statement whose first argument is a string literal, fields as ``{}``."""
+    if not (isinstance(node.exc, ast.Call) and node.exc.args):
+        return None
+    message = node.exc.args[0]
+    if isinstance(message, ast.Constant) and isinstance(message.value, str):
+        return message.value
+    if isinstance(message, ast.JoinedStr):
+        return "".join(part.value if isinstance(part, ast.Constant) else "{}" for part in message.values)
+    return None
+
+
+def test_each_raised_text_is_raised_from_one_place():
+    found = {}
+    for module, node in source_nodes():
+        if isinstance(node, ast.Raise) and raise_text(node) is not None:
+            found.setdefault(raise_text(node), []).append(module)
+    assert {text: sorted(modules) for text, modules in found.items() if len(modules) > 1} == REPEATED_RAISES
 
 
 # module -> the private attributes it reaches on objects other than ``self`` and
