@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    _refused,
     covariate_spec_from_config,
     engage_scenario_from_config,
     experiment_plan_from_config,
@@ -31,7 +32,7 @@ from .config import (
     serialize_config,
 )
 from .covariates import binary_sampler
-from .errors import ConfigError, RdsimError
+from .errors import ConfigError, RdsimError, _check_count
 from .estimators import sample_estimates
 from .graph import (
     EDGE_COLUMNS,
@@ -121,8 +122,8 @@ def _attribute_stats(graph, values) -> list[str]:
 
 def _check_seed(seed: int, source: str) -> None:
     # default_rng takes no negative entropy; fail as the sweeps do, before any output
-    if seed < 0:
-        raise ConfigError(f"{source}: seed must be nonnegative, got {seed}")
+    with _refused(source):
+        _check_count("seed", seed, 0)
 
 
 def cmd_netgen(args) -> int:
@@ -301,10 +302,11 @@ def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+        value = text  # refused below with the text as given
+    try:
+        return _check_count("threads", value, 1)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_common(parser, seed_default=0, threads=False):

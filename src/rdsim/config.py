@@ -16,7 +16,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .covariates import CovariateSpec
-from .errors import ConfigError
+from .errors import ConfigError, _check_count
 from .graph import ratio_from_assortativity
 from .harness import EngageScenario, ExperimentPlan
 from .netgen import AttributeTargets, GENERATION_MODES, NetworkTargets, _check_attribute_count, _check_population
@@ -385,10 +385,9 @@ def covariate_spec_from_config(cfg, source: str = "<config>") -> tuple[Covariate
     """
     _check_sections(cfg, {"covgen"}, True, source)
     covgen = _read(cfg, "covgen", source)
-    if covgen["n"] < 1:
-        raise ConfigError(f"{source}: [covgen] n must be >= 1")
-    if covgen["seed"] < 0:
-        raise ConfigError(f"{source}: [covgen] seed must be nonnegative, got {covgen['seed']}")
+    with _refused(source, "covgen"):
+        _check_count("n", covgen["n"], 1)
+        _check_count("seed", covgen["seed"], 0)
     spec = _covariate_spec(cfg, _covariate_targets(cfg, source, network=False), source)
     return spec, covgen["n"], covgen["seed"]
 

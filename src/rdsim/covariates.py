@@ -17,7 +17,7 @@ from math import asin, erfc, exp, pi, sqrt
 
 import numpy as np
 
-from .errors import RdsimError
+from .errors import RdsimError, _check_count
 
 __all__ = [
     "CovariateSpec",
@@ -289,8 +289,7 @@ class LatentBinaryModel:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw an ``(n, m)`` matrix of 0/1 values, one column per covariate in the compiled spec's order."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        _check_count("n", n, 1)
         latent = rng.standard_normal((n, self.thresholds.size)) @ self.cholesky.T
         return (latent <= self.thresholds).astype(np.int8)
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types, and the count and flag rules, shared across the package."""
+
+import numpy as np
 
 __all__ = [
     "RdsimError",
@@ -29,6 +31,19 @@ def or_none(statistic, *args):
         return statistic(*args)
     except UndefinedEstimandError:
         return None
+
+
+def _check_count(name: str, value, least: int) -> int:
+    """``value`` as an int; refuse a bool, a non-integer (a float or NaN included) or a value below ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _check_flag(name: str, value) -> None:
+    """Refuse a flag that is not a Python or numpy bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
 
 
 class InfeasibleTargetsError(RdsimError):

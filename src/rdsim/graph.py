@@ -22,7 +22,7 @@ from math import inf, sqrt
 
 import numpy as np
 
-from .errors import UndefinedEstimandError
+from .errors import UndefinedEstimandError, _check_count
 from .tables import check_names, in_file, read_table, write_table
 
 __all__ = [
@@ -84,9 +84,7 @@ class Graph:
     __slots__ = ("_n", "_src", "_dst", "_indptr", "_indices", "_degrees")
 
     def __init__(self, node_count: int, src, dst):
-        n = int(node_count)
-        if n < 1:
-            raise ValueError("node_count must be >= 1")
+        n = _check_count("node_count", node_count, 1)
         if n > MAX_NODE_COUNT:
             raise ValueError(f"node_count must be <= {MAX_NODE_COUNT}, got {n}")
         src = _as_integers(src, "src")

@@ -28,7 +28,7 @@ from itertools import product
 import numpy as np
 
 from .covariates import CovariateSpec, LatentBinaryModel, binary_sampler
-from .errors import FitConvergenceError, InfeasibleTargetsError, or_none
+from .errors import FitConvergenceError, InfeasibleTargetsError, _check_count, _check_flag, or_none
 from .estimators import _PER_ATTRIBUTE, relative_bias, sample_estimates
 from .graph import (
     differential_activity,
@@ -87,10 +87,8 @@ def _scaled(x: float) -> int:
 
 def _check_run(replicates: int, master_seed: int) -> None:
     """Refuse fewer than one replicate or a negative master seed, for both studies."""
-    if not replicates >= 1:
-        raise ValueError("replicates must be >= 1")
-    if not master_seed >= 0:
-        raise ValueError("master_seed must be nonnegative")
+    _check_count("replicates", replicates, 1)
+    _check_count("master_seed", master_seed, 0)
 
 
 @dataclass(frozen=True)
@@ -132,7 +130,8 @@ class ExperimentPlan:
     regenerate_network: bool = True
 
     def __post_init__(self):
-        swept = {"prevalences": float, "diff_activities": float, "homophily_ratios": float, "sample_sizes": int}
+        swept = {"prevalences": float, "diff_activities": float, "homophily_ratios": float}
+        swept["sample_sizes"] = lambda size: _check_count("sample_sizes entry", size, 1)
         for name, kind in swept.items():
             values = tuple(kind(v) for v in getattr(self, name))
             object.__setattr__(self, name, values)
@@ -142,6 +141,7 @@ class ExperimentPlan:
                 raise ValueError(f"{name} repeats a value: {values}")
         _check_run(self.replicates, self.master_seed)
         _check_mode(self.mode)
+        _check_flag("regenerate_network", self.regenerate_network)
         _check_sample_size(max(self.sample_sizes), self.node_count)
         # validates num_seeds/coupons against the smallest sample size
         SamplerConfig(self.num_seeds, self.coupons_per_node, min(self.sample_sizes), self.seed_selection)
@@ -424,8 +424,8 @@ class EngageScenario:
         _check_attribute_count(len(self.covariates))
         _check_run(self.replicates, self.master_seed)
         _check_population(self.node_count, self.mean_degree)
-        _check_sample_size(self.sample_size, self.node_count)
         SamplerConfig(self.num_seeds, self.coupons_per_node, self.sample_size)
+        _check_sample_size(self.sample_size, self.node_count)
         self.covariate_spec()  # validates names (at least one), marginals and correlations
         # names such as "X" and "ratio_X" can spell one column twice
         check_names(engage_columns(self.covariate_names))

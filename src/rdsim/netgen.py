@@ -33,7 +33,7 @@ from math import exp, log
 
 import numpy as np
 
-from .errors import FitConvergenceError, InfeasibleTargetsError
+from .errors import FitConvergenceError, InfeasibleTargetsError, _check_count
 from .graph import Graph, _as_attributes, _check_targets, ratio_from_assortativity
 
 __all__ = [
@@ -61,8 +61,7 @@ _FIT_MAX_ITER = 100
 
 def _check_population(node_count: int, mean_degree: float) -> None:
     """Refuse fewer than two nodes, or a mean degree outside ``(0, node_count - 1]``."""
-    if node_count < 2:
-        raise ValueError("node_count must be >= 2")
+    _check_count("node_count", node_count, 2)
     # mean_degree = n-1 is allowed: it forces the complete graph
     if not 0.0 < mean_degree <= node_count - 1:
         raise ValueError("mean_degree must be in (0, node_count - 1]")

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import _check_count, _check_flag
 from .graph import Graph, _as_attributes, _as_int64
 from .tables import check_names, in_file, read_table, write_table
 
@@ -74,14 +75,12 @@ class SamplerConfig:
     reseed_on_death: bool = True
 
     def __post_init__(self):
-        if self.num_seeds < 1:
-            raise ValueError("num_seeds must be >= 1")
-        if self.coupons_per_node < 1:
-            raise ValueError("coupons_per_node must be >= 1")
-        if self.target_sample_size < self.num_seeds:
-            raise ValueError("target_sample_size must be >= num_seeds")
+        _check_count("num_seeds", self.num_seeds, 1)
+        _check_count("coupons_per_node", self.coupons_per_node, 1)
+        _check_count("target_sample_size", self.target_sample_size, self.num_seeds)
         if self.seed_selection not in SEED_SELECTION_MODES:
             raise ValueError(f"seed_selection must be one of {SEED_SELECTION_MODES}")
+        _check_flag("reseed_on_death", self.reseed_on_death)
 
 
 @dataclass(frozen=True)
@@ -116,6 +115,7 @@ class RecruitmentForest:
     recruiter_entries: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        _check_flag("truncated", self.truncated)
         arrays = {}
         for name in ("nodes", "recruiters", "waves", "seed_ids", "coupon_indices", "degrees"):
             arr = _as_int64(getattr(self, name), name)
@@ -129,6 +129,7 @@ class RecruitmentForest:
         entries = _check_recruitment(self)
         entries.flags.writeable = False
         object.__setattr__(self, "recruiter_entries", entries)
+        _check_count("reseed_count", self.reseed_count, 0)
         # the first entry is a seed, so the seed entries after it are the most reseeds there can be
         most = size - entries.size - 1
         if not 0 <= self.reseed_count <= most:

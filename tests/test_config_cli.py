@@ -935,16 +935,16 @@ def test_seed_override_adds_no_missing_section(tmp_path, capsys, command, sectio
 @pytest.mark.parametrize(
     "argv, text, message",
     [
-        (["netgen", "--seed", "-2"], FIG_NETWORK_CFG, "seed must be nonnegative, got -2"),
-        (["rds", "--seed", "-1"], "[rds]\nseeds = 1\ncoupons = 2\nsample_size = 3\n", "seed must be nonnegative, got -1"),
+        (["netgen", "--seed", "-2"], FIG_NETWORK_CFG, "seed must be an integer >= 0, got -2"),
+        (["rds", "--seed", "-1"], "[rds]\nseeds = 1\ncoupons = 2\nsample_size = 3\n", "seed must be an integer >= 0, got -1"),
         (["covgen", "--seed", "-1"], "[covgen]\nn = 10\n\n[covariate A]\nprevalence = 0.5\n",
-         "[covgen] seed must be nonnegative, got -1"),
+         "[covgen] seed must be an integer >= 0, got -1"),
         (["covgen"], "[covgen]\nn = 10\nseed = -1\n\n[covariate A]\nprevalence = 0.5\n",
-         "[covgen] seed must be nonnegative, got -1"),
-        (["experiment", "--seed", "-1"], EXPERIMENT_CFG, "master_seed must be nonnegative"),
-        (["rds"], "[rds]\nseeds = 0\ncoupons = 2\nsample_size = 3\n", "[rds] num_seeds must be >= 1"),
-        (["rds"], "[rds]\nseeds = 1\ncoupons = 0\nsample_size = 3\n", "[rds] coupons_per_node must be >= 1"),
-        (["rds"], "[rds]\nseeds = 2\ncoupons = 2\nsample_size = 1\n", "[rds] target_sample_size must be >= num_seeds"),
+         "[covgen] seed must be an integer >= 0, got -1"),
+        (["experiment", "--seed", "-1"], EXPERIMENT_CFG, "master_seed must be an integer >= 0, got -1"),
+        (["rds"], "[rds]\nseeds = 0\ncoupons = 2\nsample_size = 3\n", "[rds] num_seeds must be an integer >= 1, got 0"),
+        (["rds"], "[rds]\nseeds = 1\ncoupons = 0\nsample_size = 3\n", "[rds] coupons_per_node must be an integer >= 1, got 0"),
+        (["rds"], "[rds]\nseeds = 2\ncoupons = 2\nsample_size = 1\n", "[rds] target_sample_size must be an integer >= 2, got 1"),
         (["experiment"], EXPERIMENT_CFG.replace("p = 0.5, 0.8", "p = 0.5,"), "[network] p has an empty list entry"),
         (["covgen"], "[covgen]\nn = 10\n", "need at least one [covariate NAME] section"),
         (["covgen"], "[covgen]\nn = 10\n\n[covariate A]\nprevalence = 1.5\n",
@@ -1004,20 +1004,20 @@ def test_non_integer_threads_ask_for_an_integer(tmp_path, capsys, command, threa
         main([command, "--config", str(tmp_path / "any.cfg"), "--threads", threads])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"argument --threads: must be an integer >= 1, got {threads!r}" in err
+    assert f"argument --threads: threads must be an integer >= 1, got {threads!r}" in err
     assert "_positive_int" not in err
 
 
 @pytest.mark.parametrize(
     "command, sizes, message",
     [
-        ("covgen", "[covgen]\nn = 0\n", "[covgen] n must be >= 1"),
+        ("covgen", "[covgen]\nn = 0\n", "[covgen] n must be an integer >= 1, got 0"),
         ("netgen", "[network]\nn = 50\nmean_degree = 0\n", "[network] mean_degree must be in (0, node_count - 1]"),
         ("netgen", "[network]\nn = 50\nmean_degree = -3\n", "[network] mean_degree must be in (0, node_count - 1]"),
         ("netgen", "[network]\nn = 50\nmean_degree = 500\n", "[network] mean_degree must be in (0, node_count - 1]"),
-        ("netgen", "[network]\nn = 1\nmean_degree = 0.5\n", "[network] node_count must be >= 2"),
+        ("netgen", "[network]\nn = 1\nmean_degree = 0.5\n", "[network] node_count must be an integer >= 2, got 1"),
         ("engage-mimic", ENGAGE_CFG[:ENGAGE_CFG.index("[covariate A]")].replace("replicates = 2", "replicates = 0"),
-         "replicates must be >= 1"),
+         "replicates must be an integer >= 1, got 0"),
         ("engage-mimic",
          ENGAGE_CFG[:ENGAGE_CFG.index("[covariate A]")].replace("n = 1010", "n = 4040").replace("size = 80", "size = 5000"),
          "target_sample_size 5000 exceeds the population size 4040"),

@@ -479,7 +479,7 @@ def test_write_rows_formats(tmp_path):
     "build, message",
     [
         (lambda: small_plan(sample_sizes=(60, 400)), "target_sample_size 400 exceeds the population size 300"),
-        (lambda: tiny_scenario(node_count=1, mean_degree=0.5, sample_size=1), "node_count must be >= 2"),
+        (lambda: tiny_scenario(node_count=1, mean_degree=0.5, sample_size=1), "node_count must be an integer >= 2, got 1"),
     ],
     ids=["plan-sample", "scenario-node-count"],
 )

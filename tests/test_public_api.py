@@ -11,6 +11,7 @@ here.
 import ast
 import dataclasses
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -253,13 +254,21 @@ def test_public_class_members_are_pinned():
 # ``from .module import _name`` under src/rdsim: a decision that starts to be
 # shared between modules shows up here, as a new option does in SIGNATURES
 PRIVATE_IMPORTS = {
+    ("cli", "config"): {"_refused"},
+    ("cli", "errors"): {"_check_count"},
     ("cli", "harness"): {"_TRUTHS", "_realized_truth"},
+    ("config", "errors"): {"_check_count"},
     ("config", "netgen"): {"_check_attribute_count", "_check_population"},
+    ("covariates", "errors"): {"_check_count"},
     ("estimators", "graph"): {"_classify", "_mean_ratio", "_mixing"},
+    ("graph", "errors"): {"_check_count"},
+    ("harness", "errors"): {"_check_count", "_check_flag"},
     ("harness", "estimators"): {"_PER_ATTRIBUTE"},
     ("harness", "netgen"): {"_check_attribute_count", "_check_mode", "_check_population"},
     ("harness", "sampler"): {"_check_sample_size"},
+    ("netgen", "errors"): {"_check_count"},
     ("netgen", "graph"): {"_as_attributes", "_check_targets"},
+    ("sampler", "errors"): {"_check_count", "_check_flag"},
     ("sampler", "graph"): {"_as_attributes", "_as_int64"},
 }
 
@@ -306,6 +315,22 @@ def test_each_raised_text_is_raised_from_one_place():
         if isinstance(node, ast.Raise) and raise_text(node) is not None:
             found.setdefault(raise_text(node), []).append(module)
     assert {text: sorted(modules) for text, modules in found.items() if len(modules) > 1} == REPEATED_RAISES
+
+
+# Every count goes through errors._check_count, so no other raise states a
+# count bound, in the old "NAME must be >= K" form or in the owner's own
+# "NAME must be an integer >= K".
+COUNT_TEXT = re.compile(r"must be (an integer )?>=")
+
+
+def test_only_the_count_owner_states_a_count_bound():
+    stated, owned = set(), set()
+    for module, node in source_nodes():
+        if isinstance(node, ast.Raise) and COUNT_TEXT.search(raise_text(node) or ""):
+            stated.add((module, node.lineno))
+        if isinstance(node, ast.FunctionDef) and (module, node.name) == ("errors", "_check_count"):
+            owned.update((module, inner.lineno) for inner in ast.walk(node) if isinstance(inner, ast.Raise))
+    assert owned and stated == owned
 
 
 # module -> the private attributes it reaches on objects other than ``self`` and

@@ -673,7 +673,7 @@ def test_constructed_forest_needs_earlier_recruiters(recruiters):
 
 @pytest.mark.parametrize("count", [-4, -1])
 def test_forest_rejects_a_negative_reseed_count(count):
-    with pytest.raises(ValueError, match=f"reseed_count must be in 0..0 for 1 seed entries, not {count}"):
+    with pytest.raises(ValueError, match=f"reseed_count must be an integer >= 0, got {count}"):
         RecruitmentForest(nodes=[7, 3, 9], recruiters=[-1, 7, 7], **STAR_COLUMNS, reseed_count=count)
 
 

@@ -97,4 +97,4 @@ def test_threads_below_one_are_rejected(capsys, command, threads):
     with pytest.raises(SystemExit) as info:
         build_parser().parse_args([command, "--config", "x.cfg", "--threads", threads])
     assert info.value.code == 2
-    assert f"must be >= 1, got {threads}" in capsys.readouterr().err
+    assert f"threads must be an integer >= 1, got {threads}" in capsys.readouterr().err
