@@ -16,7 +16,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .covariates import CovariateSpec
-from .errors import ConfigError, _check_count
+from .errors import ConfigError, _check_choice, _check_count
 from .graph import ratio_from_assortativity
 from .harness import EngageScenario, ExperimentPlan
 from .netgen import AttributeTargets, GENERATION_MODES, NetworkTargets, _check_attribute_count, _check_population
@@ -186,9 +186,8 @@ def _read(cfg, section: str, source: str, lists=(), schema=None) -> _Section:
     def parse(key: str, text: str):
         kind = schema[key]
         if isinstance(kind, tuple):
-            if text not in kind:
-                raise ConfigError(f"{source}: [{section}] {key} must be one of {', '.join(kind)}")
-            return text
+            with _refused(source, section):
+                return _check_choice(key, text, kind)
         if kind is bool:
             if text.lower() not in _BOOLEANS:
                 raise ConfigError(f"{source}: [{section}] {key} = {text!r} is not a boolean")

@@ -17,7 +17,8 @@ from math import asin, erfc, exp, pi, sqrt
 
 import numpy as np
 
-from .errors import RdsimError, _check_count
+from .errors import RdsimError, _check_count, _check_real
+from .tables import check_names
 
 __all__ = [
     "CovariateSpec",
@@ -37,10 +38,12 @@ _RHO_LIMIT = 1.0 - 1e-9
 _CORRELATION_TOL = 1e-6
 
 
-def _check_marginals(*marginals: float) -> None:
-    """Refuse a marginal outside (0, 1); the comparison is False for NaN."""
-    if not all(0.0 < p < 1.0 for p in marginals):
+def _check_marginals(*marginals: float) -> list[float]:
+    """The marginals as floats; refuse a non-number (a string is not parsed), one outside (0, 1) or NaN."""
+    values = [_check_real("marginal", p) for p in marginals]
+    if not all(0.0 < p < 1.0 for p in values):
         raise ValueError("marginals must be strictly inside (0, 1)")
+    return values
 
 
 def binary_correlation_bounds(p1: float, p2: float) -> tuple[float, float]:
@@ -212,15 +215,13 @@ class CovariateSpec:
     correlations: np.ndarray
 
     def __post_init__(self):
-        names = tuple(self.names)
-        marginals = np.asarray(self.marginals, dtype=float).ravel()
+        names = check_names(self.names)
+        marginals = np.array(_check_marginals(*np.asarray(self.marginals, dtype=object).ravel().tolist()))
         m = marginals.size
         if len(names) != m or m < 1:
             raise ValueError("names and marginals must align and be non-empty")
-        if len(set(names)) != m:
-            raise ValueError("covariate names must be unique")
-        _check_marginals(*marginals.tolist())
-        corr = np.asarray(self.correlations, dtype=float)
+        given = np.asarray(self.correlations, dtype=object)
+        corr = np.reshape([_check_real("correlation", r) for r in given.ravel().tolist()], given.shape)
         if corr.shape != (m, m):
             raise ValueError(f"correlation matrix must be {m}x{m}")
         if not np.allclose(corr, corr.T, atol=1e-12):
@@ -237,7 +238,6 @@ class CovariateSpec:
                         f"outside feasible interval ({lo:.6g}, {hi:.6g})"
                     )
         marginals.flags.writeable = False
-        corr = corr.copy()
         corr.flags.writeable = False
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "marginals", marginals)

@@ -1,4 +1,4 @@
-"""Exception types, and the count and flag rules, shared across the package."""
+"""Exception types, and the count, flag, real-number and choice rules, shared across the package."""
 
 import numpy as np
 
@@ -44,6 +44,20 @@ def _check_flag(name: str, value) -> None:
     """Refuse a flag that is not a Python or numpy bool."""
     if not isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a bool, got {value!r}")
+
+
+def _check_real(name: str, value) -> float:
+    """``value`` as a float; refuse a bool, a string, None or anything else that is no Python or numpy number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _check_choice(name: str, value, choices: tuple[str, ...]) -> str:
+    """``value``, one of the strings ``choices``; anything else, a list or None too, is refused, not compared."""
+    if not isinstance(value, str) or value not in choices:
+        raise ValueError(f"{name} must be one of ({', '.join(choices)}), got {value!r}")
+    return value
 
 
 class InfeasibleTargetsError(RdsimError):

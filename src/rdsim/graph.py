@@ -22,7 +22,7 @@ from math import inf, sqrt
 
 import numpy as np
 
-from .errors import UndefinedEstimandError, _check_count
+from .errors import UndefinedEstimandError, _check_count, _check_real
 from .tables import check_names, in_file, read_table, write_table
 
 __all__ = [
@@ -227,12 +227,12 @@ def _as_int64(values, name: str) -> np.ndarray:
     return _as_integers(values, name).astype(np.int64, copy=False)
 
 
-def _as_attributes(values, rows: int | None = None) -> np.ndarray:
+def _as_attributes(values, rows: int | None = None, names: tuple[str, ...] | None = None) -> np.ndarray:
     """``values`` as a read-only (n, m) int8 matrix of 0/1 values; a vector is one column.
 
     Every attribute matrix of the package is checked here: its shape, its
-    row count when ``rows`` is given, and its values, before the narrowing
-    that would wrap 256 to 0.
+    row count when ``rows`` is given, one column per name when ``names``
+    are, and its values, before the narrowing that would wrap 256 to 0.
     """
     given = np.asarray(values)
     z = given[:, None] if given.ndim == 1 else given
@@ -242,6 +242,8 @@ def _as_attributes(values, rows: int | None = None) -> np.ndarray:
         raise ValueError(
             f"attribute matrix length {z.shape[0]} must equal the node count {rows} (shape {given.shape})"
         )
+    if names is not None and z.shape[1] != len(names):
+        raise ValueError(f"{len(names)} attribute names for {z.shape[1]} columns (shape {given.shape})")
     if z.dtype.kind in "biu":  # bool or integer: the range decides, at a fraction of isin's cost
         binary = z.min() >= 0 and z.max() <= 1
     else:
@@ -379,12 +381,12 @@ def homophily_ratio(counts: MixingCounts) -> float:
 
 
 def _check_targets(prevalence: float, diff_activity: float, ratio: float) -> None:
-    """Refuse a prevalence outside (0, 1), an activity outside (0, inf) or a ratio outside [0, inf), NaN too."""
-    if not 0.0 < prevalence < 1.0:
+    """Refuse a non-number, or a prevalence outside (0, 1), activity outside (0, inf) or ratio outside [0, inf)."""
+    if not 0.0 < _check_real("prevalence", prevalence) < 1.0:
         raise ValueError("prevalence must be strictly inside (0, 1)")
-    if not 0.0 < diff_activity < inf:
+    if not 0.0 < _check_real("diff_activity", diff_activity) < inf:
         raise ValueError("diff_activity must be positive and finite")
-    if not 0.0 <= ratio < inf:
+    if not 0.0 <= _check_real("homophily_ratio", ratio) < inf:
         raise ValueError("homophily_ratio must be nonnegative and finite")
 
 
@@ -426,12 +428,12 @@ def ratio_from_assortativity(assortativity: float, prevalence: float, diff_activ
         The unique nonnegative ratio mapping to ``assortativity``.
 
     Raises:
-        ValueError: If an input is out of range or the target outside the attainable open interval.
+        ValueError: If an input is no number or out of range, or the target outside the attainable interval.
     """
+    h = _check_real("assortativity", assortativity)
     lo_value = assortativity_from_ratio(0.0, prevalence, diff_activity)
-    if not lo_value < assortativity < 1.0:
+    if not lo_value < h < 1.0:
         raise ValueError(f"assortativity {assortativity} not attainable: must be in ({lo_value:.6g}, 1)")
-    h = assortativity
     eta = (1.0 / diff_activity) * (1.0 - prevalence) / prevalence
     a = 2.0 * eta * (1.0 - h)
     b = eta - 1.0 - h * (1.0 + 3.0 * eta)
@@ -464,9 +466,7 @@ def write_attributes(path, names, values) -> None:
     distinct and non-empty.
     """
     names = check_names(names)
-    z = _as_attributes(values)
-    if z.shape[1] != len(names):
-        raise ValueError(f"{len(names)} attribute names for {z.shape[1]} columns (shape {np.shape(values)})")
+    z = _as_attributes(values, names=names)
     write_table(path, ("node",) + names, zip(range(z.shape[0]), *z.T.tolist()))
 
 

@@ -28,7 +28,8 @@ from itertools import product
 import numpy as np
 
 from .covariates import CovariateSpec, LatentBinaryModel, binary_sampler
-from .errors import FitConvergenceError, InfeasibleTargetsError, _check_count, _check_flag, or_none
+from .errors import FitConvergenceError, InfeasibleTargetsError, or_none
+from .errors import _check_choice, _check_count, _check_flag, _check_real
 from .estimators import _PER_ATTRIBUTE, relative_bias, sample_estimates
 from .graph import (
     differential_activity,
@@ -43,7 +44,6 @@ from .netgen import (
     GENERATION_MODES,
     NetworkTargets,
     _check_attribute_count,
-    _check_mode,
     _check_population,
     fit_dyad_model,
     generate_network,
@@ -130,25 +130,25 @@ class ExperimentPlan:
     regenerate_network: bool = True
 
     def __post_init__(self):
-        swept = {"prevalences": float, "diff_activities": float, "homophily_ratios": float}
-        swept["sample_sizes"] = lambda size: _check_count("sample_sizes entry", size, 1)
-        for name, kind in swept.items():
-            values = tuple(kind(v) for v in getattr(self, name))
+        swept = dict.fromkeys(("prevalences", "diff_activities", "homophily_ratios"), _check_real)
+        swept["sample_sizes"] = lambda name, size: _check_count(name, size, 1)
+        for name, check in swept.items():
+            values = tuple(check(f"{name} entry", v) for v in getattr(self, name))
             object.__setattr__(self, name, values)
             if not values:
                 raise ValueError("every swept parameter list must be non-empty")
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} repeats a value: {values}")
         _check_run(self.replicates, self.master_seed)
-        _check_mode(self.mode)
+        _check_choice("mode", self.mode, GENERATION_MODES)
         _check_flag("regenerate_network", self.regenerate_network)
-        _check_sample_size(max(self.sample_sizes), self.node_count)
         # validates num_seeds/coupons against the smallest sample size
         SamplerConfig(self.num_seeds, self.coupons_per_node, min(self.sample_sizes), self.seed_selection)
-        # Out-of-range targets fail here, before any cell runs; infeasible ones
-        # become skip rows.
+        # Out-of-range targets and node counts fail here, before any cell runs or
+        # the sample bound reads the node count; infeasible targets become skip rows.
         for group in self.cell_groups():
             self.network_targets(group[0])
+        _check_sample_size(max(self.sample_sizes), self.node_count)
 
     def cells(self) -> list[Cell]:
         combos = product(self.prevalences, self.diff_activities, self.homophily_ratios, self.sample_sizes)
@@ -330,7 +330,7 @@ def _run_tasks(tasks: list, worker, threads: int) -> list[dict]:
     is paid only on that branch, so a one-worker run never loads it.
     """
     # a worker beyond the tasks or the usable CPUs would only be forked and wait
-    workers = min(threads, len(tasks), _usable_cpus())
+    workers = min(_check_count("threads", threads, 1), len(tasks), _usable_cpus())
     if workers <= 1:
         return [worker(task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor
@@ -420,7 +420,8 @@ class EngageScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "covariates", tuple(self.covariates))
-        object.__setattr__(self, "correlations", tuple(tuple(map(float, row)) for row in self.correlations))
+        rows = tuple(tuple(_check_real("correlation", r) for r in row) for row in self.correlations)
+        object.__setattr__(self, "correlations", rows)
         _check_attribute_count(len(self.covariates))
         _check_run(self.replicates, self.master_seed)
         _check_population(self.node_count, self.mean_degree)

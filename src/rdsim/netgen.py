@@ -33,7 +33,7 @@ from math import exp, log
 
 import numpy as np
 
-from .errors import FitConvergenceError, InfeasibleTargetsError, _check_count
+from .errors import FitConvergenceError, InfeasibleTargetsError, _check_choice, _check_count, _check_real
 from .graph import Graph, _as_attributes, _check_targets, ratio_from_assortativity
 
 __all__ = [
@@ -60,10 +60,10 @@ _FIT_MAX_ITER = 100
 
 
 def _check_population(node_count: int, mean_degree: float) -> None:
-    """Refuse fewer than two nodes, or a mean degree outside ``(0, node_count - 1]``."""
+    """Refuse fewer than two nodes, or a mean degree that is no number or outside ``(0, node_count - 1]``."""
     _check_count("node_count", node_count, 2)
     # mean_degree = n-1 is allowed: it forces the complete graph
-    if not 0.0 < mean_degree <= node_count - 1:
+    if not 0.0 < _check_real("mean_degree", mean_degree) <= node_count - 1:
         raise ValueError("mean_degree must be in (0, node_count - 1]")
 
 
@@ -71,12 +71,6 @@ def _check_attribute_count(m: int) -> None:
     """Refuse more attributes than a pattern code holds."""
     if m > MAX_PATTERN_ATTRIBUTES:
         raise ValueError(f"a network takes at most {MAX_PATTERN_ATTRIBUTES} attributes, got {m}")
-
-
-def _check_mode(mode: str) -> None:
-    """Refuse a generation mode not in ``GENERATION_MODES``."""
-    if mode not in GENERATION_MODES:
-        raise ValueError(f"mode must be one of {GENERATION_MODES}")
 
 
 @dataclass(frozen=True)
@@ -341,7 +335,7 @@ def generate_network(
     Returns:
         (graph, attribute values) with the graph simple and undirected.
     """
-    _check_mode(mode)
+    _check_choice("mode", mode, GENERATION_MODES)
     solution = solve_dyad_classes(targets)
     z = np.zeros(targets.node_count, dtype=np.int8)
     z[: solution.n1] = 1
@@ -438,8 +432,7 @@ class _PatternClasses:
     def __init__(self, z: np.ndarray):
         z = _as_attributes(z)
         self.n, self.m = z.shape
-        if self.n < 2:
-            raise ValueError(f"attribute matrix must have n >= 2 rows, got shape {z.shape}")
+        _check_count("node_count", self.n, 2)
         _check_attribute_count(self.m)
         # each row packed into the narrowest unsigned integer that holds m
         # bits, first column most significant, so sorted codes follow the

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import _check_count, _check_flag
+from .errors import _check_choice, _check_count, _check_flag
 from .graph import Graph, _as_attributes, _as_int64
 from .tables import check_names, in_file, read_table, write_table
 
@@ -78,8 +78,7 @@ class SamplerConfig:
         _check_count("num_seeds", self.num_seeds, 1)
         _check_count("coupons_per_node", self.coupons_per_node, 1)
         _check_count("target_sample_size", self.target_sample_size, self.num_seeds)
-        if self.seed_selection not in SEED_SELECTION_MODES:
-            raise ValueError(f"seed_selection must be one of {SEED_SELECTION_MODES}")
+        _check_choice("seed_selection", self.seed_selection, SEED_SELECTION_MODES)
         _check_flag("reseed_on_death", self.reseed_on_death)
 
 
@@ -136,11 +135,8 @@ class RecruitmentForest:
             raise ValueError(
                 f"reseed_count must be in 0..{most} for {most + 1} seed entries, not {self.reseed_count}"
             )
-        attrs = _as_attributes(self.attributes, rows=size)
         names = check_names(self.attribute_names)
-        if attrs.shape[1] != len(names):
-            raise ValueError(f"{attrs.shape[1]} attribute columns for {len(names)} attribute names")
-        object.__setattr__(self, "attributes", attrs)
+        object.__setattr__(self, "attributes", _as_attributes(self.attributes, size, names))
         object.__setattr__(self, "attribute_names", names)
 
     @property
@@ -197,10 +193,7 @@ class RecruitmentForest:
             ValueError: If a size is not an integer or is below 1.
         """
         # a cut past the end stops there, however far past it the size reaches
-        sizes = _as_int64([min(size, self.size + 1) for size in sizes], "prefix sizes")
-        small = sizes[sizes < 1]
-        if small.size:
-            raise ValueError(f"a forest prefix needs size >= 1, not {small[0]}")
+        sizes = np.array([min(_check_count("size", size, 1), self.size + 1) for size in sizes], dtype=np.int64)
         entries = np.minimum(sizes, self.size)
         # seed entries among the first e entries, at e - 1; the reseeds are the run's last
         # seed entries, so those past a cut are reseeds first

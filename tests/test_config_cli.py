@@ -1078,7 +1078,7 @@ def test_covariate_names_equal_once_stripped_fail_before_the_run(tmp_path, capsy
     cfg.write_text(head + covariates.replace("[covariate B]", "[covariate  A]"))
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr() == ("", f"config error: {cfg}: covariate names must be unique\n")
+    assert capsys.readouterr() == ("", f"config error: {cfg}: column name 'A' is repeated\n")
     assert not out.exists()
 
 

@@ -463,7 +463,7 @@ class TestNestedEstimates:
     @pytest.mark.parametrize("sizes", [[0], [3, -1], [2, 0, 5, -4]])
     def test_a_size_below_one_raises_the_prefix_error(self, sizes):
         forest = self.forest()
-        with pytest.raises(ValueError, match="size >= 1") as nested:
+        with pytest.raises(ValueError, match=r"^size must be an integer >= 1, got -?\d+$") as nested:
             sample_estimates(forest, self.GRAPH, sizes)
         with pytest.raises(ValueError) as cut:
             forest.prefix(next(size for size in sizes if size < 1))

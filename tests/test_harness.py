@@ -497,11 +497,20 @@ def test_studies_state_the_population_bounds_as_netgen_and_run_rds_do(build, mes
             covariates=[AttributeTargets(f"c{k}", 0.5, 1.0, homophily_ratio=1.0) for k in range(63)],
             correlations=np.eye(63),
         ), "a network takes at most 62 attributes, got 63"),
+        (lambda: tiny_scenario(covariates=[
+            AttributeTargets("", 0.5, 1.2, assortativity=0.1),
+            AttributeTargets("B", 0.3, 0.9, assortativity=0.05),
+        ]), "column name '' is empty"),
+        (lambda: tiny_scenario(covariates=[
+            AttributeTargets("a", 0.5, 1.2, assortativity=0.1),
+            AttributeTargets(" a", 0.3, 0.9, assortativity=0.05),
+        ]), "column name 'a' is repeated"),
     ],
-    ids=["plan-nan-ratio", "plan-inf-activity", "scenario-63-covariates"],
+    ids=["plan-nan-ratio", "plan-inf-activity", "scenario-63-covariates", "scenario-empty-name", "scenario-a-and-space-a"],
 )
 def test_studies_refuse_at_construction_what_a_replicate_cannot_run(build, message):
-    # refused before any replicate: a NaN ratio has no stream seed, and 63
-    # covariates do not fit the pattern code the first fit would build
+    # refused before any replicate: a NaN ratio has no stream seed, 63
+    # covariates do not fit the pattern code the first fit would build, and
+    # a forest takes no empty name and no two names equal once stripped
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()

@@ -257,18 +257,18 @@ PRIVATE_IMPORTS = {
     ("cli", "config"): {"_refused"},
     ("cli", "errors"): {"_check_count"},
     ("cli", "harness"): {"_TRUTHS", "_realized_truth"},
-    ("config", "errors"): {"_check_count"},
+    ("config", "errors"): {"_check_choice", "_check_count"},
     ("config", "netgen"): {"_check_attribute_count", "_check_population"},
-    ("covariates", "errors"): {"_check_count"},
+    ("covariates", "errors"): {"_check_count", "_check_real"},
     ("estimators", "graph"): {"_classify", "_mean_ratio", "_mixing"},
-    ("graph", "errors"): {"_check_count"},
-    ("harness", "errors"): {"_check_count", "_check_flag"},
+    ("graph", "errors"): {"_check_count", "_check_real"},
+    ("harness", "errors"): {"_check_choice", "_check_count", "_check_flag", "_check_real"},
     ("harness", "estimators"): {"_PER_ATTRIBUTE"},
-    ("harness", "netgen"): {"_check_attribute_count", "_check_mode", "_check_population"},
+    ("harness", "netgen"): {"_check_attribute_count", "_check_population"},
     ("harness", "sampler"): {"_check_sample_size"},
-    ("netgen", "errors"): {"_check_count"},
+    ("netgen", "errors"): {"_check_choice", "_check_count", "_check_real"},
     ("netgen", "graph"): {"_as_attributes", "_check_targets"},
-    ("sampler", "errors"): {"_check_count", "_check_flag"},
+    ("sampler", "errors"): {"_check_choice", "_check_count", "_check_flag"},
     ("sampler", "graph"): {"_as_attributes", "_as_int64"},
 }
 
@@ -317,20 +317,35 @@ def test_each_raised_text_is_raised_from_one_place():
     assert {text: sorted(modules) for text, modules in found.items() if len(modules) > 1} == REPEATED_RAISES
 
 
-# Every count goes through errors._check_count, so no other raise states a
-# count bound, in the old "NAME must be >= K" form or in the owner's own
-# "NAME must be an integer >= K".
-COUNT_TEXT = re.compile(r"must be (an integer )?>=")
+# rule text -> the one function that states it. Every count goes through
+# errors._check_count, so no other raise states a count bound, in the old
+# "NAME must be >= K" form or in the owner's own "NAME must be an integer >= K";
+# every real number goes through _check_real and every choice of strings
+# through _check_choice. A name list is checked by tables.check_names, and
+# one attribute column per name by graph._as_attributes.
+RULE_OWNERS = {
+    r"must be (an integer )?>=": ("errors", "_check_count"),
+    r"must be a real number": ("errors", "_check_real"),
+    r"must be one of": ("errors", "_check_choice"),
+    r"names? .*(is empty|is repeated|must be unique)": ("tables", "check_names"),
+    r"attribute (names|columns) for": ("graph", "_as_attributes"),
+}
 
 
 def test_only_the_count_owner_states_a_count_bound():
-    stated, owned = set(), set()
-    for module, node in source_nodes():
-        if isinstance(node, ast.Raise) and COUNT_TEXT.search(raise_text(node) or ""):
-            stated.add((module, node.lineno))
-        if isinstance(node, ast.FunctionDef) and (module, node.name) == ("errors", "_check_count"):
-            owned.update((module, inner.lineno) for inner in ast.walk(node) if isinstance(inner, ast.Raise))
-    assert owned and stated == owned
+    # the count rule and the real-number, choice and name rules beside it
+    for rule, owner in RULE_OWNERS.items():
+        stated, owned = set(), set()
+        for module, node in source_nodes():
+            if isinstance(node, ast.Raise) and re.search(rule, raise_text(node) or ""):
+                stated.add((module, node.lineno))
+            if isinstance(node, ast.FunctionDef) and (module, node.name) == owner:
+                owned.update(
+                    (module, inner.lineno)
+                    for inner in ast.walk(node)
+                    if isinstance(inner, ast.Raise) and re.search(rule, raise_text(inner) or "")
+                )
+        assert owned and stated == owned, rule
 
 
 # module -> the private attributes it reaches on objects other than ``self`` and

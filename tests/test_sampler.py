@@ -620,14 +620,14 @@ def test_prefix_of_a_read_back_forest_with_reseeds(tmp_path, fix_seeds):
 def test_prefix_of_any_size_past_the_end_is_the_run():
     forest = triangles_run(SamplerConfig(1, 2, 5), 6)
     assert forest.prefix(2**80) is forest
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match=r"^size must be an integer >= 1, got 2\.5$"):
         forest.prefix(2.5)
 
 
 @pytest.mark.parametrize("size", [0, -1])
 def test_prefix_needs_one_entry(size):
     forest = triangles_run(SamplerConfig(1, 2, 4), 6)
-    with pytest.raises(ValueError, match="size >= 1"):
+    with pytest.raises(ValueError, match=f"^size must be an integer >= 1, got {size}$"):
         forest.prefix(size)
 
 

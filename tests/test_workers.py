@@ -5,6 +5,7 @@ starts a worker process.
 """
 
 import concurrent.futures
+import re
 
 import pytest
 
@@ -54,12 +55,19 @@ def _square(x):
         (8, 2, [(2, 1)]),  # capped at the tasks
         (1, 100, []),  # one worker runs inline
         (500, 1, []),
-        (0, 100, []),
     ],
 )
 def test_pool_is_capped_at_tasks_and_cpus(pools, threads, tasks, expected):
     assert harness._run_tasks(list(range(tasks)), _square, threads) == [x * x for x in range(tasks)]
     assert pools == expected
+
+
+@pytest.mark.parametrize("threads", [0, -3, True, 2.5, "2"], ids=repr)
+def test_threads_that_are_no_count_are_refused_before_any_task(pools, threads):
+    ran = []
+    with pytest.raises(ValueError, match=f"^{re.escape(f'threads must be an integer >= 1, got {threads!r}')}$"):
+        harness._run_tasks(list(range(100)), ran.append, threads)
+    assert ran == [] and pools == []
 
 
 def test_a_single_usable_cpu_runs_inline(pools, monkeypatch):
