@@ -24,9 +24,6 @@ __all__ = [
     "CovariateSpec",
     "LatentBinaryModel",
     "binary_correlation_bounds",
-    "bivariate_normal_cdf",
-    "binary_correlation",
-    "latent_normal_correlation",
     "latent_correlation_matrix",
     "binary_sampler",
 ]
@@ -80,7 +77,7 @@ def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Genz's bivariate normal scheme takes 6, 12 or 20 nodes as |rho| grows.
     Each rule is built on its first use, so ``numpy.polynomial`` loads with
-    the first :func:`bivariate_normal_cdf` call (a covariate sampler's
+    the first :func:`_bivariate_normal_cdf` call (a covariate sampler's
     compile makes one), not with the package.
     """
     from numpy.polynomial.legendre import leggauss
@@ -91,7 +88,7 @@ def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def bivariate_normal_cdf(h: float, k: float, rho: float) -> float:
+def _bivariate_normal_cdf(h: float, k: float, rho: float) -> float:
     """P(Z1 <= h, Z2 <= k) for standard bivariate normals with correlation rho.
 
     Evaluated as P(Z1 > -h, Z2 > -k) by Genz's BVNU (Drezner & Wesolowsky
@@ -147,20 +144,12 @@ def bivariate_normal_cdf(h: float, k: float, rho: float) -> float:
     return -bvn + max(0.0, _normal_cdf(-h) - _normal_cdf(-k))
 
 
-def binary_correlation(p1: float, p2: float, rho: float) -> float:
-    """Pearson correlation of thresholded binaries given latent correlation."""
-    _check_marginals(p1, p2)
-    h = _inv_normal_cdf(p1)
-    k = _inv_normal_cdf(p2)
-    p11 = bivariate_normal_cdf(h, k, rho)
-    return (p11 - p1 * p2) / sqrt(p1 * (1 - p1) * p2 * (1 - p2))
-
-
-def latent_normal_correlation(p1: float, p2: float, target: float) -> float:
+def _latent_normal_correlation(p1: float, p2: float, target: float) -> float:
     """Solve for the latent normal correlation matching a binary correlation.
 
-    Bisection on rho in (-1, 1); :func:`binary_correlation` is strictly
-    increasing in rho. The first midpoint is 0, so a zero target returns 0.
+    Bisection on rho in (-1, 1); the Pearson correlation of the binaries
+    is strictly increasing in rho. The first midpoint is 0, so a zero
+    target returns 0.
 
     Args:
         p1: First marginal, in (0, 1).
@@ -168,8 +157,8 @@ def latent_normal_correlation(p1: float, p2: float, target: float) -> float:
         target: Desired Pearson correlation of the binaries.
 
     Returns:
-        Latent correlation rho with ``binary_correlation(p1, p2, rho)``
-        within 1e-6 of ``target``.
+        Latent correlation rho whose binary correlation is within 1e-6 of
+        ``target``.
 
     Raises:
         ValueError: If ``target`` is outside the feasible interval implied
@@ -182,10 +171,12 @@ def latent_normal_correlation(p1: float, p2: float, target: float) -> float:
             f"correlation {target} infeasible for marginals ({p1}, {p2}); "
             f"feasible open interval is ({lo_feas:.6g}, {hi_feas:.6g})"
         )
+    h, k = _inv_normal_cdf(p1), _inv_normal_cdf(p2)
+    denom = sqrt(p1 * (1 - p1) * p2 * (1 - p2))
     lo, hi = -_RHO_LIMIT, _RHO_LIMIT
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        value = binary_correlation(p1, p2, mid)
+        value = (_bivariate_normal_cdf(h, k, mid) - p1 * p2) / denom
         if abs(value - target) <= _CORRELATION_TOL:
             return mid
         if value < target:
@@ -263,7 +254,7 @@ def latent_correlation_matrix(spec: CovariateSpec) -> np.ndarray:
     latent = np.eye(m)
     for i in range(m):
         for j in range(i + 1, m):
-            latent[i, j] = latent[j, i] = latent_normal_correlation(
+            latent[i, j] = latent[j, i] = _latent_normal_correlation(
                 spec.marginals[i], spec.marginals[j], spec.correlations[i, j]
             )
     if np.linalg.eigvalsh(latent).min() <= 0.0:

@@ -404,12 +404,12 @@ class DyadModel:
     theta: np.ndarray
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float).ravel()
+        given = np.asarray(self.theta, dtype=object).ravel().tolist()
+        theta = np.array([_check_real("theta entry", v) for v in given])
         if theta.size < 3 or theta.size % 2 == 0:
             raise ValueError(f"theta must have 1 + 2m entries for some m >= 1, got {theta.size}")
         if not np.all(np.isfinite(theta)):
             raise ValueError("theta must be finite")
-        theta = theta.copy()
         theta.flags.writeable = False
         object.__setattr__(self, "theta", theta)
 

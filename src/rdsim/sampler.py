@@ -45,7 +45,6 @@ from .tables import check_names, in_file, read_table, write_table
 __all__ = [
     "SamplerConfig",
     "RecruitmentForest",
-    "select_seeds",
     "run_rds",
     "read_forest",
     "write_forest",
@@ -205,17 +204,16 @@ class RecruitmentForest:
         return entries.tolist(), reseed_count.tolist(), truncated.tolist()
 
 
-def select_seeds(graph: Graph, config: SamplerConfig, rng: np.random.Generator) -> np.ndarray:
+def _select_seeds(graph: Graph, config: SamplerConfig, rng: np.random.Generator) -> np.ndarray:
     """Draw ``config.num_seeds`` distinct seed nodes, in recruitment order.
 
     Uniform mode ignores attributes and degrees; degree mode samples
     sequentially without replacement with probability proportional to
-    degree.
+    degree. ``num_seeds <= target_sample_size <= node_count`` holds, since
+    ``SamplerConfig`` and ``run_rds`` check both bounds first.
     """
     n = graph.node_count
     s = config.num_seeds
-    if s > n:
-        raise ValueError(f"cannot select {s} seeds from {n} nodes")
     if config.seed_selection == "uniform":
         return rng.choice(n, size=s, replace=False).astype(np.int64)
     weights = graph.degrees.astype(np.float64).copy()
@@ -248,7 +246,7 @@ def run_rds(
     rng: np.random.Generator,
     attribute_names: tuple[str, ...] | None = None,
 ) -> RecruitmentForest:
-    """Simulate one recruitment run over ``graph``, from seeds that :func:`select_seeds` draws.
+    """Simulate one recruitment run over ``graph``, from seeds that :func:`_select_seeds` draws.
 
     Breadth-first by coupon issuance: every entry recruits once, in
     admission order, so the FIFO queue is the entries not yet served.
@@ -301,7 +299,7 @@ def run_rds(
     n_target = config.target_sample_size
     _check_sample_size(n_target, graph.node_count)
 
-    seeds = select_seeds(graph, config, rng)
+    seeds = _select_seeds(graph, config, rng)
     is_open = np.ones(graph.node_count, dtype=bool)  # not yet sampled
     is_open[seeds] = False
     nodes = seeds.tolist()

@@ -20,6 +20,7 @@ from rdsim import (
     AttributeTargets,
     ConfigError,
     CovariateSpec,
+    DyadModel,
     EngageScenario,
     ExperimentPlan,
     Graph,
@@ -168,6 +169,7 @@ REALS = {
     "spec-marginals": (lambda v: CovariateSpec(("A",), [v], np.eye(1)), "marginal"),
     "spec-correlations": (lambda v: CovariateSpec(("A",), [0.5], [[v]]), "correlation"),
     "bounds-marginal": (lambda v: binary_correlation_bounds(0.5, v), "marginal"),
+    "dyad-model-theta": (lambda v: DyadModel((-3.0, v, 0.1)), "theta entry"),
 }
 # None leaves an optional homophily scale out, so it is no value to refuse there
 OPTIONAL_REALS = {"attribute-homophily-ratio", "attribute-assortativity"}

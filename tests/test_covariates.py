@@ -11,16 +11,14 @@ from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 from scipy.special import ndtr, ndtri
 
-from rdsim import (
-    CovariateSpec,
-    binary_correlation,
-    binary_correlation_bounds,
-    binary_sampler,
-    bivariate_normal_cdf,
-    latent_correlation_matrix,
-    latent_normal_correlation,
+from rdsim import CovariateSpec, binary_correlation_bounds, binary_sampler, latent_correlation_matrix
+from rdsim.covariates import (
+    _bivariate_normal_cdf,
+    _latent_normal_correlation,
+    _legendre,
+    _nearest_correlation,
+    _normal_cdf,
 )
-from rdsim.covariates import _legendre, _nearest_correlation, _normal_cdf
 
 
 def oracle_cdf(h, k, rho):
@@ -35,7 +33,7 @@ class TestBivariateNormalCdf:
             h, k = rng.normal(size=2) * 1.5
             rho = float(rng.uniform(-0.95, 0.95))
             expected = multivariate_normal(cov=[[1.0, rho], [rho, 1.0]]).cdf([h, k])
-            assert bivariate_normal_cdf(h, k, rho) == pytest.approx(expected, abs=1e-7)
+            assert _bivariate_normal_cdf(h, k, rho) == pytest.approx(expected, abs=1e-7)
 
     @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize(
@@ -50,7 +48,7 @@ class TestBivariateNormalCdf:
         ],
     )
     def test_near_unit_correlation_against_oracle(self, h, k, rho):
-        assert bivariate_normal_cdf(h, k, rho) == pytest.approx(oracle_cdf(h, k, rho), abs=1e-12)
+        assert _bivariate_normal_cdf(h, k, rho) == pytest.approx(oracle_cdf(h, k, rho), abs=1e-12)
 
     @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
     @settings(max_examples=300, deadline=None)
@@ -68,7 +66,7 @@ class TestBivariateNormalCdf:
     )
     def test_against_oracle_up_to_near_unit_correlation(self, h, gap, digits, sign):
         rho = sign * (1.0 - 10.0**-digits)
-        assert bivariate_normal_cdf(h, h + gap, rho) == pytest.approx(oracle_cdf(h, h + gap, rho), abs=1e-12)
+        assert _bivariate_normal_cdf(h, h + gap, rho) == pytest.approx(oracle_cdf(h, h + gap, rho), abs=1e-12)
 
     def test_normal_cdf_against_ndtr(self):
         x = np.linspace(-8.0, 8.0, 16001)
@@ -76,32 +74,34 @@ class TestBivariateNormalCdf:
         assert np.max(np.abs(ours - ndtr(x))) <= 5e-16
 
     def test_independent_case(self):
-        assert bivariate_normal_cdf(0.0, 0.0, 0.0) == pytest.approx(0.25, abs=1e-12)
+        assert _bivariate_normal_cdf(0.0, 0.0, 0.0) == pytest.approx(0.25, abs=1e-12)
 
     def test_quadrant_identity(self):
         # Phi2(0,0;rho) = 1/4 + arcsin(rho)/(2*pi)
         for rho in (-0.8, -0.3, 0.2, 0.7):
             expected = 0.25 + math.asin(rho) / (2 * math.pi)
-            assert bivariate_normal_cdf(0.0, 0.0, rho) == pytest.approx(expected, abs=1e-9)
+            assert _bivariate_normal_cdf(0.0, 0.0, rho) == pytest.approx(expected, abs=1e-9)
 
 
 class TestLatentCorrelation:
     def test_independence(self):
-        assert latent_normal_correlation(0.5, 0.5, 0.0) == 0.0
+        assert _latent_normal_correlation(0.5, 0.5, 0.0) == 0.0
 
     def test_tetrachoric_identity_at_balanced_margins(self):
         # at p1 = p2 = 0.5 the latent solution is sin(pi * r / 2)
         for r in (-0.6, -0.2, 0.1, 0.45, 0.8):
-            rho = latent_normal_correlation(0.5, 0.5, r)
+            rho = _latent_normal_correlation(0.5, 0.5, r)
             assert rho == pytest.approx(math.sin(math.pi * r / 2.0), abs=1e-3)
 
     def test_cohort_pair_round_trip(self):
-        rho = latent_normal_correlation(0.645, 0.431, 0.104)
-        assert binary_correlation(0.645, 0.431, rho) == pytest.approx(0.104, abs=1e-4)
+        p1, p2 = 0.645, 0.431
+        rho = _latent_normal_correlation(p1, p2, 0.104)
+        achieved = (oracle_cdf(ndtri(p1), ndtri(p2), rho) - p1 * p2) / math.sqrt(p1 * (1 - p1) * p2 * (1 - p2))
+        assert achieved == pytest.approx(0.104, abs=1e-4)
 
     @pytest.mark.parametrize("p", [0.5, 0.3])
     def test_near_bound_target_within_tolerance(self, p):
-        rho = latent_normal_correlation(p, p, 0.9999)
+        rho = _latent_normal_correlation(p, p, 0.9999)
         h = float(ndtri(p))
         achieved = (oracle_cdf(h, h, rho) - p * p) / (p * (1 - p))
         assert abs(achieved - 0.9999) <= 1e-6
@@ -109,16 +109,18 @@ class TestLatentCorrelation:
     def test_unreachable_tolerance_raises(self):
         # reaching 1 - 1e-6 would need a latent correlation beyond 1 - 1e-9
         with pytest.raises(ValueError, match=r"correlation 0\.999999 for marginals \(0\.5, 0\.5\)"):
-            latent_normal_correlation(0.5, 0.5, 1 - 1e-6)
+            _latent_normal_correlation(0.5, 0.5, 1 - 1e-6)
 
     def test_infeasible_target_names_interval(self):
         lo, hi = binary_correlation_bounds(0.9, 0.1)
         with pytest.raises(ValueError, match="feasible"):
-            latent_normal_correlation(0.9, 0.1, hi + 0.05)
+            _latent_normal_correlation(0.9, 0.1, hi + 0.05)
         assert lo < 0.0 < hi
 
     def test_monotone_in_rho(self):
-        values = [binary_correlation(0.3, 0.6, rho) for rho in np.linspace(-0.9, 0.9, 13)]
+        # the bisection relies on it: at fixed thresholds, Phi2 and so the binary correlation rise with rho
+        h, k = ndtri(0.3), ndtri(0.6)
+        values = [_bivariate_normal_cdf(h, k, rho) for rho in np.linspace(-0.9, 0.9, 13)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
@@ -141,7 +143,7 @@ class TestCovariateSpec:
             lambda: CovariateSpec(("a",), [marginal], [[1.0]]),
             lambda: CovariateSpec(("a", "b"), [0.5, marginal], np.eye(2)),
             lambda: binary_correlation_bounds(marginal, 0.5),
-            lambda: binary_correlation(0.5, marginal, 0.1),
+            lambda: _latent_normal_correlation(0.5, marginal, 0.1),
         ]
         for call in calls:
             with pytest.raises(ValueError, match=r"^marginals must be strictly inside \(0, 1\)$"):

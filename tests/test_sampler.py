@@ -10,10 +10,10 @@ from rdsim import (
     SamplerConfig,
     read_forest,
     run_rds,
-    select_seeds,
     write_forest,
 )
 from rdsim import sampler
+from rdsim.sampler import _select_seeds
 from rdsim.graph import MAX_NODE_COUNT
 from conftest import complete_graph, path_graph, random_graph, star_graph
 
@@ -21,14 +21,14 @@ from conftest import complete_graph, path_graph, random_graph, star_graph
 @pytest.fixture
 def fix_seeds(monkeypatch):
     """``fix_seeds(nodes)`` makes ``run_rds`` start from ``nodes`` and draw nothing for them;
-    ``fix_seeds(None)`` gives it back :func:`select_seeds`."""
+    ``fix_seeds(None)`` gives it back :func:`_select_seeds`."""
 
     def fix(nodes):
         def fixed(graph, config, rng):
             assert len(nodes) == config.num_seeds
             return np.asarray(nodes, dtype=np.int64)
 
-        monkeypatch.setattr(sampler, "select_seeds", select_seeds if nodes is None else fixed)
+        monkeypatch.setattr(sampler, "_select_seeds", _select_seeds if nodes is None else fixed)
 
     return fix
 
@@ -66,7 +66,7 @@ class TestSelectSeeds:
         graph = star_graph(4)
         for mode in ("uniform", "degree"):
             config = SamplerConfig(5, 2, 5, seed_selection=mode)
-            seeds = select_seeds(graph, config, np.random.default_rng(0))
+            seeds = _select_seeds(graph, config, np.random.default_rng(0))
             assert sorted(seeds.tolist()) == [0, 1, 2, 3, 4]
 
     def test_uniform_frequencies(self):
@@ -76,7 +76,7 @@ class TestSelectSeeds:
         hits = np.zeros(10)
         draws = 100_000
         for _ in range(draws):
-            hits[select_seeds(graph, config, rng)[0]] += 1
+            hits[_select_seeds(graph, config, rng)[0]] += 1
         assert np.all(np.abs(hits / draws - 0.1) <= 0.01)
 
     def test_degree_proportional_star(self):
@@ -86,12 +86,12 @@ class TestSelectSeeds:
         center = 0
         draws = 100_000
         for _ in range(draws):
-            center += select_seeds(graph, config, rng)[0] == 0
+            center += _select_seeds(graph, config, rng)[0] == 0
         assert center / draws == pytest.approx(0.5, abs=0.01)
 
     def test_too_many_seeds(self):
-        with pytest.raises(ValueError):
-            select_seeds(path_graph(3), SamplerConfig(4, 1, 4), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="^target_sample_size 4 exceeds the population size 3$"):
+            run_rds(path_graph(3), np.zeros(3), SamplerConfig(4, 1, 4), np.random.default_rng(0))
 
 
 class TestRunRds:
@@ -365,7 +365,7 @@ def test_run_draws_one_block_after_seed_selection(config):
     rng, twin = np.random.default_rng(123), np.random.default_rng(123)
     forest = run_rds(TWO_TRIANGLES, np.zeros(6, dtype=np.int8), config, rng)
     assert forest.truncated == (not config.reseed_on_death)
-    select_seeds(TWO_TRIANGLES, config, twin)
+    _select_seeds(TWO_TRIANGLES, config, twin)
     twin.random(config.target_sample_size - config.num_seeds)
     assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -415,7 +415,7 @@ def run_rds_by_list(graph, z, config, rng, attribute_names, seeds=None) -> Recru
     """The list-swapping loop that the position-only shuffle of ``run_rds`` replaced; ``z`` is (n, m)."""
     n_target = config.target_sample_size
     if seeds is None:
-        seeds = select_seeds(graph, config, rng)
+        seeds = _select_seeds(graph, config, rng)
     sampled = np.zeros(graph.node_count, dtype=bool)
     sampled[seeds] = True
     nodes = np.asarray(seeds, dtype=np.int64).tolist()

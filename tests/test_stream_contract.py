@@ -52,7 +52,7 @@ def test_random():
 
 
 def test_choice_without_replacement():
-    # select_seeds, uniform seeds: the shuffled call, since seed order is recruitment order
+    # _select_seeds, uniform seeds: the shuffled call, since seed order is recruitment order
     assert_pinned(
         drawn(lambda rng: rng.choice(1000, 5, replace=False).tolist()),
         ([864, 637, 193, 755, 565], 10634140421252683704),
@@ -60,7 +60,7 @@ def test_choice_without_replacement():
 
 
 def test_choice_with_probabilities():
-    # select_seeds, degree-weighted seeds: one pick per call
+    # _select_seeds, degree-weighted seeds: one pick per call
     weights = np.arange(1, 1001, dtype=float)
     weights /= weights.sum()
     assert_pinned(
@@ -70,7 +70,7 @@ def test_choice_with_probabilities():
 
 
 def test_integers():
-    # select_seeds, degree-weighted seeds once only isolated nodes are left
+    # _select_seeds, degree-weighted seeds once only isolated nodes are left
     assert_pinned(
         drawn(lambda rng: [int(rng.integers(k)) for k in (2, 7, 1000, 40400)]),
         ([0, 6, 638, 30532], 18095487855235456604),
