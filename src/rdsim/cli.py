@@ -195,17 +195,25 @@ def cmd_estimate(args) -> int:
         _, pairs = read_table(args.edges, EDGE_COLUMNS, named=False)
         if pairs.min(initial=0) < 0:  # an empty cell reads as -1
             raise ValueError(f"{args.edges}: edge endpoint {pairs.min()} is negative")
-        # the graph's nodes are the ids read, labelled in order; relabelled forests recheck themselves
-        ids = np.unique(np.concatenate([pairs.ravel()] + [forest.nodes for forest in forests]))
+        # the graph's nodes are the ids read, labelled in order; relabelled forests recheck
+        # themselves. The distinct ids are the run starts of one sort (np.unique would load numpy.ma)
+        ids = np.sort(np.concatenate([pairs.ravel()] + [forest.nodes for forest in forests]))
+        starts = np.ones(ids.size, dtype=bool)
+        np.not_equal(ids[1:], ids[:-1], out=starts[1:])
+        ids = ids[starts]
         with in_file(args.edges):
             graph = Graph(ids.size, *ids.searchsorted(pairs.T))
-        # a forest drawn on another network has recruiter-recruit pairs that are not edges here
-        edge_keys = graph.src * graph.node_count + graph.dst
+        # a forest drawn on another network has recruiter-recruit pairs that are not edges
+        # here. The edge keys increase along the edge list, so a search lands on a tie's key
+        # or on a larger one, at worst the sentinel n * n (np.isin would load numpy.ma)
+        n = graph.node_count
+        edge_keys = np.append(graph.src * n + graph.dst, n * n)
         for i, (path, forest) in enumerate(zip(args.forest, forests)):
             recruiters = np.where(forest.recruiters < 0, -1, ids.searchsorted(forest.recruiters))
             forests[i] = forest = replace(forest, nodes=ids.searchsorted(forest.nodes), recruiters=recruiters)
             lo, hi = np.sort(np.stack(forest.recruitment_edges()), axis=0)
-            stray = ~np.isin(lo * graph.node_count + hi, edge_keys)
+            keys = lo * n + hi
+            stray = edge_keys[edge_keys.searchsorted(keys)] != keys
             if stray.any():
                 raise ValueError(f"{path}: tie {ids[lo[stray][0]]}-{ids[hi[stray][0]]} is not an edge of {args.edges}")
     rows = []

@@ -22,7 +22,7 @@ are nested, and comparisons across sampling fractions are paired.
 from __future__ import annotations
 
 import os
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -242,7 +242,8 @@ RB_COLUMNS = [column for column in EXPERIMENT_COLUMNS if column.startswith("rb_"
 
 
 def _cell_key(cell: Cell) -> dict:
-    return dict(zip(EXPERIMENT_GROUP_COLUMNS, astuple(cell)))
+    # the fields in declaration order; astuple would deep-copy each one
+    return dict(zip(EXPERIMENT_GROUP_COLUMNS, vars(cell).values()))
 
 
 def _realized_truth(graph, z) -> dict:
@@ -533,14 +534,32 @@ _SUMMARY_STAT_COLUMNS = [
 ]
 
 
+def _quartile(ordered: list[float], q: float) -> float:
+    """``np.percentile(ordered, 100 * q)`` of sorted finite values, by numpy's own float steps.
+
+    numpy's linear rule: the virtual index ``(n - 1) * q`` falls between
+    order statistics a and b at fraction t, and the quantile is
+    ``a + (b - a) * t``, or ``b - (b - a) * (1 - t)`` when ``t >= 0.5``. An
+    index at the last position reads the last value. ``np.percentile``
+    itself would load ``numpy.ma`` (through ``np.unique``) on first use.
+    """
+    virtual = (len(ordered) - 1) * q
+    i = int(virtual)
+    if i >= len(ordered) - 1:
+        return ordered[-1]
+    a, b = ordered[i], ordered[i + 1]
+    t, d = virtual - i, b - a
+    return b - d * (1 - t) if t >= 0.5 else a + d * t
+
+
 def summarize_replicates(
     rows: list[dict], group_columns: list[str], value_columns: list[str], replicates: int
 ) -> list[dict]:
     """Distribution summary per (group, estimand) over replicate rows.
 
-    Quartiles use linear interpolation between order statistics. Undefined
-    entries (missing estimates, zero truth, skipped replicates) are
-    excluded from the statistics and counted, so
+    Quartiles use linear interpolation between order statistics, and equal
+    ``np.percentile``'s. Undefined entries (missing estimates, zero truth,
+    skipped replicates) are excluded from the statistics and counted, so
     ``count + undefined == replicates`` per group and estimand.
     """
     groups: dict[tuple, list[dict]] = {}  # in order of first appearance
@@ -563,13 +582,13 @@ def summarize_replicates(
             entry["undefined"] = replicates - int(values.size)
             entry["undefined_rate"] = (replicates - int(values.size)) / replicates
             if values.size:
-                q25, median, q75 = np.percentile(values, [25.0, 50.0, 75.0])
+                ordered = np.sort(values).tolist()
                 entry.update(
                     mean=float(values.mean()),
                     min=float(values.min()),
-                    q25=float(q25),
-                    median=float(median),
-                    q75=float(q75),
+                    q25=_quartile(ordered, 0.25),
+                    median=_quartile(ordered, 0.5),
+                    q75=_quartile(ordered, 0.75),
                     max=float(values.max()),
                 )
             else:

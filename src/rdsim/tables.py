@@ -86,9 +86,11 @@ def write_table(path, header, rows) -> None:
 
 
 def _result_cell(value):
-    if isinstance(value, (bool, np.bool_)):
+    if type(value) is float:  # most cells, so tested first
+        return repr(value)
+    if isinstance(value, (bool, np.bool_)):  # a bool is an int, which csv writes as True
         return "true" if value else "false"
-    if isinstance(value, float):
+    if isinstance(value, float):  # np.float64 and other subclasses
         return repr(float(value))
     return value
 

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdsim import (
     AttributeTargets,
@@ -332,7 +334,29 @@ class TestRunExperiment:
             small_plan(**{field: values})
 
 
+# finite float64 relative biases: zero and both signs at magnitudes from 1e-300 to 1e150
+_FINITE = st.one_of(st.just(0.0), st.floats(1e-300, 1e150), st.floats(-1e150, -1e-300))
+
+
+@st.composite
+def replicate_values(draw) -> list[float]:
+    """1 to 300 finite values; about half the draws repeat values of a small pool, so ties abound."""
+    if draw(st.booleans()):
+        pool = draw(st.lists(_FINITE, min_size=1, max_size=8))
+        return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=300))
+    return draw(st.lists(_FINITE, min_size=1, max_size=300))
+
+
 class TestSummarize:
+    @settings(max_examples=300, deadline=None)
+    @given(values=replicate_values())
+    def test_quartiles_are_numpys(self, values):
+        rows = [{"g": 0, "rb": v} for v in values]
+        entry = summarize_replicates(rows, ["g"], ["rb"], len(values))[0]
+        expected = np.percentile(np.array(values), [25.0, 50.0, 75.0]).tolist()
+        assert [entry["q25"], entry["median"], entry["q75"]] == expected
+        assert all(type(entry[name]) is float for name in ("q25", "median", "q75"))
+
     def test_single_record(self):
         rows = [{"g": 1, "rb": 0.1}]
         out = summarize_replicates(rows, ["g"], ["rb"], 1)

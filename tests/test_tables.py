@@ -141,11 +141,36 @@ def test_byte_order_mark_is_not_part_of_the_header(tmp_path, reader, text):
     assert reader(marked) == reader(plain)
 
 
-def test_write_rows_formats_numpy_scalars(tmp_path):
+class _Float(float):
+    """A float subclass with a repr of its own, which a cell must not use."""
+
+    def __repr__(self):
+        return "not a number's repr"
+
+
+CELL_RULES = [
+    (True, "true"),  # a bool is an int: the bool rule comes first
+    (False, "false"),
+    (np.bool_(True), "true"),
+    (np.bool_(False), "false"),
+    (7, "7"),
+    (np.int64(-7), "-7"),
+    (0.1, "0.1"),
+    (-0.0, "-0.0"),
+    (1e300, "1e+300"),
+    (np.float64(0.25), "0.25"),
+    (np.float64(1 / 3), repr(1 / 3)),
+    (_Float(0.5), "0.5"),  # any float subclass goes through repr(float(v))
+    (None, ""),
+    ("text", "text"),
+]
+
+
+@pytest.mark.parametrize("value, cell", CELL_RULES, ids=[f"{type(v).__module__}.{type(v).__name__}:{c}" for v, c in CELL_RULES])
+def test_write_rows_cell_rules(tmp_path, value, cell):
     path = tmp_path / "rows.csv"
-    row = {"a": np.float64(0.25), "b": np.bool_(False), "c": np.int64(7), "d": "text"}
-    write_rows(path, ["a", "b", "c", "d", "e"], [row])
-    assert path.read_text().splitlines() == ["a,b,c,d,e", "0.25,false,7,text,"]
+    write_rows(path, ["a", "b"], [{"a": value}])
+    assert path.read_text().splitlines() == ["a,b", f"{cell},"]
 
 
 def _raises_naming(path, reader):
