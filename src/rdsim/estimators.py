@@ -179,10 +179,9 @@ def sample_estimates(
     return estimates[0] if sizes is None else estimates
 
 
-def _running(*blocks: np.ndarray) -> np.ndarray:
-    """Sums of the first j rows of the column ``blocks``, side by side, at row j, from 0 to all of them."""
-    values = np.concatenate(blocks, axis=1)
-    sums = np.zeros((values.shape[0] + 1, values.shape[1]), dtype=np.int64)
+def _running(values: np.ndarray) -> np.ndarray:
+    """Sums of the first j rows of ``values`` at row j, from 0 to all of them."""
+    sums = np.zeros((values.shape[0] + 1, *values.shape[1:]), dtype=np.int64)
     np.cumsum(values, axis=0, out=sums[1:])
     return sums
 
@@ -202,10 +201,12 @@ def _nested_estimates(forest: RecruitmentForest, graph: Graph | None, cuts) -> l
     za, zb = z[forest.recruiter_entries], z[recruits]
     # a tie enters with its recruit, so the first e entries hold the first ties[i] ties
     ties = np.searchsorted(recruits, ends)
-    # one pass per axis: within and touching ties by column; members, their degrees and all degrees
-    tie_sums = _running(za & zb, za | zb)[ties].tolist()
-    entry_sums = _running(z, z * degrees[:, None], degrees[:, None])[ends].tolist()
+    within_1 = _running(za & zb)[ties].tolist()
+    touching_1 = _running(za | zb)[ties].tolist()
     ties = ties.tolist()
+    members_1 = _running(z)[ends].tolist()
+    degrees_1 = _running(z * degrees[:, None])[ends].tolist()
+    degree_sums = _running(degrees)[ends].tolist()
     max_waves = np.maximum.accumulate(forest.waves)[ends - 1].tolist()
     # An isolated node can enter the sample as a seed, in which case the
     # inverse-degree weights are undefined; record a marker, not a crash.
@@ -220,11 +221,10 @@ def _nested_estimates(forest: RecruitmentForest, graph: Graph | None, cuts) -> l
     for i, size in enumerate(entries):
         da, hom, ratio, rds2, crude = [], [], [], [], []
         weights = inverse[:size] if size <= clean else None
-        tie_row, entry_row = tie_sums[i], entry_sums[i]
         for k in range(m):
-            n1, d1 = entry_row[k], entry_row[m + k]
-            da.append(or_none(_mean_ratio, n1, d1, size - n1, entry_row[2 * m] - d1))
-            counts = _mixing(tie_row[k], tie_row[m + k], ties[i])
+            n1, d1 = members_1[i][k], degrees_1[i][k]
+            da.append(or_none(_mean_ratio, n1, d1, size - n1, degree_sums[i] - d1))
+            counts = _mixing(within_1[i][k], touching_1[i][k], ties[i])
             hom.append(or_none(newman_assortativity, counts))
             ratio.append(or_none(homophily_ratio, counts))
             # RDS-II (Salganik & Heckathorn 2004): a sum over the size's own inverse degrees; a running sum would round differently

@@ -535,20 +535,26 @@ _SUMMARY_STAT_COLUMNS = [
 
 
 def _quartile(ordered: list[float], q: float) -> float:
-    """``np.percentile(ordered, 100 * q)`` of sorted finite values, by numpy's own float steps.
+    """``np.percentile(ordered, 100 * q)`` of sorted values, by numpy's own float steps.
 
     numpy's linear rule: the virtual index ``(n - 1) * q`` falls between
     order statistics a and b at fraction t, and the quantile is
     ``a + (b - a) * t``, or ``b - (b - a) * (1 - t)`` when ``t >= 0.5``. An
-    index at the last position reads the last value. ``np.percentile``
+    index at the last position reads the last value as both a and b, at
+    t = index + 1, and a NaN makes every quantile NaN, as in numpy; so an
+    infinite value gives numpy's NaN or infinity too. ``np.percentile``
     itself would load ``numpy.ma`` (through ``np.unique``) on first use.
     """
+    if ordered[-1] != ordered[-1]:  # a NaN sorts last
+        return float("nan")
     virtual = (len(ordered) - 1) * q
     i = int(virtual)
-    if i >= len(ordered) - 1:
-        return ordered[-1]
-    a, b = ordered[i], ordered[i + 1]
-    t, d = virtual - i, b - a
+    if i < len(ordered) - 1:
+        a, b, t = ordered[i], ordered[i + 1], virtual - i
+    else:
+        a = b = ordered[-1]
+        t = virtual + 1
+    d = b - a
     return b - d * (1 - t) if t >= 0.5 else a + d * t
 
 
@@ -558,8 +564,9 @@ def summarize_replicates(
     """Distribution summary per (group, estimand) over replicate rows.
 
     Quartiles use linear interpolation between order statistics, and equal
-    ``np.percentile``'s. Undefined entries (missing estimates, zero truth,
-    skipped replicates) are excluded from the statistics and counted, so
+    ``np.percentile``'s, NaN and infinite values included. Undefined
+    entries (missing estimates, zero truth, skipped replicates) are
+    excluded from the statistics and counted, so
     ``count + undefined == replicates`` per group and estimand.
     """
     groups: dict[tuple, list[dict]] = {}  # in order of first appearance

@@ -86,12 +86,10 @@ def write_table(path, header, rows) -> None:
 
 
 def _result_cell(value):
-    if type(value) is float:  # most cells, so tested first
-        return repr(value)
+    if isinstance(value, float):  # most cells, so tested first; np.float64 is a float
+        return repr(float(value))
     if isinstance(value, (bool, np.bool_)):  # a bool is an int, which csv writes as True
         return "true" if value else "false"
-    if isinstance(value, float):  # np.float64 and other subclasses
-        return repr(float(value))
     return value
 
 

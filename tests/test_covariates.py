@@ -280,59 +280,6 @@ def test_import_loads_no_scipy():
     assert [m for m in added if any(m == name or m.startswith(name + ".") for name in unwanted)] == []
 
 
-_NO_MA_RUNS = """
-import os, sys
-from rdsim import AttributeTargets, EngageScenario, ExperimentPlan, run_engage_mimic, run_experiment
-from rdsim.cli import main
-
-out = sys.argv[1]
-loaded = []
-plan = ExperimentPlan(
-    node_count=200, mean_degree=8.0, prevalences=(0.3,), diff_activities=(1.0,),
-    homophily_ratios=(1.0, 2.0), sample_sizes=(20, 40), num_seeds=2, coupons_per_node=2,
-    replicates=3, master_seed=1,
-)
-run_experiment(plan, threads=1, out_dir=os.path.join(out, "experiment"))
-loaded += ["experiment"] * ("numpy.ma" in sys.modules)
-scenario = EngageScenario(
-    node_count=400, mean_degree=8.0,
-    covariates=(AttributeTargets("A", 0.5, 1.2, assortativity=0.1), AttributeTargets("B", 0.3, 0.9, assortativity=0.05)),
-    correlations=((1.0, 0.08), (0.08, 1.0)), num_seeds=3, coupons_per_node=3, sample_size=40,
-    replicates=2, master_seed=2,
-)
-run_engage_mimic(scenario, threads=1, out_dir=os.path.join(out, "engage"))
-loaded += ["engage-mimic"] * ("numpy.ma" in sys.modules)
-forest, edges = os.path.join(out, "forest.csv"), os.path.join(out, "edges.csv")
-# a path over the labels 0, 10, ..., 200, long enough that an edge lookup by
-# np.isin would sort and take np.unique
-with open(forest, "w") as fh:
-    fh.write("node,recruiter,wave,seed_id,coupon_index,degree,z\\n0,,0,0,,1,1\\n10,0,1,0,0,2,0\\n20,10,2,0,0,2,1\\n")
-with open(edges, "w") as fh:
-    fh.write("src,dst\\n" + "".join(f"{10 * i},{10 * i + 10}\\n" for i in range(20)))
-assert main(["estimate", "--forest", forest, "--edges", edges, "--out", os.path.join(out, "estimate"), "-q"]) == 0
-loaded += ["estimate --edges"] * ("numpy.ma" in sys.modules)
-print(" ".join(loaded))
-"""
-
-
-def test_runs_load_no_numpy_ma(tmp_path):
-    # np.unique, np.percentile, np.median and a sorting np.isin import numpy.ma on
-    # first use, about 0.7 MB and 9 ms for a module no run needs
-    src = Path(__file__).resolve().parent.parent / "src"
-    result = subprocess.run(
-        [sys.executable, "-c", _NO_MA_RUNS, str(tmp_path)],
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == [], f"numpy.ma loaded after: {result.stdout.strip()}"
-    assert (tmp_path / "experiment" / "summary.csv").exists()
-    assert (tmp_path / "engage" / "summary.csv").exists()
-    assert (tmp_path / "estimate" / "estimates.csv").exists()
-
-
 @pytest.mark.parametrize("n", [6, 12, 20])
 def test_legendre_rules_are_leggauss_and_read_only(n):
     x, w = _legendre(n)

@@ -1,7 +1,10 @@
 import csv
 import math
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,6 +360,30 @@ class TestSummarize:
         assert [entry["q25"], entry["median"], entry["q75"]] == expected
         assert all(type(entry[name]) is float for name in ("q25", "median", "q75"))
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1.0, 2.0, 3.0, math.nan],
+            [math.nan],
+            [math.inf],
+            [1.0, math.inf],
+            [1.0, 2.0, math.inf],
+            [1.0, 2.0, 3.0, math.inf],
+            [-math.inf, 1.0, 2.0],
+            [-math.inf, math.inf],
+            [math.inf] * 3,
+            [-0.0],
+            [-0.0, -0.0],
+            [-0.0] * 3,
+        ],
+    )
+    def test_quartiles_are_numpys_for_nan_inf_and_signed_zero(self, values):
+        # compared by repr, so NaN matches NaN and -0.0 does not match 0.0
+        with np.errstate(invalid="ignore"):
+            entry = summarize_replicates([{"g": 0, "rb": v} for v in values], ["g"], ["rb"], len(values))[0]
+            expected = np.percentile(np.array(values), [25.0, 50.0, 75.0]).tolist()
+        assert [repr(entry[name]) for name in ("q25", "median", "q75")] == [repr(v) for v in expected]
+
     def test_single_record(self):
         rows = [{"g": 1, "rb": 0.1}]
         out = summarize_replicates(rows, ["g"], ["rb"], 1)
@@ -382,6 +409,59 @@ class TestSummarize:
         rows = [{"g": 1, "rb": 0.5}]
         with pytest.raises(ValueError, match="expected"):
             summarize_replicates(rows, ["g"], ["rb"], 2)
+
+
+_NO_MA_RUNS = """
+import os, sys
+from rdsim import AttributeTargets, EngageScenario, ExperimentPlan, run_engage_mimic, run_experiment
+from rdsim.cli import main
+
+out = sys.argv[1]
+loaded = []
+plan = ExperimentPlan(
+    node_count=200, mean_degree=8.0, prevalences=(0.3,), diff_activities=(1.0,),
+    homophily_ratios=(1.0, 2.0), sample_sizes=(20, 40), num_seeds=2, coupons_per_node=2,
+    replicates=3, master_seed=1,
+)
+run_experiment(plan, threads=1, out_dir=os.path.join(out, "experiment"))
+loaded += ["experiment"] * ("numpy.ma" in sys.modules)
+scenario = EngageScenario(
+    node_count=400, mean_degree=8.0,
+    covariates=(AttributeTargets("A", 0.5, 1.2, assortativity=0.1), AttributeTargets("B", 0.3, 0.9, assortativity=0.05)),
+    correlations=((1.0, 0.08), (0.08, 1.0)), num_seeds=3, coupons_per_node=3, sample_size=40,
+    replicates=2, master_seed=2,
+)
+run_engage_mimic(scenario, threads=1, out_dir=os.path.join(out, "engage"))
+loaded += ["engage-mimic"] * ("numpy.ma" in sys.modules)
+forest, edges = os.path.join(out, "forest.csv"), os.path.join(out, "edges.csv")
+# a path over the labels 0, 10, ..., 200, long enough that an edge lookup by
+# np.isin would sort and take np.unique
+with open(forest, "w") as fh:
+    fh.write("node,recruiter,wave,seed_id,coupon_index,degree,z\\n0,,0,0,,1,1\\n10,0,1,0,0,2,0\\n20,10,2,0,0,2,1\\n")
+with open(edges, "w") as fh:
+    fh.write("src,dst\\n" + "".join(f"{10 * i},{10 * i + 10}\\n" for i in range(20)))
+assert main(["estimate", "--forest", forest, "--edges", edges, "--out", os.path.join(out, "estimate"), "-q"]) == 0
+loaded += ["estimate --edges"] * ("numpy.ma" in sys.modules)
+print(" ".join(loaded))
+"""
+
+
+def test_runs_load_no_numpy_ma(tmp_path):
+    # np.unique, np.percentile, np.median and a sorting np.isin import numpy.ma on
+    # first use, about 0.7 MB and 9 ms for a module no run needs
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", _NO_MA_RUNS, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == [], f"numpy.ma loaded after: {result.stdout.strip()}"
+    assert (tmp_path / "experiment" / "summary.csv").exists()
+    assert (tmp_path / "engage" / "summary.csv").exists()
+    assert (tmp_path / "estimate" / "estimates.csv").exists()
 
 
 class TestEngageMimic:
