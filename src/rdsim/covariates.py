@@ -149,7 +149,8 @@ def _latent_normal_correlation(p1: float, p2: float, target: float) -> float:
 
     Bisection on rho in (-1, 1); the Pearson correlation of the binaries
     is strictly increasing in rho. The first midpoint is 0, so a zero
-    target returns 0.
+    target returns 0. :class:`CovariateSpec` has already checked the
+    marginals and that ``target`` is inside their feasible interval.
 
     Args:
         p1: First marginal, in (0, 1).
@@ -161,16 +162,8 @@ def _latent_normal_correlation(p1: float, p2: float, target: float) -> float:
         ``target``.
 
     Raises:
-        ValueError: If ``target`` is outside the feasible interval implied
-            by the marginals (the message names that interval), or if
-            reaching it would need |rho| beyond 1 - 1e-9.
+        ValueError: If reaching ``target`` would need |rho| beyond 1 - 1e-9.
     """
-    lo_feas, hi_feas = binary_correlation_bounds(p1, p2)
-    if not lo_feas < target < hi_feas:
-        raise ValueError(
-            f"correlation {target} infeasible for marginals ({p1}, {p2}); "
-            f"feasible open interval is ({lo_feas:.6g}, {hi_feas:.6g})"
-        )
     h, k = _inv_normal_cdf(p1), _inv_normal_cdf(p2)
     denom = sqrt(p1 * (1 - p1) * p2 * (1 - p2))
     lo, hi = -_RHO_LIMIT, _RHO_LIMIT

@@ -222,11 +222,6 @@ def _as_integers(values, name: str) -> np.ndarray:
     return arr
 
 
-def _as_int64(values, name: str) -> np.ndarray:
-    """``values`` as a flat int64 array; a non-integer dtype is an error, not truncated."""
-    return _as_integers(values, name).astype(np.int64, copy=False)
-
-
 def _as_attributes(values, rows: int | None = None, names: tuple[str, ...] | None = None) -> np.ndarray:
     """``values`` as a read-only (n, m) int8 matrix of 0/1 values; a vector is one column.
 

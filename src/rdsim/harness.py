@@ -73,16 +73,13 @@ _SEED_SELECTION_CODES = {mode: i for i, mode in enumerate(SEED_SELECTION_MODES)}
 
 
 def _scaled(x: float) -> int:
-    """Nonnegative integer image of a parameter for entropy tuples."""
+    """Integer image of a parameter for entropy tuples; its owner has checked it is nonnegative."""
     try:
-        value = int(round(x * 1_000_000_000))
+        return int(round(x * 1_000_000_000))
     except OverflowError:
         # x * 1e9 is past the float range, so x is an integral float: this
         # image is exact and lies above every finite one
-        value = int(x) * 1_000_000_000
-    if value < 0:
-        raise ValueError("stream-entropy parameters must be nonnegative")
-    return value
+        return int(x) * 1_000_000_000
 
 
 def _check_run(replicates: int, master_seed: int) -> None:

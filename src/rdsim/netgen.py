@@ -257,8 +257,6 @@ def _sample_class_dyads(
         # the members' dtype, or concatenating the parts would widen them
         empty = np.empty(0, dtype=group_a.dtype)
         return empty, empty.copy()
-    if k > population:
-        raise ValueError("cannot draw more dyads than the class contains")
     if k == population:
         chosen = np.arange(population, dtype=np.int64)
     else:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import _check_choice, _check_count, _check_flag
-from .graph import Graph, _as_attributes, _as_int64
+from .graph import Graph, _as_attributes, _as_integers
 from .tables import check_names, in_file, read_table, write_table
 
 __all__ = [
@@ -93,11 +93,12 @@ class RecruitmentForest:
     holds the reported network size of each entry (equal to the true graph
     degree here). ``reseed_count`` is at most the seed entries minus one.
 
-    Construction checks the invariants that need no graph, whatever the
-    source, and raises ``ValueError`` on a break; an empty or repeated
-    attribute name is one, as it would make a forest file that does not
-    read back. ``recruiter_entries`` holds the entry position of each
-    recruit's recruiter, in entry order.
+    Construction checks, on its own read-only copies of the columns, the
+    invariants that need no graph, whatever the source, so no later edit
+    of the caller's arrays can break them. It raises ``ValueError`` on a
+    break; an empty or repeated attribute name is one, as it would make a
+    forest file that does not read back. ``recruiter_entries`` holds the
+    entry position of each recruit's recruiter, in entry order.
     """
 
     nodes: np.ndarray
@@ -116,7 +117,7 @@ class RecruitmentForest:
         _check_flag("truncated", self.truncated)
         arrays = {}
         for name in ("nodes", "recruiters", "waves", "seed_ids", "coupon_indices", "degrees"):
-            arr = _as_int64(getattr(self, name), name)
+            arr = _as_integers(getattr(self, name), name).astype(np.int64)
             arr.flags.writeable = False
             arrays[name] = arr
         size = arrays["nodes"].size

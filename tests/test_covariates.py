@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -111,12 +112,6 @@ class TestLatentCorrelation:
         with pytest.raises(ValueError, match=r"correlation 0\.999999 for marginals \(0\.5, 0\.5\)"):
             _latent_normal_correlation(0.5, 0.5, 1 - 1e-6)
 
-    def test_infeasible_target_names_interval(self):
-        lo, hi = binary_correlation_bounds(0.9, 0.1)
-        with pytest.raises(ValueError, match="feasible"):
-            _latent_normal_correlation(0.9, 0.1, hi + 0.05)
-        assert lo < 0.0 < hi
-
     def test_monotone_in_rho(self):
         # the bisection relies on it: at fixed thresholds, Phi2 and so the binary correlation rise with rho
         h, k = ndtri(0.3), ndtri(0.6)
@@ -135,6 +130,24 @@ class TestCovariateSpec:
         with pytest.raises(ValueError, match="feasible"):
             CovariateSpec(("a", "b"), [0.9, 0.1], [[1.0, 0.9], [0.9, 1.0]])
 
+    def test_infeasible_target_names_interval(self):
+        # CovariateSpec owns the interval check; the latent solve only runs on a checked spec
+        lo, hi = binary_correlation_bounds(0.9, 0.1)
+        assert lo < 0.0 < hi
+        r = hi + 0.05
+        message = f"correlation {r} between 'a' and 'b' outside feasible interval ({lo:.6g}, {hi:.6g})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CovariateSpec(("a", "b"), [0.9, 0.1], [[1.0, r], [r, 1.0]])
+
+    def test_names_and_marginals_must_align(self):
+        for names, marginals in ((("a", "b"), [0.5]), (("a",), [0.5, 0.5])):
+            with pytest.raises(ValueError, match=r"^names and marginals must align and be non-empty$"):
+                CovariateSpec(names, marginals, np.eye(len(marginals)))
+
+    def test_correlation_matrix_must_be_square(self):
+        with pytest.raises(ValueError, match=r"^correlation matrix must be 2x2$"):
+            CovariateSpec(("a", "b"), [0.5, 0.5], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
     @pytest.mark.parametrize("marginal", [math.nan, math.inf, -math.inf, 0.0, 1.0])
     def test_a_marginal_outside_the_unit_interval_is_refused(self, marginal):
         # NaN fails every comparison, so a check not written to refuse it lets it through to a
@@ -143,7 +156,6 @@ class TestCovariateSpec:
             lambda: CovariateSpec(("a",), [marginal], [[1.0]]),
             lambda: CovariateSpec(("a", "b"), [0.5, marginal], np.eye(2)),
             lambda: binary_correlation_bounds(marginal, 0.5),
-            lambda: _latent_normal_correlation(0.5, marginal, 0.1),
         ]
         for call in calls:
             with pytest.raises(ValueError, match=r"^marginals must be strictly inside \(0, 1\)$"):
@@ -229,6 +241,20 @@ class TestLatentMatrixRepair:
         repaired = _nearest_correlation(bad)
         assert np.linalg.eigvalsh(repaired).min() > 0
         assert np.allclose(np.diag(repaired), 1.0)
+
+    def test_pairwise_feasible_spec_with_an_indefinite_latent_matrix_is_repaired(self):
+        # each pair of balanced binaries can reach +-0.9, but the three latent correlations
+        # (about +-0.988) cannot hold together
+        correlations = [[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]]
+        spec = CovariateSpec(("a", "b", "c"), [0.5, 0.5, 0.5], correlations)
+        with pytest.warns(UserWarning, match="^latent correlation matrix not positive definite"):
+            latent = latent_correlation_matrix(spec)
+        assert np.allclose(np.diag(latent), 1.0, rtol=0.0, atol=1e-12)
+        assert np.linalg.eigvalsh(latent).min() > 0.0
+        with pytest.warns(UserWarning, match="^latent correlation matrix not positive definite"):
+            model = binary_sampler(spec)
+        assert np.allclose(model.cholesky @ model.cholesky.T, latent, rtol=0.0, atol=1e-12)
+        assert np.array_equal(model.thresholds, np.zeros(3))
 
     def test_latent_matrix_positive_definite_for_valid_spec(self):
         spec = CovariateSpec(

@@ -85,6 +85,9 @@ class TestGraph:
         with pytest.raises(ValueError):
             graph.degrees[0] = 99
 
+    def test_repr_names_the_counts(self):
+        assert repr(Graph(3, [0, 1], [1, 2])) == "Graph(node_count=3, edge_count=2)"
+
 
 def lexsort_reference(node_count, src, dst):
     """The lexsort canonicalization ``Graph`` is checked against: (src, dst, degrees, indptr, indices)."""
@@ -394,6 +397,11 @@ class TestDifferentialActivity:
 
 
 class TestMixingCounts:
+    @pytest.mark.parametrize("counts", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
+    def test_refuses_a_negative_count(self, counts):
+        with pytest.raises(ValueError, match=r"^mixing counts must be nonnegative$"):
+            MixingCounts(*counts)
+
     def test_two_cliques_no_cross(self):
         edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
         graph = Graph(6, [e[0] for e in edges], [e[1] for e in edges])

@@ -115,6 +115,14 @@ class TestRunExperiment:
         assert rows[0]["status"] == "skipped"
         assert "e00" in rows[0]["reason"]
 
+    def test_skip_reason_names_the_class_without_dyads(self):
+        plan = small_plan(
+            node_count=10, mean_degree=3.0, prevalences=(0.1,), sample_sizes=(5,), num_seeds=1, replicates=2
+        )
+        rows, _ = run_experiment(plan)
+        reason = "infeasible targets: q11 requires 1 edges but the class has no dyads"
+        assert [(row["status"], row["reason"]) for row in rows] == [("skipped", reason)] * 2
+
     def test_truth_provenance(self):
         # recorded relative bias always recomputes from recorded truth and estimate
         plan = small_plan(replicates=5)
@@ -335,6 +343,11 @@ class TestRunExperiment:
     def test_a_repeated_grid_value_is_rejected(self, field, values):
         with pytest.raises(ValueError, match=f"{field} repeats a value"):
             small_plan(**{field: values})
+
+    @pytest.mark.parametrize("field", ["prevalences", "diff_activities", "homophily_ratios", "sample_sizes"])
+    def test_an_empty_grid_list_is_rejected(self, field):
+        with pytest.raises(ValueError, match=r"^every swept parameter list must be non-empty$"):
+            small_plan(**{field: ()})
 
 
 # finite float64 relative biases: zero and both signs at magnitudes from 1e-300 to 1e150

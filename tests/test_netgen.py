@@ -132,6 +132,12 @@ class TestSolveDyadClasses:
         with pytest.raises(InfeasibleTargetsError, match="q11"):
             solve_dyad_classes(NetworkTargets(1000, 0.1, 99.9, 4.0, 5.0))
 
+    def test_edges_in_a_class_without_dyads_are_infeasible(self):
+        # one node of ten carries the attribute, so the within-group-1 class has no dyad for its edge
+        message = "infeasible targets: q11 requires 1 edges but the class has no dyads"
+        with pytest.raises(InfeasibleTargetsError, match=f"^{re.escape(message)}$"):
+            solve_dyad_classes(NetworkTargets(10, 0.1, 3.0, 1.0, 1.0))
+
     @settings(max_examples=300, deadline=None)
     @given(
         n=st.integers(10, 5000),
@@ -844,6 +850,13 @@ class TestFitDyadModel:
         z = (np.arange(100) < 50).astype(np.int8)
         with pytest.raises(ValueError, match=f"^{re.escape('mean_degree must be in (0, node_count - 1]')}$"):
             fit_dyad_model([AttributeTargets("A", 0.5, 1.0, homophily_ratio=1.0)], 5000.0, z)
+
+    def test_one_target_per_attribute_column(self):
+        z = np.zeros((40, 2), dtype=np.int8)
+        z[:20, 0] = 1
+        z[::2, 1] = 1
+        with pytest.raises(ValueError, match=r"^need exactly one AttributeTargets per attribute column$"):
+            fit_dyad_model([AttributeTargets("A", 0.5, 1.0, homophily_ratio=1.0)], 6.0, z)
 
     def test_empty_realized_group_is_infeasible(self):
         z = np.zeros(200, dtype=np.int8)

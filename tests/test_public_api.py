@@ -5,7 +5,9 @@ module, so a name is listed in exactly one place. These checks pin the
 names, that each one is the object its module defines and is read
 outside that module, the parameter names and defaults of each callable,
 and the public members of each class, so that an option, method or
-property added or retired shows up here.
+property added or retired shows up here. Each checked type owns the
+arrays it was built from, so a caller's later edit cannot break what it
+checked.
 """
 
 import ast
@@ -14,6 +16,7 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rdsim
@@ -262,6 +265,49 @@ def test_public_class_members_are_pinned():
     assert {name: members(getattr(rdsim, name)) for name in classes} == MEMBERS
 
 
+# checked type -> a build of it from caller arrays, which get handed back to be overwritten
+CHECKED_BUILDS = {
+    "Graph": lambda arrays: rdsim.Graph(3, arrays(0, 1), arrays(1, 2)),
+    "CovariateSpec": lambda arrays: rdsim.CovariateSpec(
+        ("a", "b"), arrays(0.5, 0.3), arrays([1.0, 0.2], [0.2, 1.0])
+    ),
+    "DyadModel": lambda arrays: rdsim.DyadModel(arrays(-1.0, 0.5, 0.2)),
+    "RecruitmentForest": lambda arrays: rdsim.RecruitmentForest(
+        nodes=arrays(7, 3, 9),
+        recruiters=arrays(-1, 7, 7),
+        waves=arrays(0, 1, 1),
+        seed_ids=arrays(0, 0, 0),
+        coupon_indices=arrays(-1, 0, 1),
+        degrees=arrays(2, 1, 1),
+        attributes=arrays(1, 0, 1),
+        attribute_names=("z",),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED_BUILDS))
+def test_checked_types_own_their_arrays(name):
+    given = []
+
+    def arrays(*values):
+        given.append(np.array(values))
+        return given[-1]
+
+    built = CHECKED_BUILDS[name](arrays)
+    held = {
+        attribute: getattr(built, attribute)
+        for attribute in dir(built)
+        if not attribute.startswith("_") and isinstance(getattr(built, attribute), np.ndarray)
+    }
+    assert held
+    before = {attribute: array.copy() for attribute, array in held.items()}
+    for array in given:
+        array[...] = 0
+    for attribute, array in held.items():
+        assert np.array_equal(array, before[attribute]), attribute
+        assert not any(np.shares_memory(array, mine) for mine in given), attribute
+
+
 # (importing module, defining module) -> the private names it takes, from every
 # ``from .module import _name`` under src/rdsim: a decision that starts to be
 # shared between modules shows up here, as a new option does in SIGNATURES
@@ -281,7 +327,7 @@ PRIVATE_IMPORTS = {
     ("netgen", "errors"): {"_check_choice", "_check_count", "_check_real"},
     ("netgen", "graph"): {"_as_attributes", "_check_targets"},
     ("sampler", "errors"): {"_check_choice", "_check_count", "_check_flag"},
-    ("sampler", "graph"): {"_as_attributes", "_as_int64"},
+    ("sampler", "graph"): {"_as_attributes", "_as_integers"},
 }
 
 

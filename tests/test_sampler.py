@@ -685,6 +685,11 @@ def test_forest_rejects_a_reseed_count_of_every_seed_entry():
         RecruitmentForest(nodes=[7, 3, 9], recruiters=[-1, 7, -1], **columns, reseed_count=2)
 
 
+def test_forest_columns_must_have_equal_length():
+    with pytest.raises(ValueError, match=r"^forest columns must have equal length$"):
+        RecruitmentForest(nodes=[7, 3, 9], recruiters=[-1, 7], **STAR_COLUMNS)
+
+
 def test_integer_columns_reject_floats():
     with pytest.raises(ValueError, match="nodes must be integers"):
         RecruitmentForest(nodes=[0.7, 1, 2], recruiters=[-1, 0, 0], **STAR_COLUMNS)

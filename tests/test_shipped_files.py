@@ -3,7 +3,8 @@
 Desk scale is the shipped ``*_desk.cfg`` files, so each must stay its
 full-size config with only the desk keys changed. README's command-line
 section must name only commands and options that the parser accepts, its
-example config must build a plan, and the CI workflow must run ROADMAP's tier-1 command on the golden numpy,
+example config must build a plan, and the CI workflow must install the
+package as a user does and run ROADMAP's tier-1 command on the golden numpy,
 then the benchmark self-test.
 """
 
@@ -114,5 +115,7 @@ def test_ci_runs_the_roadmap_tier1_command_on_the_golden_numpy():
     tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text()).group(1)
     golden = json.loads((ROOT / "tests/golden_digests.json").read_text())["numpy"]
     assert f'"numpy=={golden}"' in runs[0].split()
+    # the package is also installed as a user installs it, and its console script run
+    assert any("pip install --no-deps ." in run and "rdsim\" --version" in run for run in runs[1:-2])
     # the benchmark self-test follows the tier-1 step and ends the job
     assert runs[-2:] == [tier1, "python3 perfbench/selftest.py"]
